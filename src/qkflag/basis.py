@@ -12,7 +12,9 @@ shifted down by one so indices run over 0 .. n(n-1)-1.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidIndex, InvalidRank
 
@@ -73,6 +75,12 @@ def from_linear(t: int, n: int) -> SchubertIndex:
 def enumerate_basis(n: int) -> list[SchubertIndex]:
     """All n(n-1) Schubert indices, in linear order."""
     return [from_linear(t, n) for t in range(basis_size(n))]
+
+
+@lru_cache(maxsize=None)
+def basis_positions(n: int) -> Mapping[SchubertIndex, int]:
+    """Read-only map from every index for this n to its basis position."""
+    return MappingProxyType({w: t for t, w in enumerate(enumerate_basis(n))})
 
 
 def length(w, n: int) -> int:

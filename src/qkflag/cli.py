@@ -129,7 +129,10 @@ def _load_table(n: int, path: str | None) -> MultiplicationTable:
     if path is None:
         return build_table(n)
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise QKFlagError(f"cached table {path} is nested too deeply to read") from None
     table = qkring.table_from_json(obj)
     if table.n != n:
         raise QKFlagError(f"cached table is for n={table.n}, not n={n}")

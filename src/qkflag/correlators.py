@@ -59,19 +59,24 @@ def two_point(u, w, deg: CurveDegree, n: int) -> int:
     raise UnsupportedDegree(f"no two-point closed form at degree {deg}")
 
 
-def two_point_chain(u, degs, w, n: int) -> int:
-    """Composite sum over intermediate classes of a chain of two-point factors."""
-    check_index(w, n)
-    vec = {check_index(u, n): 1}
+def _chain(vec: dict[SchubertIndex, int], degs, n: int) -> dict[SchubertIndex, int]:
+    """Push an integer combination of classes through two-point factors at ``degs`` in turn."""
+    basis = enumerate_basis(n)
     for deg in degs:
         nxt: dict[SchubertIndex, int] = {}
         for x, c in vec.items():
-            for y in enumerate_basis(n):
+            for y in basis:
                 f = two_point(x, y, deg, n)
                 if f:
                     nxt[y] = nxt.get(y, 0) + c * f
         vec = nxt
-    return vec.get(SchubertIndex(*w), 0)
+    return vec
+
+
+def two_point_chain(u, degs, w, n: int) -> int:
+    """Composite sum over intermediate classes of a chain of two-point factors."""
+    check_index(w, n)
+    return _chain({check_index(u, n): 1}, degs, n).get(SchubertIndex(*w), 0)
 
 
 def three_point_projective(i1: int, i2: int, i3: int, d: int, m: int) -> int:
@@ -179,30 +184,18 @@ def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClas
     kp = k_product(hw, v, n)
     classical = {w: c for w in basis if (c := kp.coefficient(w).constant_term())}
 
-    def chain_from(row: dict[SchubertIndex, int], degs) -> dict[SchubertIndex, int]:
-        vec = dict(row)
-        for d in degs:
-            nxt: dict[SchubertIndex, int] = {}
-            for x, c in vec.items():
-                for y in basis:
-                    f = two_point(x, y, d, n)
-                    if f:
-                        nxt[y] = nxt.get(y, 0) + c * f
-            vec = nxt
-        return vec
-
     def as_class(row: dict[SchubertIndex, int], sign: int = 1) -> QKClass:
         return QKClass(n, {w: sign * c for w, c in row.items()})
 
     if deg in (DEGREE_L1, DEGREE_L2):
         out = as_class(_three_point_row(hw, v, deg, n))
-        out = out + as_class(chain_from(classical, [deg]), -1)
+        out = out + as_class(_chain(classical, [deg], n), -1)
         return out
 
     out = as_class(_three_point_row(hw, v, DEGREE_L1L2, n))
-    out = out + as_class(chain_from(_three_point_row(hw, v, DEGREE_L1, n), [DEGREE_L2]), -1)
-    out = out + as_class(chain_from(_three_point_row(hw, v, DEGREE_L2, n), [DEGREE_L1]), -1)
-    out = out + as_class(chain_from(classical, [DEGREE_L1, DEGREE_L2]))
-    out = out + as_class(chain_from(classical, [DEGREE_L2, DEGREE_L1]))
-    out = out + as_class(chain_from(classical, [DEGREE_L1L2]), -1)
+    out = out + as_class(_chain(_three_point_row(hw, v, DEGREE_L1, n), [DEGREE_L2], n), -1)
+    out = out + as_class(_chain(_three_point_row(hw, v, DEGREE_L2, n), [DEGREE_L1], n), -1)
+    out = out + as_class(_chain(classical, [DEGREE_L1, DEGREE_L2], n))
+    out = out + as_class(_chain(classical, [DEGREE_L2, DEGREE_L1], n))
+    out = out + as_class(_chain(classical, [DEGREE_L1L2], n), -1)
     return out

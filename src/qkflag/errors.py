@@ -17,6 +17,10 @@ class RankMismatch(QKFlagError, ValueError):
     """Operands were built for different ambient dimensions."""
 
 
+class MalformedTable(QKFlagError, ValueError):
+    """A cached multiplication table is not a complete, well-formed table."""
+
+
 class UnsupportedDegree(QKFlagError, ValueError):
     """No closed form is available for this correlator degree."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .basis import SchubertIndex, check_index, check_rank, unit_index
 from .errors import RankMismatch
-from .poly import QKClass
+from .poly import QKClass, _combine, _int_class
 
 
 def _collect(n: int, terms: list[tuple[int, int, int]]) -> QKClass:
@@ -25,7 +25,7 @@ def _collect(n: int, terms: list[tuple[int, int, int]]) -> QKClass:
             continue
         w = SchubertIndex(a, b)
         kept[w] = kept.get(w, 0) + c
-    return QKClass(n, kept)
+    return _int_class(n, kept)
 
 
 def k_product(u, v, n: int) -> QKClass:
@@ -52,11 +52,8 @@ def k_class_product(a: QKClass, b: QKClass, n: int) -> QKClass:
     check_rank(n)
     if a.n != n or b.n != n:
         raise RankMismatch(f"classes built for n={a.n}/{b.n}, expected {n}")
-    out = QKClass.zero(n)
-    for u, pa in a.items():
-        for v, pb in b.items():
-            out = out + k_product(u, v, n).scaled(pa * pb)
-    return out
+    terms_a, terms_b = a._terms.items(), b._terms.items()
+    return _combine(n, ((k_product(u, v, n), pa * pb) for u, pa in terms_a for v, pb in terms_b))
 
 
 def k_unit(n: int) -> QKClass:

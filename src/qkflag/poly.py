@@ -4,13 +4,17 @@ Coefficients are Python ints, so arithmetic is arbitrary precision.  Both
 containers keep a canonical form: zero coefficients are never stored, and
 iteration order is fixed (exponents sorted lexicographically, classes sorted
 by basis position) so serialized output is bit-stable.
+
+Public constructors validate their input.  Arithmetic accumulates into plain
+dicts in place and wraps the result with a ``_trusted`` constructor, which
+skips re-validation.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .basis import SchubertIndex, check_index, check_rank, linear_index
+from .basis import SchubertIndex, basis_positions, check_index, check_rank
 from .errors import RankMismatch
 
 CurveDegree = tuple[int, int]
@@ -33,15 +37,18 @@ class NovikovPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[CurveDegree, int] | None = None):
-        clean: dict[CurveDegree, int] = {}
-        if terms:
-            for (d1, d2), c in terms.items():
-                if d1 < 0 or d2 < 0:
-                    raise ValueError(f"negative curve degree ({d1},{d2})")
-                if c:
-                    clean[(d1, d2)] = clean.get((d1, d2), 0) + c
-            clean = {d: c for d, c in clean.items() if c}
-        self._terms = clean
+        terms = {(d1, d2): c for (d1, d2), c in (terms or {}).items()}
+        for d1, d2 in terms:
+            if d1 < 0 or d2 < 0:
+                raise ValueError(f"negative curve degree ({d1},{d2})")
+        self._terms = {d: c for d, c in terms.items() if c}
+
+    @classmethod
+    def _trusted(cls, terms: dict[CurveDegree, int]) -> "NovikovPolynomial":
+        """Wrap a map that is already clean: no zero coefficient, no negative degree."""
+        p = object.__new__(cls)
+        p._terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "NovikovPolynomial":
@@ -67,21 +74,15 @@ class NovikovPolynomial:
 
     def terms(self) -> Iterator[tuple[CurveDegree, int]]:
         """Terms in (d1, d2)-lexicographic order."""
-        for deg in sorted(self._terms):
-            yield deg, self._terms[deg]
+        yield from sorted(self._terms.items())
 
     def degree_support(self) -> set[CurveDegree]:
         return set(self._terms)
 
     def __add__(self, other) -> "NovikovPolynomial":
-        other = _as_poly(other)
-        merged = dict(self._terms)
-        for deg, c in other._terms.items():
-            merged[deg] = merged.get(deg, 0) + c
-        return NovikovPolynomial(merged)
+        return _clean(_add_product(dict(self._terms), _as_poly(other), _ONE))
 
-    def __radd__(self, other) -> "NovikovPolynomial":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other) -> "NovikovPolynomial":
         return self + (-_as_poly(other))
@@ -90,26 +91,17 @@ class NovikovPolynomial:
         return _as_poly(other) + (-self)
 
     def __neg__(self) -> "NovikovPolynomial":
-        return NovikovPolynomial({deg: -c for deg, c in self._terms.items()})
+        return NovikovPolynomial._trusted({deg: -c for deg, c in self._terms.items()})
 
     def __mul__(self, other) -> "NovikovPolynomial":
-        other = _as_poly(other)
-        out: dict[CurveDegree, int] = {}
-        for (a1, a2), ca in self._terms.items():
-            for (b1, b2), cb in other._terms.items():
-                deg = (a1 + b1, a2 + b2)
-                out[deg] = out.get(deg, 0) + ca * cb
-        return NovikovPolynomial(out)
+        return _clean(_add_product({}, self, _as_poly(other)))
 
-    def __rmul__(self, other) -> "NovikovPolynomial":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = _as_poly(other)
-        if not isinstance(other, NovikovPolynomial):
+        if not isinstance(other, (int, NovikovPolynomial)):
             return NotImplemented
-        return self._terms == other._terms
+        return self._terms == _as_poly(other)._terms
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._terms.items())))
@@ -121,24 +113,30 @@ class NovikovPolynomial:
         return f"NovikovPolynomial({dict(sorted(self._terms.items()))!r})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for deg, c in self.terms():
-            mono = monomial_str(deg)
-            if mono:
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            else:
-                body = str(abs(c))
-            parts.append(("- " if c < 0 else "+ " if parts else "") + body)
-        return " ".join(parts)
+        return _signed_sum([(c, monomial_str(deg)) for deg, c in self.terms()])
+
+
+def _add_product(
+    row: dict[CurveDegree, int], a: NovikovPolynomial, b: NovikovPolynomial
+) -> dict[CurveDegree, int]:
+    """Add the terms of a * b into ``row`` in place and return it."""
+    for (a1, a2), ca in a._terms.items():
+        for (b1, b2), cb in b._terms.items():
+            deg = (a1 + b1, a2 + b2)
+            row[deg] = row.get(deg, 0) + ca * cb
+    return row
+
+
+def _clean(row: dict[CurveDegree, int]) -> NovikovPolynomial:
+    """Wrap an accumulated row, dropping zero coefficients."""
+    return NovikovPolynomial._trusted({d: c for d, c in row.items() if c})
 
 
 def _as_poly(x) -> NovikovPolynomial:
     if isinstance(x, NovikovPolynomial):
         return x
     if isinstance(x, int):
-        return NovikovPolynomial({DEGREE_ZERO: x}) if x else NovikovPolynomial()
+        return NovikovPolynomial({DEGREE_ZERO: x})
     raise TypeError(f"cannot coerce {type(x).__name__} to NovikovPolynomial")
 
 
@@ -169,20 +167,17 @@ class QKClass:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping | None = None):
-        check_rank(n)
-        self.n = n
-        clean: dict[SchubertIndex, NovikovPolynomial] = {}
-        if terms:
-            for w, p in terms.items():
-                w = check_index(w, n)
-                p = _as_poly(p)
-                if w in clean:
-                    p = clean[w] + p
-                if p.is_zero:
-                    clean.pop(w, None)
-                else:
-                    clean[w] = p
-        self._terms = clean
+        self.n = check_rank(n)
+        polys = {check_index(w, n): _as_poly(p) for w, p in (terms or {}).items()}
+        self._terms = {w: p for w, p in polys.items() if p}
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[SchubertIndex, NovikovPolynomial]) -> "QKClass":
+        """Wrap a map that is already clean: valid indices for n, no zero polynomial."""
+        c = object.__new__(cls)
+        c.n = n
+        c._terms = terms
+        return c
 
     @classmethod
     def zero(cls, n: int) -> "QKClass":
@@ -199,12 +194,10 @@ class QKClass:
     def coefficient(self, w) -> NovikovPolynomial:
         return self._terms.get(SchubertIndex(*w), NovikovPolynomial.zero())
 
-    def support(self) -> list[SchubertIndex]:
-        return [w for w, _ in self.items()]
-
     def items(self) -> list[tuple[SchubertIndex, NovikovPolynomial]]:
         """(class, polynomial) pairs in basis order."""
-        return sorted(self._terms.items(), key=lambda kv: linear_index(kv[0], self.n))
+        pos = basis_positions(self.n)
+        return sorted(self._terms.items(), key=lambda kv: pos[kv[0]])
 
     def _check_same_rank(self, other: "QKClass") -> None:
         if self.n != other.n:
@@ -212,21 +205,18 @@ class QKClass:
 
     def __add__(self, other: "QKClass") -> "QKClass":
         self._check_same_rank(other)
-        merged: dict[SchubertIndex, NovikovPolynomial] = dict(self._terms)
-        for w, p in other._terms.items():
-            merged[w] = merged.get(w, NovikovPolynomial.zero()) + p
-        return QKClass(self.n, merged)
+        return _combine(self.n, ((self, _ONE), (other, _ONE)))
 
     def __sub__(self, other: "QKClass") -> "QKClass":
-        return self + (-other)
+        self._check_same_rank(other)
+        return _combine(self.n, ((self, _ONE), (other, _MINUS_ONE)))
 
     def __neg__(self) -> "QKClass":
-        return QKClass(self.n, {w: -p for w, p in self._terms.items()})
+        return _combine(self.n, ((self, _MINUS_ONE),))
 
     def scaled(self, factor) -> "QKClass":
         """Multiply every coefficient by an integer or Novikov polynomial."""
-        factor = _as_poly(factor)
-        return QKClass(self.n, {w: p * factor for w, p in self._terms.items()})
+        return _combine(self.n, ((self, _as_poly(factor)),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QKClass):
@@ -241,52 +231,63 @@ class QKClass:
 
     def classical_limit(self) -> "QKClass":
         """Keep the Q-degree (0,0) part of every coefficient."""
-        return QKClass(self.n, {w: p.constant_term() for w, p in self._terms.items()})
+        return self.degree_part(DEGREE_ZERO)
 
     def degree_part(self, deg: CurveDegree) -> "QKClass":
         """The classical coefficient class of Q^deg."""
-        return QKClass(self.n, {w: p.coefficient(deg) for w, p in self._terms.items()})
+        return _int_class(self.n, {w: p.coefficient(deg) for w, p in self._terms.items()})
 
     def degree_support(self) -> set[CurveDegree]:
-        out: set[CurveDegree] = set()
-        for p in self._terms.values():
-            out |= p.degree_support()
-        return out
-
-    def is_classical(self) -> bool:
-        return self.degree_support() <= {DEGREE_ZERO}
+        return set().union(*(p._terms for p in self._terms.values()))
 
     def __repr__(self) -> str:
         return f"QKClass(n={self.n}, {dict(self.items())!r})"
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " ".join(
-            ("- " if c < 0 else "+ " if k else "")
-            + _term_str(abs(c), deg, w)
-            for k, (w, deg, c) in enumerate(self.sorted_monomials())
-        )
+        monos = self.sorted_monomials()
+        return _signed_sum([(c, _product_word(monomial_str(d), w.label())) for w, d, c in monos])
 
     def sorted_monomials(self) -> list[tuple[SchubertIndex, CurveDegree, int]]:
         """Flat (class, degree, coeff) triples: degree asc, positives first, basis order."""
-        flat = [
-            (w, deg, c)
-            for w, p in self._terms.items()
-            for deg, c in p.terms()
-        ]
-        flat.sort(key=lambda t: (t[1], 0 if t[2] > 0 else 1, linear_index(t[0], self.n)))
+        flat = [(w, deg, c) for w, p in self._terms.items() for deg, c in p.terms()]
+        pos = basis_positions(self.n)
+        flat.sort(key=lambda t: (t[1], 0 if t[2] > 0 else 1, pos[t[0]]))
         return flat
 
 
-def _term_str(mag: int, deg: CurveDegree, w: SchubertIndex) -> str:
-    mono = monomial_str(deg)
-    head = "" if mag == 1 else f"{mag}*"
-    return head + (mono + "*" if mono else "") + w.label()
+def _product_word(*factors: str) -> str:
+    return "*".join(f for f in factors if f)
 
 
-def zero_class(n: int) -> QKClass:
-    return QKClass.zero(n)
+def _signed_sum(terms: list[tuple[int, str]]) -> str:
+    """Render (coeff, word) pairs as "a - 2*b + ..."; a coefficient of 1 is left out."""
+    parts = []
+    for c, word in terms:
+        mag = "" if abs(c) == 1 and word else str(abs(c))
+        parts.append(("- " if c < 0 else "+ " if parts else "") + _product_word(mag, word))
+    return " ".join(parts) or "0"
+
+
+_ONE = NovikovPolynomial._trusted({DEGREE_ZERO: 1})
+_MINUS_ONE = NovikovPolynomial._trusted({DEGREE_ZERO: -1})
+
+
+def _combine(n: int, pairs: Iterable[tuple[QKClass, NovikovPolynomial]]) -> QKClass:
+    """The sum of ``c * factor`` over ``pairs``, accumulated in one dict in place.
+
+    Every ``c`` must already be a class for ``n``; nothing is re-validated.
+    """
+    acc: dict[SchubertIndex, dict[CurveDegree, int]] = {}
+    for c, factor in pairs:
+        for w, p in c._terms.items():
+            _add_product(acc.setdefault(w, {}), p, factor)
+    return QKClass._trusted(n, {w: q for w, row in acc.items() if (q := _clean(row))})
+
+
+def _int_class(n: int, coeffs: dict[SchubertIndex, int]) -> QKClass:
+    """A classical class from valid indices and integer coefficients, zeros dropped."""
+    polys = {w: NovikovPolynomial._trusted({DEGREE_ZERO: c}) for w, c in coeffs.items() if c}
+    return QKClass._trusted(n, polys)
 
 
 def class_to_json(c: QKClass) -> dict:
@@ -297,9 +298,5 @@ def class_to_json(c: QKClass) -> dict:
 
 
 def class_from_json(obj: Mapping) -> QKClass:
-    n = int(obj["n"])
-    terms = {
-        (int(t["w"][0]), int(t["w"][1])): poly_from_json(t["poly"])
-        for t in obj["terms"]
-    }
-    return QKClass(n, terms)
+    terms = {(int(t["w"][0]), int(t["w"][1])): poly_from_json(t["poly"]) for t in obj["terms"]}
+    return QKClass(int(obj["n"]), terms)

@@ -15,8 +15,10 @@ Step (c) subtracts the quantum part of O_h1 * O_{2,1}; the hyperplane class
 appearing in that correction can be taken as h2 (matching the corrections
 used to seed H1, H2) or as h1 (an alternative convention).  The two choices
 agree in the classical limit but produce different tables, so
-``build_table`` arbitrates them against the classical-limit and
-commutativity oracles and records the outcome.
+``build_table`` arbitrates them and records the outcome.  It builds only the
+h2 table and runs the classical-limit and commutativity oracles on it; the
+h1 outcomes follow from that build plus one witness column, and the h1 table
+is built in full only if the witness cannot tell the two variants apart.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 
 from .basis import (
     SchubertIndex,
+    basis_positions,
     basis_size,
     check_index,
     check_rank,
@@ -32,8 +35,9 @@ from .basis import (
     h1_index,
     h2_index,
     linear_index,
+    unit_index,
 )
-from .errors import RankMismatch
+from .errors import MalformedTable, RankMismatch
 from .kring import k_product
 from .poly import (
     DEGREE_L1,
@@ -42,6 +46,8 @@ from .poly import (
     CurveDegree,
     NovikovPolynomial,
     QKClass,
+    _combine,
+    poly_from_json,
     poly_to_json,
 )
 
@@ -65,41 +71,40 @@ class Operator:
         self.cols = cols
 
     @classmethod
-    def identity(cls, n: int) -> "Operator":
-        return cls(n, [QKClass.basis_element(w, n) for w in enumerate_basis(n)])
+    def _trusted(cls, n: int, cols: list[QKClass]) -> "Operator":
+        """Wrap N columns that are already classes for n."""
+        op = object.__new__(cls)
+        op.n = n
+        op.cols = cols
+        return op
 
     @classmethod
-    def from_columns(cls, n: int, col_of) -> "Operator":
-        return cls(n, [col_of(w) for w in enumerate_basis(n)])
+    def identity(cls, n: int) -> "Operator":
+        return cls(n, [QKClass.basis_element(w, n) for w in enumerate_basis(n)])
 
     def column(self, v) -> QKClass:
         return self.cols[linear_index(v, self.n)]
 
-    def entry(self, w, v) -> NovikovPolynomial:
-        return self.column(v).coefficient(w)
-
     def apply(self, c: QKClass) -> QKClass:
         if c.n != self.n:
             raise RankMismatch(f"operator for n={self.n} applied to class for n={c.n}")
-        out = QKClass.zero(self.n)
-        for w, p in c.items():
-            out = out + self.cols[linear_index(w, self.n)].scaled(p)
-        return out
+        pos = basis_positions(self.n)
+        return _combine(self.n, ((self.cols[pos[w]], p) for w, p in c._terms.items()))
 
     def compose(self, other: "Operator") -> "Operator":
         """self . other (apply other first)."""
         if other.n != self.n:
             raise RankMismatch("composing operators of different ranks")
-        return Operator(self.n, [self.apply(col) for col in other.cols])
+        return Operator._trusted(self.n, [self.apply(col) for col in other.cols])
 
     def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.n, [a + b for a, b in zip(self.cols, other.cols)])
+        return Operator._trusted(self.n, [a + b for a, b in zip(self.cols, other.cols)])
 
     def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self.n, [a - b for a, b in zip(self.cols, other.cols)])
+        return Operator._trusted(self.n, [a - b for a, b in zip(self.cols, other.cols)])
 
     def scaled(self, factor) -> "Operator":
-        return Operator(self.n, [c.scaled(factor) for c in self.cols])
+        return Operator._trusted(self.n, [c.scaled(factor) for c in self.cols])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Operator):
@@ -107,10 +112,7 @@ class Operator:
         return self.n == other.n and self.cols == other.cols
 
     def degree_support(self) -> set[CurveDegree]:
-        out: set[CurveDegree] = set()
-        for col in self.cols:
-            out |= col.degree_support()
-        return out
+        return set().union(*(col.degree_support() for col in self.cols))
 
 
 def quantum_correction(h: str, v, n: int) -> QKClass:
@@ -122,26 +124,21 @@ def quantum_correction(h: str, v, n: int) -> QKClass:
     if h not in ("h1", "h2"):
         raise ValueError(f"h must be 'h1' or 'h2', got {h!r}")
     k, p = check_index(v, n)
-    out = QKClass.zero(n)
+    single: dict = {}  # the degree-l1 part for h1, the degree-l2 part for h2
     if h == "h1":
-        if k == 1 and p == n:
-            out = out + QKClass(n, {(n - 1, n): Q1})
-        elif k == 1:
-            out = out + QKClass(n, {(n, p): Q1})
+        if k == 1:
+            single = {(n - 1, n) if p == n else (n, p): Q1}
         elif (k, p) == (2, 1):
-            out = out + QKClass(n, {(n, 1): Q1, (n, 2): -Q1})
-        if (k, p) == (1, n):
-            out = out + QKClass(n, {(n, 1): Q1Q2, (n - 1, 1): -Q1Q2})
+            single = {(n, 1): Q1, (n, 2): -Q1}
+        both = {(n, 1): Q1Q2, (n - 1, 1): -Q1Q2}
     else:
-        if k == 1 and p == n:
-            out = out + QKClass(n, {(1, 2): Q2})
-        elif p == n:
-            out = out + QKClass(n, {(k, 1): Q2})
+        if p == n:
+            single = {(1, 2) if k == 1 else (k, 1): Q2}
         elif (k, p) == (n, n - 1):
-            out = out + QKClass(n, {(n, 1): Q2, (n - 1, 1): -Q2})
-        if (k, p) == (1, n):
-            out = out + QKClass(n, {(n, 1): Q1Q2, (n, 2): -Q1Q2})
-    return out
+            single = {(n, 1): Q2, (n - 1, 1): -Q2}
+        both = {(n, 1): Q1Q2, (n, 2): -Q1Q2}
+    # the degree-(l1+l2) part appears only on the point class
+    return QKClass(n, single) + QKClass(n, both if (k, p) == (1, n) else {})
 
 
 def chevalley_apply(h: str, v, n: int) -> QKClass:
@@ -152,7 +149,7 @@ def chevalley_apply(h: str, v, n: int) -> QKClass:
 
 def chevalley_operator(h: str, n: int) -> Operator:
     """Multiplication by O_h1 or O_h2 as an operator."""
-    return Operator.from_columns(n, lambda v: chevalley_apply(h, v, n))
+    return Operator(n, [chevalley_apply(h, v, n) for v in enumerate_basis(n)])
 
 
 @dataclass
@@ -172,54 +169,48 @@ class MultiplicationTable:
 
 
 def _build_with_variant(n: int, variant: str) -> list[Operator]:
-    N = basis_size(n)
     h1 = chevalley_operator("h1", n)
     h2 = chevalley_operator("h2", n)
     ident = Operator.identity(n)
-    ops: list[Operator | None] = [None] * N
-
-    def put(i, j, op):
-        ops[linear_index((i, j), n)] = op
-
-    def get(i, j) -> Operator:
-        op = ops[linear_index((i, j), n)]
-        assert op is not None, f"table order violated at ({i},{j})"
-        return op
-
-    put(n, 1, ident)
+    # keyed by (i, j); a KeyError means a step reads an operator not yet built
+    m: dict[tuple[int, int], Operator] = {(n, 1): ident}
     for k in range(n - 1, 1, -1):
-        put(k, 1, h1.compose(get(k + 1, 1)))
+        m[k, 1] = h1.compose(m[k + 1, 1])
     for k in range(2, n + 1):
         for p in range(2, k):
-            put(k, p, h2.compose(get(k, p - 1)))
+            m[k, p] = h2.compose(m[k, p - 1])
     j = (h2 if variant == "h2" else h1) - ident
-    put(1, 2, h1.compose(get(2, 1)) + j.scaled(Q1))
+    m[1, 2] = h1.compose(m[2, 1]) + j.scaled(Q1)
     for p in range(2, n):
-        put(p, p + 1, h1.compose(get(p + 1, p)) + (h2 - ident).compose(get(p - 1, p)))
+        m[p, p + 1] = h1.compose(m[p + 1, p]) + (h2 - ident).compose(m[p - 1, p])
     for p in range(3, n + 1):
         for k in range(p - 2, 0, -1):
-            put(k, p, h1.compose(get(k + 1, p)))
-    assert all(op is not None for op in ops)
-    return ops
+            m[k, p] = h1.compose(m[k + 1, p])
+    return [m[w] for w in enumerate_basis(n)]
 
 
-def _classical_limit_ok(n: int, ops: list[Operator]) -> bool:
+def _oracle_outcomes(n: int, ops: list[Operator]) -> dict:
+    """Run the classical-limit and commutativity oracles over every product."""
     basis = enumerate_basis(n)
-    for u in basis:
-        m = ops[linear_index(u, n)]
-        for v in basis:
-            if m.column(v).classical_limit() != k_product(u, v, n):
-                return False
-    return True
+    pairs = [(a, b) for a in range(len(basis)) for b in range(len(basis))]
+    return {
+        "classical_limit_ok": all(
+            ops[a].cols[b].classical_limit() == k_product(basis[a], basis[b], n) for a, b in pairs
+        ),
+        "commutative_ok": all(ops[a].cols[b] == ops[b].cols[a] for a, b in pairs if a < b),
+    }
 
 
-def _commutative_ok(n: int, ops: list[Operator]) -> bool:
-    basis = enumerate_basis(n)
-    for a, u in enumerate(basis):
-        for v in basis[a + 1 :]:
-            if ops[linear_index(u, n)].column(v) != ops[linear_index(v, n)].column(u):
-                return False
-    return True
+def _h1_witness_column(n: int, h2_ops: list[Operator]) -> QKClass:
+    """M^{h1}_{1,2} e_{n,1} = H1 (M_{2,1} e_{n,1}) + Q1 (H1 - Id) e_{n,1}.
+
+    Steps (a) and (b) do not depend on step c, so H1 = M_{n-1,1} and M_{2,1}
+    are read from the h2 build.
+    """
+    h1 = h2_ops[linear_index(h1_index(n), n)]
+    m21 = h2_ops[linear_index((2, 1), n)]
+    e = unit_index(n)
+    return h1.apply(m21.column(e)) + (h1.column(e) - QKClass.basis_element(e, n)).scaled(Q1)
 
 
 def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
@@ -227,8 +218,9 @@ def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
 
     ``step_c`` picks the hyperplane class subtracted in the M_{1,2} step:
     "h2" (matching the hyperplane-product corrections), "h1" (the variant
-    stated alongside the iteration), or "auto" to test both against the
-    classical-limit and commutativity oracles and keep the survivor.
+    stated alongside the iteration), or "auto" to judge both against the
+    classical-limit and commutativity oracles (from the h2 build plus a
+    witness column, see the module docstring) and keep the survivor.
     """
     check_rank(n)
     if step_c in ("h1", "h2"):
@@ -236,21 +228,20 @@ def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
     if step_c != "auto":
         raise ValueError(f"step_c must be 'h1', 'h2' or 'auto', got {step_c!r}")
 
-    outcomes: dict[str, dict] = {}
-    built: dict[str, list[Operator]] = {}
-    for variant in ("h2", "h1"):
-        ops = _build_with_variant(n, variant)
-        built[variant] = ops
-        outcomes[variant] = {
-            "classical_limit_ok": _classical_limit_ok(n, ops),
-            "commutative_ok": _commutative_ok(n, ops),
-        }
-    chosen = None
-    for variant in ("h2", "h1"):
-        o = outcomes[variant]
-        if o["classical_limit_ok"] and o["commutative_ok"]:
-            chosen = variant
-            break
+    built = {"h2": _build_with_variant(n, "h2")}
+    outcomes = {"h2": _oracle_outcomes(n, built["h2"])}
+    # The h1 table differs from the h2 one by Q1 (H1 - H2) at step c, and
+    # every later step multiplies that difference by operators over
+    # Z[Q1,Q2], so each downstream difference is a multiple of Q1: the two
+    # classical limits agree entry by entry.  Commutativity of h1 needs
+    # M^{h1}_{1,2} e_{n,1} = M_{n,1} e_{1,2} = O_{1,2} (M_{n,1} = Id); a
+    # witness column that differs settles it without building h1.
+    if _h1_witness_column(n, built["h2"]) != QKClass.basis_element((1, 2), n):
+        outcomes["h1"] = {**outcomes["h2"], "commutative_ok": False}
+    else:
+        built["h1"] = _build_with_variant(n, "h1")
+        outcomes["h1"] = _oracle_outcomes(n, built["h1"])
+    chosen = next((v for v in ("h2", "h1") if all(outcomes[v].values())), None)
     if chosen is None:  # pragma: no cover - both variants failing is unreachable
         raise RuntimeError(f"no step-c variant passes the oracles: {outcomes}")
     return MultiplicationTable(
@@ -285,10 +276,7 @@ def degree_bound_check(table: MultiplicationTable):
                 counterexamples.append(
                     {"h": h, "v": [v.i, v.j], "d1": deg[0], "d2": deg[1]}
                 )
-    max_deg = (0, 0)
-    for op in table.ops:
-        for deg in op.degree_support():
-            max_deg = max(max_deg, deg)
+    max_deg = max((deg for op in table.ops for deg in op.degree_support()), default=(0, 0))
     return VerificationReport(
         check="degree",
         n=n,
@@ -301,10 +289,9 @@ def degree_bound_check(table: MultiplicationTable):
 def table_entries(table: MultiplicationTable):
     """Yield (u, v, w, poly) for every nonzero structure constant, sorted."""
     basis = enumerate_basis(table.n)
-    for u in basis:
-        m = table.matrix(u)
-        for v in basis:
-            for w, p in m.column(v).items():
+    for u, m in zip(basis, table.ops):
+        for v, col in zip(basis, m.cols):
+            for w, p in col.items():
                 yield u, v, w, p
 
 
@@ -324,15 +311,31 @@ def table_to_json(table: MultiplicationTable) -> dict:
 
 
 def table_from_json(obj) -> MultiplicationTable:
-    """Rebuild a table from the golden-file layout (no re-arbitration)."""
-    from .poly import poly_from_json
+    """Rebuild a table from the golden-file layout (no re-arbitration).
 
-    n = int(obj["n"])
-    N = basis_size(n)
-    acc: list[list[dict]] = [[{} for _ in range(N)] for _ in range(N)]
-    for e in obj["entries"]:
-        iu = linear_index(tuple(e["u"]), n)
-        iv = linear_index(tuple(e["v"]), n)
-        acc[iu][iv][SchubertIndex(*e["w"])] = poly_from_json(e["poly"])
-    ops = [Operator(n, [QKClass(n, col) for col in cols]) for cols in acc]
+    Raises :class:`MalformedTable` unless ``obj`` is an object with an int
+    ``n`` and an ``entries`` list, every index is valid for n, no (u, v, w)
+    repeats, and every product O_u * O_v has an entry.
+    """
+    if not isinstance(obj, dict) or type(obj.get("n")) is not int:
+        raise MalformedTable("cached table must be a JSON object with an integer 'n'")
+    if not isinstance(obj.get("entries"), list):
+        raise MalformedTable("cached table has no 'entries' list")
+    n = check_rank(obj["n"])
+    basis = enumerate_basis(n)
+    cols: dict[tuple, dict] = {(u, v): {} for u in basis for v in basis}
+    for k, e in enumerate(obj["entries"]):
+        try:
+            u, v, w = (check_index(e[key], n) for key in ("u", "v", "w"))
+            poly = poly_from_json(e["poly"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedTable(f"cached table entry {k} is malformed: {exc!r}") from None
+        if w in cols[u, v]:
+            raise MalformedTable(f"cached table repeats {u.label()} * {v.label()} at {w.label()}")
+        cols[u, v][w] = poly
+    ops = [Operator(n, [QKClass(n, cols[u, v]) for v in basis]) for u in basis]
+    for u, op in zip(basis, ops):
+        for v, col in zip(basis, op.cols):
+            if col.is_zero:
+                raise MalformedTable(f"cached table has no entry for {u.label()} * {v.label()}")
     return MultiplicationTable(n, ops, step_c_variant="loaded")

@@ -215,3 +215,55 @@ def test_jobs_env_default(monkeypatch, capsys):
     monkeypatch.setenv("QKFLAG_JOBS", "4")
     code, out, _ = run_cli(capsys, "product", "--n", "3", "--u", "3,1", "--v", "1,2")
     assert code == 0 and out.strip() == "O_3,1 * O_1,2 = O_1,2"
+
+
+def _assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["product", "verify"])
+def test_cache_holding_a_list_exits_2(command, tmp_path, capsys):
+    cache = tmp_path / "list.json"
+    cache.write_text("[1,2]")
+    argv = ["--u", "2,1", "--v", "1,3"] if command == "product" else []
+    _assert_one_error_line(*run_cli(capsys, command, "--n", "3", *argv, "--table", str(cache)))
+
+
+def test_cache_without_entries_exits_2(tmp_path, capsys):
+    cache = tmp_path / "no_entries.json"
+    cache.write_text('{"n":3}')
+    _assert_one_error_line(*run_cli(capsys, "verify", "--n", "3", "--table", str(cache)))
+
+
+def test_cache_with_empty_entries_exits_2(tmp_path, capsys):
+    # an empty table used to print "O_2,1 * O_1,3 = 0" and exit 0
+    cache = tmp_path / "empty.json"
+    cache.write_text('{"n":3,"entries":[]}')
+    result = run_cli(
+        capsys, "product", "--n", "3", "--u", "2,1", "--v", "1,3", "--table", str(cache)
+    )
+    _assert_one_error_line(*result)
+
+
+def test_cache_with_duplicate_entry_exits_2(tmp_path, capsys):
+    cache = tmp_path / "dup.json"
+    run_cli(capsys, "table", "--n", "3", "--out", str(cache))
+    obj = json.loads(cache.read_text())
+    dup = json.loads(json.dumps(obj["entries"][0]))
+    dup["poly"][0]["coeff"] = 99
+    obj["entries"].append(dup)
+    cache.write_text(json.dumps(obj))
+    result = run_cli(
+        capsys, "product", "--n", "3", "--u", "1,2", "--v", "1,2", "--table", str(cache)
+    )
+    _assert_one_error_line(*result)
+
+
+def test_cache_nested_too_deeply_exits_2(tmp_path, capsys):
+    cache = tmp_path / "deep.json"
+    cache.write_text("[" * 100_000 + "]" * 100_000)
+    _assert_one_error_line(*run_cli(capsys, "verify", "--n", "3", "--table", str(cache)))

@@ -133,3 +133,17 @@ def test_str_rendering_matches_sign_major_order():
     c = QKClass(3, {(2, 3): Q1, (3, 1): Q1 * Q2, (2, 1): -(Q1 * Q2)})
     assert str(c) == "Q1*O_2,3 + Q1Q2*O_3,1 - Q1Q2*O_2,1"
     assert str(QKClass.zero(3)) == "0"
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_polys(), small_polys(), small_polys())
+def test_class_arithmetic_leaves_operands_unchanged(a, b, f):
+    x = QKClass(3, {(1, 2): a, (3, 1): b})
+    y = QKClass(3, {(1, 2): b, (2, 3): a})
+    before = (class_to_json(x), class_to_json(y), poly_to_json(f))
+    results = [x + y, x - y, -x, x.scaled(f), y.scaled(3)]
+    assert (class_to_json(x), class_to_json(y), poly_to_json(f)) == before
+    for r in results:
+        # the accumulated results keep the canonical form of validated input
+        assert r == QKClass(3, dict(r.items()))
+        assert all(not p.is_zero for _, p in r.items())

@@ -4,7 +4,8 @@ import pathlib
 import pytest
 
 from qkflag.basis import enumerate_basis, h1_index, h2_index, unit_index
-from qkflag.errors import InvalidRank, RankMismatch
+from qkflag import qkring
+from qkflag.errors import InvalidIndex, InvalidRank, MalformedTable, QKFlagError, RankMismatch
 from qkflag.kring import k_product
 from qkflag.poly import NovikovPolynomial, QKClass
 from qkflag.qkring import (
@@ -179,3 +180,116 @@ def test_table_json_roundtrip(tables):
     for u in enumerate_basis(3):
         for v in enumerate_basis(3):
             assert loaded.product(u, v) == table.product(u, v)
+
+
+def _brute_force_outcomes(table):
+    n = table.n
+    basis = enumerate_basis(n)
+    return {
+        "classical_limit_ok": all(
+            table.product(u, v).classical_limit() == k_product(u, v, n)
+            for u in basis
+            for v in basis
+        ),
+        "commutative_ok": all(
+            table.product(u, v) == table.product(v, u) for u in basis for v in basis
+        ),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_arbitration_matches_two_variant_oracle(n, tables):
+    # both variants built in full and checked by brute force, test-side
+    outcomes = {v: _brute_force_outcomes(build_table(n, v)) for v in ("h2", "h1")}
+    chosen = next(v for v in ("h2", "h1") if all(outcomes[v].values()))
+    assert tables[n].arbitration == {"chosen": chosen, "outcomes": outcomes}
+    assert tables[n].step_c_variant == chosen
+
+
+def _count_compositions(monkeypatch, fn):
+    calls = []
+    compose = Operator.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(Operator, "compose", counting)
+    result = fn()
+    monkeypatch.setattr(Operator, "compose", compose)
+    return len(calls), result
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_auto_build_composes_only_the_kept_variant(n, monkeypatch):
+    auto, _ = _count_compositions(monkeypatch, lambda: build_table(n))
+    kept, _ = _count_compositions(monkeypatch, lambda: build_table(n, "h2"))
+    assert auto == kept > 0
+
+
+def test_witness_column_is_the_h1_product(tables):
+    for n in (3, 4, 5):
+        h1_table = build_table(n, "h1")
+        witness = qkring._h1_witness_column(n, tables[n].ops)
+        assert witness == h1_table.product((1, 2), unit_index(n))
+        assert witness == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1})
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_witness_fallback_builds_h1_in_full(n, tables, monkeypatch):
+    # a witness that cannot tell the variants apart falls back to the full
+    # h1 build, with the same record
+    monkeypatch.setattr(
+        qkring, "_h1_witness_column", lambda n, ops: QKClass.basis_element((1, 2), n)
+    )
+    both, table = _count_compositions(monkeypatch, lambda: build_table(n))
+    h2, _ = _count_compositions(monkeypatch, lambda: build_table(n, "h2"))
+    h1, _ = _count_compositions(monkeypatch, lambda: build_table(n, "h1"))
+    assert both == h2 + h1
+    assert table.arbitration == tables[n].arbitration
+    assert table_to_json(table) == table_to_json(tables[n])
+
+
+def test_public_entry_points_still_validate_indices(tables):
+    with pytest.raises(InvalidIndex):
+        QKClass(3, {(1, 1): 1})
+    with pytest.raises(InvalidIndex):
+        qk_product((0, 1), (2, 1), 3, tables[3])
+    with pytest.raises(InvalidIndex):
+        tables[3].matrix((1, 2)).column((4, 1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_every_product_is_nonzero(n):
+    # a cached table is rejected when a product is missing; this pins that
+    # no product of two Schubert classes vanishes
+    table = build_table(n, "h2")
+    assert all(not col.is_zero for op in table.ops for col in op.cols)
+
+
+def test_table_from_json_rejects_duplicate_entry(tables):
+    obj = table_to_json(tables[3])
+    dup = json.loads(json.dumps(obj["entries"][0]))
+    dup["poly"][0]["coeff"] = 99
+    obj["entries"].append(dup)
+    with pytest.raises(QKFlagError, match="repeats"):
+        table_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda obj: [1, 2],
+        lambda obj: {"n": 3},
+        lambda obj: {"n": 3, "entries": []},
+        lambda obj: {"n": "3", "entries": obj["entries"]},
+        lambda obj: {"n": 3, "entries": [e for e in obj["entries"] if e["u"] != e["v"]]},
+        lambda obj: {"n": 3, "entries": obj["entries"] + [{"u": [1, 2], "v": [1, 2]}]},
+        lambda obj: {"n": 3, "entries": obj["entries"] + [dict(obj["entries"][0], w=[4, 1])]},
+        lambda obj: {"n": 3, "entries": obj["entries"] + [7]},
+    ],
+    ids=["list", "no-entries", "empty", "str-n", "no-squares", "no-w", "w-out-of-range", "int-entry"],
+)
+def test_table_from_json_rejects_malformed(mutate, tables):
+    with pytest.raises(MalformedTable):
+        table_from_json(mutate(table_to_json(tables[3])))
