@@ -85,10 +85,12 @@ def basis_positions(n: int) -> Mapping[SchubertIndex, int]:
 
 def length(w, n: int) -> int:
     """Weyl length of w_{i,j}; equals dim X(i,j)."""
-    i, j = check_index(w, n)
-    if i < j:
-        return i - 1 + n - j
-    return n + i - j - 2
+    return _length(*check_index(w, n), n)
+
+
+def _length(i: int, j: int, n: int) -> int:
+    """:func:`length` on a trusted index."""
+    return i - 1 + n - j if i < j else n + i - j - 2
 
 
 def codim(w, n: int) -> int:

@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import basis, conjecture, correlators, flags, qkring, verify
@@ -37,24 +36,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("QKFLAG_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkflag",
         description="Exact Schubert calculus for the incidence variety Fl(1, n-1).",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=_default_jobs(),
-        help="parallelism hint for sweeps (default from QKFLAG_JOBS; sweeps run sequentially)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -336,8 +321,6 @@ COMMANDS = {
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     try:
         return COMMANDS[args.command](args)
     except (QKFlagError, ValueError, OSError) as exc:

@@ -6,6 +6,11 @@ Degree families outside the closed forms implemented here raise
 :class:`~qkflag.errors.UnsupportedDegree`; the duality that swaps the two
 projective factors (and the two Novikov degrees) is applied automatically
 before giving up.
+
+At each supported degree O_u pairs to 1 with exactly one I_w, so the
+reconstruction of quantum Chevalley terms looks each two-point factor up by
+that target instead of scanning the basis.  Public functions validate their
+indices; the private helpers they share run on trusted ones.
 """
 
 from __future__ import annotations
@@ -14,10 +19,10 @@ from dataclasses import dataclass
 
 from .basis import (
     SchubertIndex,
+    basis_positions,
     check_index,
     check_rank,
     dual_index,
-    enumerate_basis,
     h1_index,
     h2_index,
     unit_index,
@@ -30,6 +35,7 @@ from .poly import (
     DEGREE_L2,
     CurveDegree,
     QKClass,
+    _int_class,
 )
 
 
@@ -44,31 +50,30 @@ class CorrelatorQuery:
 
 def two_point(u, w, deg: CurveDegree, n: int) -> int:
     """<O_u, I_w> at degree l1, l2 or l1+l2; always 0 or 1."""
-    i, j = check_index(u, n)
-    s, t = check_index(w, n)
+    u = check_index(u, n)
+    w = check_index(w, n)
+    return 1 if _two_point_target(u, deg, n) == w else 0
+
+
+def _two_point_target(u: SchubertIndex, deg: CurveDegree, n: int) -> SchubertIndex:
+    """The one w with <O_u, I_w> = 1 at ``deg``, for a trusted index u."""
+    i, j = u
     if deg == DEGREE_L1:
-        if j < n:
-            return 1 if (s, t) == (n, j) else 0
-        return 1 if (s, t) == (n - 1, n) else 0
+        return SchubertIndex(n, j) if j < n else SchubertIndex(n - 1, n)
     if deg == DEGREE_L2:
-        if i > 1:
-            return 1 if (s, t) == (i, 1) else 0
-        return 1 if (s, t) == (1, 2) else 0
+        return SchubertIndex(i, 1) if i > 1 else SchubertIndex(1, 2)
     if deg == DEGREE_L1L2:
-        return 1 if (s, t) == (n, 1) else 0
+        return SchubertIndex(n, 1)
     raise UnsupportedDegree(f"no two-point closed form at degree {deg}")
 
 
 def _chain(vec: dict[SchubertIndex, int], degs, n: int) -> dict[SchubertIndex, int]:
     """Push an integer combination of classes through two-point factors at ``degs`` in turn."""
-    basis = enumerate_basis(n)
     for deg in degs:
         nxt: dict[SchubertIndex, int] = {}
         for x, c in vec.items():
-            for y in basis:
-                f = two_point(x, y, deg, n)
-                if f:
-                    nxt[y] = nxt.get(y, 0) + c * f
+            y = _two_point_target(x, deg, n)
+            nxt[y] = nxt.get(y, 0) + c
         vec = nxt
     return vec
 
@@ -129,15 +134,18 @@ def three_point_incidence(u1, u2, w, deg: CurveDegree, n: int) -> int:
     d1, d2 = deg
     if d1 < 0 or d2 < 0:
         raise UnsupportedDegree(f"degree {deg} is not effective")
+    return _three_point(u1, u2, w, deg, n)
+
+
+def _three_point(u1, u2, w, deg: CurveDegree, n: int) -> int:
+    """:func:`three_point_incidence` on trusted indices and an effective degree."""
     value = _three_point_direct(u1, u2, w, deg, n)
-    if value is not None:
-        return value
-    value = _three_point_direct(
-        dual_index(u1, n), dual_index(u2, n), dual_index(w, n), (d2, d1), n
-    )
-    if value is not None:
-        return value
-    raise UnsupportedDegree(f"no three-point closed form at degree {deg} (n={n})")
+    if value is None:
+        dual = [(n - b + 1, n - a + 1) for a, b in (u1, u2, w)]
+        value = _three_point_direct(*dual, (deg[1], deg[0]), n)
+    if value is None:
+        raise UnsupportedDegree(f"no three-point closed form at degree {deg} (n={n})")
+    return value
 
 
 def correlator_value(q: CorrelatorQuery, n: int) -> int:
@@ -159,11 +167,7 @@ def symmetry_transform(q: CorrelatorQuery, n: int) -> CorrelatorQuery:
 
 
 def _three_point_row(h_idx, v, deg: CurveDegree, n: int) -> dict[SchubertIndex, int]:
-    return {
-        w: c
-        for w in enumerate_basis(n)
-        if (c := three_point_incidence(h_idx, v, w, deg, n))
-    }
+    return {w: c for w in basis_positions(n) if (c := _three_point(h_idx, v, w, deg, n))}
 
 
 def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClass:
@@ -179,23 +183,22 @@ def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClas
         raise UnsupportedDegree(f"quantum parts exist only at l1, l2, l1+l2, got {deg}")
     hw = h1_index(n) if h == "h1" else h2_index(n)
     v = check_index(v, n)
-    basis = enumerate_basis(n)
+    classical = {w: p.constant_term() for w, p in k_product(hw, v, n).items()}
+    acc: dict[SchubertIndex, int] = {}
 
-    kp = k_product(hw, v, n)
-    classical = {w: c for w in basis if (c := kp.coefficient(w).constant_term())}
-
-    def as_class(row: dict[SchubertIndex, int], sign: int = 1) -> QKClass:
-        return QKClass(n, {w: sign * c for w, c in row.items()})
+    def add(row: dict[SchubertIndex, int], sign: int = 1) -> None:
+        for w, c in row.items():
+            acc[w] = acc.get(w, 0) + sign * c
 
     if deg in (DEGREE_L1, DEGREE_L2):
-        out = as_class(_three_point_row(hw, v, deg, n))
-        out = out + as_class(_chain(classical, [deg], n), -1)
-        return out
+        add(_three_point_row(hw, v, deg, n))
+        add(_chain(classical, [deg], n), -1)
+        return _int_class(n, acc)
 
-    out = as_class(_three_point_row(hw, v, DEGREE_L1L2, n))
-    out = out + as_class(_chain(_three_point_row(hw, v, DEGREE_L1, n), [DEGREE_L2], n), -1)
-    out = out + as_class(_chain(_three_point_row(hw, v, DEGREE_L2, n), [DEGREE_L1], n), -1)
-    out = out + as_class(_chain(classical, [DEGREE_L1, DEGREE_L2], n))
-    out = out + as_class(_chain(classical, [DEGREE_L2, DEGREE_L1], n))
-    out = out + as_class(_chain(classical, [DEGREE_L1L2], n), -1)
-    return out
+    add(_three_point_row(hw, v, DEGREE_L1L2, n))
+    add(_chain(_three_point_row(hw, v, DEGREE_L1, n), [DEGREE_L2], n), -1)
+    add(_chain(_three_point_row(hw, v, DEGREE_L2, n), [DEGREE_L1], n), -1)
+    add(_chain(classical, [DEGREE_L1, DEGREE_L2], n))
+    add(_chain(classical, [DEGREE_L2, DEGREE_L1], n))
+    add(_chain(classical, [DEGREE_L1L2], n), -1)
+    return _int_class(n, acc)

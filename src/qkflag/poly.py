@@ -154,7 +154,20 @@ def poly_to_json(p: NovikovPolynomial) -> list[dict]:
 
 
 def poly_from_json(items: Iterable[Mapping]) -> NovikovPolynomial:
-    return NovikovPolynomial({(int(t["d1"]), int(t["d2"])): int(t["coeff"]) for t in items})
+    """Inverse of :func:`poly_to_json`.
+
+    Raises ValueError unless every field is an int (not a bool) and the
+    degrees are nonnegative and distinct.
+    """
+    terms: dict[CurveDegree, int] = {}
+    for t in items:
+        d1, d2, c = t["d1"], t["d2"], t["coeff"]
+        if not all(type(x) is int for x in (d1, d2, c)):
+            raise ValueError(f"polynomial term {t!r} must hold integers")
+        if (d1, d2) in terms:
+            raise ValueError(f"polynomial repeats the degree ({d1},{d2})")
+        terms[d1, d2] = c
+    return NovikovPolynomial(terms)
 
 
 class QKClass:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qkflag.cli import main
+from qkflag.cli import build_parser, main
 from qkflag.poly import class_from_json
 from qkflag.qkring import build_table, qk_product, table_entries
 
@@ -211,10 +211,13 @@ def test_flags_stabilized(capsys):
     assert code == 0 and out.strip() == "not-stabilized"
 
 
-def test_jobs_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("QKFLAG_JOBS", "4")
-    code, out, _ = run_cli(capsys, "product", "--n", "3", "--u", "3,1", "--v", "1,2")
-    assert code == 0 and out.strip() == "O_3,1 * O_1,2 = O_1,2"
+def test_jobs_flag_is_gone(capsys):
+    # --jobs was parsed and never used; argparse now rejects it
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "2", "product", "--n", "3", "--u", "3,1", "--v", "1,2"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert "--jobs" not in build_parser().format_help()
 
 
 def _assert_one_error_line(code, out, err):
@@ -267,3 +270,30 @@ def test_cache_nested_too_deeply_exits_2(tmp_path, capsys):
     cache = tmp_path / "deep.json"
     cache.write_text("[" * 100_000 + "]" * 100_000)
     _assert_one_error_line(*run_cli(capsys, "verify", "--n", "3", "--table", str(cache)))
+
+
+def _cache_with_first_term(tmp_path, capsys, edit):
+    """Write the n = 3 table with ``edit`` applied to entry 0's poly (O_1,2 * O_1,2)."""
+    cache = tmp_path / "edited.json"
+    run_cli(capsys, "table", "--n", "3", "--out", str(cache))
+    obj = json.loads(cache.read_text())
+    assert obj["entries"][0]["u"] == obj["entries"][0]["v"] == [1, 2]
+    edit(obj["entries"][0]["poly"])
+    cache.write_text(json.dumps(obj))
+    return run_cli(
+        capsys, "product", "--n", "3", "--u", "1,2", "--v", "1,2", "--table", str(cache)
+    )
+
+
+def test_cache_with_float_coefficient_exits_2(tmp_path, capsys):
+    # a coefficient of 1.5 used to be truncated: "Q1*O_2,3", exit 0
+    result = _cache_with_first_term(tmp_path, capsys, lambda poly: poly[0].update(coeff=1.5))
+    _assert_one_error_line(*result)
+
+
+def test_cache_with_repeated_degree_exits_2(tmp_path, capsys):
+    # a second (1,0) term used to win silently: "5*Q1*O_2,3", exit 0
+    result = _cache_with_first_term(
+        tmp_path, capsys, lambda poly: poly.append({"d1": 1, "d2": 0, "coeff": 5})
+    )
+    _assert_one_error_line(*result)

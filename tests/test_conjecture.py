@@ -1,10 +1,13 @@
 import pytest
 
-from qkflag.basis import codim, enumerate_basis, h1_index, unit_index
+from qkflag.basis import codim, enumerate_basis, h1_index, linear_index, unit_index
 from qkflag.conjecture import (
+    GATINGS,
+    DiffReport,
     compare_with_table,
     conjectured_product,
     degree_operator,
+    degree_vector,
     delta,
     is_degenerate,
     translate,
@@ -16,7 +19,7 @@ from qkflag.qkring import build_table
 
 @pytest.fixture(scope="module")
 def tables():
-    return {n: build_table(n) for n in (3, 4, 5)}
+    return {n: build_table(n) for n in (3, 4, 5, 6, 7)}
 
 
 def test_translate_examples():
@@ -91,7 +94,7 @@ def test_point_squared_matches_table(tables):
     assert got == QKClass(4, {(1, 3): q, (2, 4): q, (1, 4): -q})
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_comparator_empty_for_flipped_gating(n, tables):
     report = compare_with_table(tables[n], gating="flipped")
     assert report.empty
@@ -123,3 +126,78 @@ def test_conjectured_products_satisfy_sign_rule():
                     for deg, c in p.terms():
                         e = codim(w, n) - base + c1_pairing(deg, n)
                         assert (c if e % 2 == 0 else -c) >= 0, (u, v, w, deg)
+
+
+@pytest.mark.parametrize("n, count", [(6, 2016), (7, 4165)])
+def test_literal_gating_mismatch_count(n, count, tables):
+    report = compare_with_table(tables[n], gating="flipped")
+    assert report.details == {"literal_gating_mismatches": count}
+    assert len(compare_with_table(tables[n], gating="literal").mismatches) == count
+
+
+def _reference_product(u, v, n, gating):
+    """The closed formula term by term from the public, validated maps."""
+    out = QKClass.zero(n)
+    t0 = translate(0, u, v, n)
+    if not is_degenerate(t0) and delta(u, v, t0, n):
+        mono = NovikovPolynomial.monomial(degree_vector(u, v, t0, n))
+        out = out + QKClass.basis_element(t0, n, mono)
+    t1 = translate(1, u, v, n)
+    if is_degenerate(t1) or delta(u, v, t1, n) != (gating == "flipped"):
+        return out
+    for idx, sign in ((1, 1), (2, 1), (3, -1)):
+        ti = translate(idx, u, v, n)
+        if not is_degenerate(ti):
+            mono = NovikovPolynomial.monomial(degree_vector(u, v, ti, n), sign)
+            out = out + QKClass.basis_element(ti, n, mono)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_conjectured_product_matches_reference(n):
+    for gating in GATINGS:
+        for u in enumerate_basis(n):
+            for v in enumerate_basis(n):
+                assert conjectured_product(u, v, n, gating) == _reference_product(u, v, n, gating)
+
+
+def _naive_diff(table, gating):
+    """compare_with_table from the public product, one gating at a time."""
+    n = table.n
+
+    def rows(g):
+        out = []
+        for u in enumerate_basis(n):
+            for v in enumerate_basis(n):
+                got, want = conjectured_product(u, v, n, g), table.product(u, v)
+                keys = {(w, deg) for w, p in (got - want).items() for deg, _ in p.terms()}
+                for w, deg in sorted(keys, key=lambda t: (linear_index(t[0], n), t[1])):
+                    out.append(
+                        {
+                            "u": [u.i, u.j],
+                            "v": [v.i, v.j],
+                            "w": [w.i, w.j],
+                            "d1": deg[0],
+                            "d2": deg[1],
+                            "table": want.coefficient(w).coefficient(deg),
+                            "conjecture": got.coefficient(w).coefficient(deg),
+                        }
+                    )
+        return out
+
+    other = GATINGS[1 - GATINGS.index(gating)]
+    details = {f"{other}_gating_mismatches": len(rows(other))}
+    return DiffReport(n=n, gating=gating, mismatches=rows(gating), details=details)
+
+
+@pytest.mark.parametrize("gating", GATINGS)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_comparator_matches_naive_diff(n, gating, tables):
+    got, want = compare_with_table(tables[n], gating), _naive_diff(tables[n], gating)
+    assert got.to_json() == want.to_json()
+    assert got.to_text() == want.to_text()
+
+
+def test_comparator_rejects_unknown_gating(tables):
+    with pytest.raises(ValueError):
+        compare_with_table(tables[3], gating="both")

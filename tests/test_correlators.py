@@ -3,6 +3,8 @@ import pytest
 from qkflag.basis import dual_index, enumerate_basis, h1_index, h2_index, unit_index
 from qkflag.correlators import (
     CorrelatorQuery,
+    _three_point_row,
+    _two_point_target,
     correlator_value,
     quantum_part_from_correlators,
     symmetry_transform,
@@ -34,6 +36,15 @@ def test_two_point_l1l2_hits_only_the_unit():
 def test_two_point_unsupported_degree():
     with pytest.raises(UnsupportedDegree):
         two_point((2, 3), (5, 3), (2, 0), 5)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_two_point_target_matches_full_scan(n):
+    for deg in (DEGREE_L1, DEGREE_L2, DEGREE_L1L2):
+        for u in enumerate_basis(n):
+            hits = [w for w in enumerate_basis(n) if two_point(u, w, deg, n)]
+            assert hits == [_two_point_target(u, deg, n)], (n, deg, u)
+            assert all(two_point(u, w, deg, n) in (0, 1) for w in enumerate_basis(n))
 
 
 def test_three_point_projective_examples():
@@ -79,6 +90,27 @@ def test_three_point_incidence_unsupported():
         three_point_incidence((1, 4), (2, 4), (4, 1), DEGREE_L2, 4)
     with pytest.raises(UnsupportedDegree):
         three_point_incidence((2, 1), (3, 1), (4, 1), (0, 2), 4)
+
+
+def test_three_point_row_unsupported():
+    # the trusted row used by the reconstruction raises where the public call does
+    with pytest.raises(UnsupportedDegree):
+        _three_point_row((1, 4), (2, 4), DEGREE_L2, 4)
+    with pytest.raises(UnsupportedDegree):
+        _three_point_row((2, 1), (3, 1), (0, 2), 4)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_three_point_row_matches_public_correlator(n):
+    for h in (h1_index(n), h2_index(n)):
+        for v in enumerate_basis(n):
+            for deg in (DEGREE_L1, DEGREE_L2, DEGREE_L1L2):
+                want = {
+                    w: c
+                    for w in enumerate_basis(n)
+                    if (c := three_point_incidence(h, v, w, deg, n))
+                }
+                assert _three_point_row(h, v, deg, n) == want
 
 
 def test_symmetry_transform_is_involution():
@@ -168,7 +200,7 @@ def test_quantum_part_h1_l1l2_point():
         assert got == QKClass(n, {(n, 1): 1, (n - 1, 1): -1})
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("h", ["h1", "h2"])
 def test_reconstruction_matches_chevalley_corrections(n, h):
     for v in enumerate_basis(n):

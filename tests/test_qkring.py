@@ -293,3 +293,29 @@ def test_table_from_json_rejects_duplicate_entry(tables):
 def test_table_from_json_rejects_malformed(mutate, tables):
     with pytest.raises(MalformedTable):
         table_from_json(mutate(table_to_json(tables[3])))
+
+
+def _with_first_term(obj, **fields):
+    obj["entries"][0]["poly"][0].update(fields)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda obj: _with_first_term(obj, coeff=1.5),
+        lambda obj: _with_first_term(obj, coeff=True),
+        lambda obj: _with_first_term(obj, coeff="1"),
+        lambda obj: _with_first_term(obj, d1=1.0),
+        lambda obj: _with_first_term(obj, d2=False),
+        lambda obj: _with_first_term(obj, d1=-1),
+        lambda obj: obj["entries"][0]["poly"].append({"d1": 1, "d2": 0, "coeff": 5}) or obj,
+    ],
+    ids=["float-coeff", "bool-coeff", "str-coeff", "float-d1", "bool-d2", "negative-d1",
+         "repeated-degree"],
+)
+def test_table_from_json_rejects_bad_poly_term(mutate, tables):
+    obj = table_to_json(tables[3])
+    assert obj["entries"][0]["poly"] == [{"d1": 1, "d2": 0, "coeff": 1}]
+    with pytest.raises(MalformedTable):
+        table_from_json(mutate(obj))
