@@ -193,6 +193,8 @@ CHECK_RUNNERS = {
 
 def _cmd_verify(args) -> int:
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not names:
+        raise QKFlagError(f"--checks names no check: {args.checks!r}")
     known = set(CHECK_RUNNERS) | {"ring", "degree"}
     unknown = [c for c in names if c not in known]
     if unknown:

@@ -168,25 +168,63 @@ class MultiplicationTable:
         return self.matrix(u).column(v)
 
 
-def _build_with_variant(n: int, variant: str) -> list[Operator]:
-    h1 = chevalley_operator("h1", n)
-    h2 = chevalley_operator("h2", n)
-    ident = Operator.identity(n)
-    # keyed by (i, j); a KeyError means a step reads an operator not yet built
-    m: dict[tuple[int, int], Operator] = {(n, 1): ident}
+def _recurrence(n: int, m: dict, h1: Operator, h2: Operator, variant: str):
+    """Steps (a)-(e) in build order: yield (w, M_w) for every w but the unit.
+
+    Each M_w is computed from the operators already in ``m`` (keyed by
+    (i, j); it must hold M_{n,1} = Id), read when the step runs, so a caller
+    that stores each yielded operator in ``m`` builds the table.  ``variant``
+    picks the hyperplane class of step (c).
+    """
+    ident = m[n, 1]
     for k in range(n - 1, 1, -1):
-        m[k, 1] = h1.compose(m[k + 1, 1])
+        yield (k, 1), h1.compose(m[k + 1, 1])
     for k in range(2, n + 1):
         for p in range(2, k):
-            m[k, p] = h2.compose(m[k, p - 1])
+            yield (k, p), h2.compose(m[k, p - 1])
     j = (h2 if variant == "h2" else h1) - ident
-    m[1, 2] = h1.compose(m[2, 1]) + j.scaled(Q1)
+    yield (1, 2), h1.compose(m[2, 1]) + j.scaled(Q1)
     for p in range(2, n):
-        m[p, p + 1] = h1.compose(m[p + 1, p]) + (h2 - ident).compose(m[p - 1, p])
+        yield (p, p + 1), h1.compose(m[p + 1, p]) + (h2 - ident).compose(m[p - 1, p])
     for p in range(3, n + 1):
         for k in range(p - 2, 0, -1):
-            m[k, p] = h1.compose(m[k + 1, p])
+            yield (k, p), h1.compose(m[k + 1, p])
+
+
+def _build_with_variant(n: int, variant: str) -> list[Operator]:
+    m: dict[tuple[int, int], Operator] = {(n, 1): Operator.identity(n)}
+    for w, op in _recurrence(n, m, chevalley_operator("h1", n), chevalley_operator("h2", n), variant):
+        m[w] = op
     return [m[w] for w in enumerate_basis(n)]
+
+
+def certify_ring(table: MultiplicationTable) -> bool:
+    """True if the table's own operators prove it commutative and associative.
+
+    Reads nothing but the table.  With H1 = M_{n-1,1} and H2 = M_{n,2} taken
+    from it, the certificate holds when M_{n,1} = Id, column (n,1) of every
+    M_u is e_u, H1 H2 = H2 H1, and every M_u equals its recurrence step
+    (a)-(e) applied to the table's earlier operators, step (c) with either
+    hyperplane class; see :func:`qkflag.verify.ring_axiom_checks` for why
+    that implies associativity.  False means only that the brute-force check
+    has to decide.
+    """
+    n = table.n
+    basis = enumerate_basis(n)
+    m = dict(zip(basis, table.ops))
+    unit = basis_positions(n)[unit_index(n)]
+    if m[unit_index(n)] != Operator.identity(n):
+        return False
+    if any(op.cols[unit] != QKClass.basis_element(u, n) for u, op in m.items()):
+        return False
+    h1, h2 = m[h1_index(n)], m[h2_index(n)]
+    if h1.compose(h2) != h2.compose(h1):
+        return False
+    step_c_h1 = (h1 - h2).scaled(Q1)  # Q1 (H1 - Id) in place of Q1 (H2 - Id)
+    return all(
+        m[w] == op or (w == (1, 2) and m[w] == op + step_c_h1)
+        for w, op in _recurrence(n, m, h1, h2, "h2")
+    )
 
 
 def _oracle_outcomes(n: int, ops: list[Operator]) -> dict:
@@ -267,11 +305,11 @@ def degree_bound_check(table: MultiplicationTable):
     from .verify import VerificationReport
 
     n = table.n
+    basis = enumerate_basis(n)
     counterexamples = []
     for h, hw in (("h1", h1_index(n)), ("h2", h2_index(n))):
-        m = table.matrix(hw)
-        for v in enumerate_basis(n):
-            bad = m.column(v).degree_support() - CHEVALLEY_DEGREES
+        for v, col in zip(basis, table.ops[basis_positions(n)[hw]].cols):
+            bad = col.degree_support() - CHEVALLEY_DEGREES
             for deg in sorted(bad):
                 counterexamples.append(
                     {"h": h, "v": [v.i, v.j], "d1": deg[0], "d2": deg[1]}

@@ -10,9 +10,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .basis import codim, enumerate_basis, linear_index, unit_index
+from .basis import (
+    _length,
+    basis_positions,
+    dim_incidence,
+    enumerate_basis,
+    h1_index,
+    h2_index,
+    linear_index,
+    unit_index,
+)
+from .errors import RankMismatch
 from .kring import k_product
 from .poly import QKClass, c1_pairing
+from .qkring import certify_ring, chevalley_apply
 
 
 @dataclass
@@ -40,6 +51,13 @@ class VerificationReport:
         return line
 
 
+def _rank(table, n: int | None) -> int:
+    """The table's n; the checks read the table by position, so an explicit n must match."""
+    if n is not None and n != table.n:
+        raise RankMismatch(f"table built for n={table.n}, checked for n={n}")
+    return table.n
+
+
 def _pair_key(n):
     def key(entry):
         return (
@@ -58,14 +76,14 @@ def positivity_check(table, n: int | None = None) -> VerificationReport:
 
     (-1)^(codim w - codim u - codim v + (d1+d2)(n-1)) * N_{u,v}^{w,(d1,d2)} >= 0.
     """
-    n = table.n if n is None else n
+    n = _rank(table, n)
     basis = enumerate_basis(n)
+    codims = {w: dim_incidence(n) - _length(w.i, w.j, n) for w in basis}
     bad = []
-    for u in basis:
-        m = table.matrix(u)
-        for v in basis:
-            for w, p in m.column(v).items():
-                base = codim(w, n) - codim(u, n) - codim(v, n)
+    for u, op in zip(basis, table.ops):
+        for v, col in zip(basis, op.cols):
+            for w, p in col.items():
+                base = codims[w] - codims[u] - codims[v]
                 for deg, c in p.terms():
                     e = base + c1_pairing(deg, n)
                     signed = c if e % 2 == 0 else -c
@@ -92,47 +110,38 @@ def ring_axiom_checks(
 ) -> VerificationReport:
     """Identity column, commutativity on all pairs, associativity on all triples.
 
-    Associativity is cubic in the basis size; by default it runs only for
-    n <= 5.  Pass ``associativity=True`` to force it at any n.
+    Associativity runs by default only for n <= 5; pass
+    ``associativity=True`` to force it at any n.  It is first certified by
+    :func:`qkflag.qkring.certify_ring` from the table alone, with about 2N
+    operator compositions (N the basis size): M_{n,1} = Id, H1 = M_{n-1,1}
+    and H2 = M_{n,2} commute, M_u e = e_u for every u (e = e_{n,1}), and
+    every M_u is its recurrence step applied to earlier operators of the
+    table.  Then every M_u is a polynomial in H1, H2 over Z[Q1,Q2], so the
+    M_u commute pairwise.  If O_u * O_v = sum_x c_x O_x, then
+    X = sum_x c_x M_x - M_u M_v lies in that commutative algebra and
+    X e = 0, so X e_w = X M_w e = M_w X e = 0 for every w: that is
+    (O_u * O_v) * O_w = O_u * (O_v * O_w), for every triple.  Only when the
+    certificate fails are all N^2 products M_u M_v composed and compared,
+    which lists every failing triple.
     """
-    n = table.n if n is None else n
+    n = _rank(table, n)
     basis = enumerate_basis(n)
     run_assoc = (n <= 5) if associativity is None else associativity
     bad = []
 
+    ops = table.ops
     e = unit_index(n)
-    for v in basis:
-        if table.product(e, v) != QKClass.basis_element(v, n):
+    for v, col in zip(basis, ops[basis_positions(n)[e]].cols):
+        if col != QKClass.basis_element(v, n):
             bad.append({"axiom": "identity", "u": [e.i, e.j], "v": [v.i, v.j]})
 
     for a, u in enumerate(basis):
-        for v in basis[a + 1 :]:
-            if table.product(u, v) != table.product(v, u):
+        for b, v in enumerate(basis[a + 1 :], a + 1):
+            if ops[a].cols[b] != ops[b].cols[a]:
                 bad.append({"axiom": "commutativity", "u": [u.i, u.j], "v": [v.i, v.j]})
 
-    if run_assoc:
-        # (O_u * O_v) * O_w == O_u * (O_v * O_w) for every basis w is the
-        # operator identity M_u . M_v == "multiplication by O_u * O_v".
-        for u in basis:
-            mu = table.matrix(u)
-            for v in basis:
-                lhs = mu.compose(table.matrix(v))
-                rhs = None
-                for x, p in table.product(u, v).items():
-                    scaled = table.matrix(x).scaled(p)
-                    rhs = scaled if rhs is None else rhs + scaled
-                for w in basis:
-                    left = lhs.column(w)
-                    right = rhs.column(w) if rhs is not None else QKClass.zero(n)
-                    if left != right:
-                        bad.append(
-                            {
-                                "axiom": "associativity",
-                                "u": [u.i, u.j],
-                                "v": [v.i, v.j],
-                                "w": [w.i, w.j],
-                            }
-                        )
+    if run_assoc and not certify_ring(table):
+        bad += _associativity_counterexamples(table, n, basis)
 
     bad.sort(
         key=lambda entry: (
@@ -148,15 +157,42 @@ def ring_axiom_checks(
     return VerificationReport("ring", n, not bad, bad, details)
 
 
-def classical_consistency_check(table, n: int | None = None) -> VerificationReport:
-    """Q -> 0 limit of every table entry equals the closed K-ring formula."""
-    n = table.n if n is None else n
-    basis = enumerate_basis(n)
+def _associativity_counterexamples(table, n: int, basis) -> list[dict]:
+    """Every (u, v, w) with (O_u * O_v) * O_w != O_u * (O_v * O_w), by brute force."""
+    # (O_u * O_v) * O_w == O_u * (O_v * O_w) for every basis w is the
+    # operator identity M_u . M_v == "multiplication by O_u * O_v".
     bad = []
     for u in basis:
-        m = table.matrix(u)
+        mu = table.matrix(u)
         for v in basis:
-            got = m.column(v).classical_limit()
+            lhs = mu.compose(table.matrix(v))
+            rhs = None
+            for x, p in table.product(u, v).items():
+                scaled = table.matrix(x).scaled(p)
+                rhs = scaled if rhs is None else rhs + scaled
+            for w in basis:
+                left = lhs.column(w)
+                right = rhs.column(w) if rhs is not None else QKClass.zero(n)
+                if left != right:
+                    bad.append(
+                        {
+                            "axiom": "associativity",
+                            "u": [u.i, u.j],
+                            "v": [v.i, v.j],
+                            "w": [w.i, w.j],
+                        }
+                    )
+    return bad
+
+
+def classical_consistency_check(table, n: int | None = None) -> VerificationReport:
+    """Q -> 0 limit of every table entry equals the closed K-ring formula."""
+    n = _rank(table, n)
+    basis = enumerate_basis(n)
+    bad = []
+    for u, op in zip(basis, table.ops):
+        for v, col in zip(basis, op.cols):
+            got = col.classical_limit()
             want = k_product(u, v, n)
             if got != want:
                 diff = got - want
@@ -180,15 +216,12 @@ def classical_consistency_check(table, n: int | None = None) -> VerificationRepo
 
 def chevalley_consistency_check(table, n: int | None = None) -> VerificationReport:
     """Table rows for h1, h2 equal the classical+correction operator columnwise."""
-    from .qkring import chevalley_apply
-    from .basis import h1_index, h2_index
-
-    n = table.n if n is None else n
+    n = _rank(table, n)
+    basis = enumerate_basis(n)
     bad = []
     for h, hw in (("h1", h1_index(n)), ("h2", h2_index(n))):
-        m = table.matrix(hw)
-        for v in enumerate_basis(n):
-            if m.column(v) != chevalley_apply(h, v, n):
+        for v, col in zip(basis, table.ops[basis_positions(n)[hw]].cols):
+            if col != chevalley_apply(h, v, n):
                 bad.append({"h": h, "v": [v.i, v.j]})
     details = {"step_c_variant": getattr(table, "step_c_variant", "?")}
     if getattr(table, "arbitration", None):

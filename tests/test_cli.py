@@ -297,3 +297,9 @@ def test_cache_with_repeated_degree_exits_2(tmp_path, capsys):
         tmp_path, capsys, lambda poly: poly.append({"d1": 1, "d2": 0, "coeff": 5})
     )
     _assert_one_error_line(*result)
+
+
+@pytest.mark.parametrize("checks", [",,", "", " , "])
+def test_verify_empty_check_list_exits_2(checks, capsys):
+    # ",," used to build the table, print an empty line and exit 0
+    _assert_one_error_line(*run_cli(capsys, "verify", "--n", "3", "--checks", checks))

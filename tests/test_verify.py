@@ -1,11 +1,22 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from qkflag.basis import h2_index
+from qkflag import qkring, verify
+from qkflag.basis import basis_positions, basis_size, enumerate_basis, h2_index
+from qkflag.errors import RankMismatch
 from qkflag.kring import k_product
 from qkflag.poly import NovikovPolynomial, QKClass
-from qkflag.qkring import build_table
+from qkflag.qkring import (
+    MultiplicationTable,
+    Operator,
+    build_table,
+    certify_ring,
+    chevalley_operator,
+    table_from_json,
+    table_to_json,
+)
 from qkflag.verify import (
     chevalley_consistency_check,
     classical_consistency_check,
@@ -95,3 +106,102 @@ def test_failure_is_reported_with_counterexamples():
     assert set(entry) == {"u", "v", "w", "d1", "d2", "coeff"}
     text = reports_to_text([report])
     assert "status=FAIL" in text
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _brute_force_ring_report(table, monkeypatch):
+    """ring_axiom_checks with the certificate refused, so every triple is composed."""
+    with monkeypatch.context() as m:
+        m.setattr(verify, "certify_ring", lambda table: False)
+        return ring_axiom_checks(table, associativity=True).to_json()
+
+
+def _flipped(n, u, v):
+    """The n table with the sign of one coefficient of O_u * O_v flipped."""
+    obj = table_to_json(build_table(n))
+    entry = next(e for e in obj["entries"] if e["u"] == list(u) and e["v"] == list(v))
+    entry["poly"][0]["coeff"] *= -1
+    return table_from_json(obj)
+
+
+def _built_from_noncommuting_generators(n):
+    """The recurrence run on H1 + (e_{n,2} -> e_{1,2}) and H2.
+
+    Column (n,2) of H1 enters no unit column, so every M_u e_{n,1} = e_u and
+    every recurrence step holds; only H1 H2 != H2 H1 is left to fail.
+    """
+    h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
+    t = basis_positions(n)[n, 2]
+    h1.cols[t] = h1.cols[t] + QKClass.basis_element((1, 2), n)
+    m = {(n, 1): Operator.identity(n)}
+    for w, op in qkring._recurrence(n, m, h1, h2, "h2"):
+        m[w] = op
+    return MultiplicationTable(n, [m[w] for w in enumerate_basis(n)], "h2")
+
+
+ORACLE_TABLES = {
+    **{f"auto-{n}": (lambda n=n: build_table(n)) for n in (3, 4, 5)},
+    **{f"h1-{n}": (lambda n=n: build_table(n, "h1")) for n in (3, 4, 5)},
+    **{
+        f"golden-{n}": (
+            lambda n=n: table_from_json(json.loads((DATA / f"golden_table_n{n}.json").read_text()))
+        )
+        for n in (3, 4)
+    },
+    "flipped-H1": lambda: _flipped(4, (3, 1), (2, 3)),
+    "flipped-M12": lambda: _flipped(4, (1, 2), (3, 2)),
+    "flipped-M24": lambda: _flipped(4, (2, 4), (4, 2)),
+    "noncommuting-4": lambda: _built_from_noncommuting_generators(4),
+}
+# h1 tables fail only the unit column (M_{1,2} e_{n,1} != e_{1,2}),
+# flipped-M12 and flipped-M24 only recurrence steps, noncommuting-4 only the
+# commutator, and flipped-H1 both of those
+CERTIFIED = {"auto-3", "auto-4", "auto-5", "golden-3", "golden-4"}
+H1_COUNTEREXAMPLES = {"h1-3": 173, "h1-4": 1439, "h1-5": 6775}
+
+
+@pytest.mark.parametrize("name", ORACLE_TABLES)
+def test_certified_ring_report_matches_brute_force(name, monkeypatch):
+    table = ORACLE_TABLES[name]()
+    assert certify_ring(table) == (name in CERTIFIED)
+    fast = ring_axiom_checks(table, associativity=True).to_json()
+    assert fast == _brute_force_ring_report(table, monkeypatch)
+    assert fast["passed"] == (name in CERTIFIED)
+    if name in H1_COUNTEREXAMPLES:
+        assert len(fast["counterexamples"]) == H1_COUNTEREXAMPLES[name]
+
+
+def test_certified_associativity_composes_fewer_than_2n(monkeypatch):
+    table = build_table(5)
+    calls = []
+    compose = Operator.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(Operator, "compose", counting)
+    assert ring_axiom_checks(table, associativity=True).passed
+    assert 0 < len(calls) < 2 * basis_size(5)
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_associativity_certified_without_brute_force(n, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("brute-force associativity entered")
+
+    monkeypatch.setattr(verify, "_associativity_counterexamples", refuse)
+    report = ring_axiom_checks(build_table(n), associativity=True)
+    assert report.passed and report.details["associativity_checked"]
+
+
+@pytest.mark.parametrize(
+    "check",
+    [positivity_check, ring_axiom_checks, classical_consistency_check, chevalley_consistency_check],
+)
+@pytest.mark.parametrize("n", [3, 5])
+def test_check_rejects_a_rank_other_than_the_tables(check, n, tables):
+    with pytest.raises(RankMismatch):
+        check(tables[4], n)
