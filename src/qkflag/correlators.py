@@ -7,10 +7,12 @@ Degree families outside the closed forms implemented here raise
 projective factors (and the two Novikov degrees) is applied automatically
 before giving up.
 
-At each supported degree O_u pairs to 1 with exactly one I_w, so the
-reconstruction of quantum Chevalley terms looks each two-point factor up by
-that target instead of scanning the basis.  Public functions validate their
-indices; the private helpers they share run on trusted ones.
+At each supported degree O_u pairs to 1 with exactly one I_w, and at each
+quantum degree O_{u1}, O_{u2} pair to 1 with at most one I_w.  The
+reconstruction of quantum Chevalley terms therefore takes one target per
+two-point factor and per three-point row, and never scans the basis.  The
+duality is applied to that target once, not to every w.  Public functions
+validate their indices; the private helpers they share run on trusted ones.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 from .basis import (
     SchubertIndex,
-    basis_positions,
     check_index,
     check_rank,
     dual_index,
@@ -28,7 +29,7 @@ from .basis import (
     unit_index,
 )
 from .errors import UnsupportedDegree
-from .kring import k_product
+from .kring import _k_terms
 from .poly import (
     DEGREE_L1,
     DEGREE_L1L2,
@@ -98,35 +99,39 @@ def three_point_projective(i1: int, i2: int, i3: int, d: int, m: int) -> int:
     return 1
 
 
-def _three_point_direct(u1, u2, w, deg: CurveDegree, n: int) -> int | None:
-    """Closed forms in canonical position; None when this family needs duality."""
+def _three_point_target(u1, u2, deg: CurveDegree, n: int) -> SchubertIndex | None:
+    """The one w with <O_{u1}, O_{u2}, I_w> = 1 at ``deg``, or None when every w gives 0.
+
+    Trusted indices and an effective degree other than (0,0).  Closed forms
+    in canonical position: (0,1) under j1+j2 <= n+2, (1,1), (1,d2) with
+    d2 >= 2, and (d1,d2) with d1,d2 >= 2.  Anything else is reflected once
+    through the factor-swapping duality and its target reflected back.
+    """
     d1, d2 = deg
-    i1, j1 = u1
-    i2, j2 = u2
-    if deg == (0, 0):
-        return k_product(u1, u2, n).coefficient(w).constant_term()
-    if deg == (1, 1):
-        return 1 if w == unit_index(n) else 0
-    if d1 >= 2 and d2 >= 2:
-        return 1 if w == unit_index(n) else 0
-    if d1 == 1 and d2 >= 2:
-        return 1 if w == SchubertIndex(min(n, i1 + i2), 1) else 0
-    if deg == (0, 1) and j1 + j2 <= n + 2:
-        if i1 + i2 < n + 1:
-            return 0
-        if i1 + i2 == n + 1:
-            return 1 if w == SchubertIndex(1, 2) else 0
-        return 1 if w == SchubertIndex(i1 + i2 - n, 1) else 0
-    return None
+    (i1, j1), (i2, j2) = u1, u2
+    for dual in (False, True):
+        if (d1, d2) == (1, 1) or (d1 >= 2 and d2 >= 2):
+            w = unit_index(n)
+        elif d1 == 1 and d2 >= 2:
+            w = SchubertIndex(min(n, i1 + i2), 1)
+        elif (d1, d2) == (0, 1) and j1 + j2 <= n + 2:
+            s = i1 + i2 - n
+            w = None if s < 1 else SchubertIndex(1, 2) if s == 1 else SchubertIndex(s, 1)
+        else:
+            # the duality: (i, j) -> (n-j+1, n-i+1) on both inputs, (d1, d2) -> (d2, d1)
+            (i1, j1), (i2, j2) = (n - j1 + 1, n - i1 + 1), (n - j2 + 1, n - i2 + 1)
+            d1, d2 = d2, d1
+            continue
+        return SchubertIndex(n - w.j + 1, n - w.i + 1) if dual and w else w
+    raise UnsupportedDegree(f"no three-point closed form at degree {deg} (n={n})")
 
 
 def three_point_incidence(u1, u2, w, deg: CurveDegree, n: int) -> int:
     """<O_{u1}, O_{u2}, I_w> at a supported degree family.
 
-    Families with a direct closed form: (0,0), (0,1) under j1+j2 <= n+2,
-    (1,1), (1,d2) with d2 >= 2, and (d1,d2) with d1,d2 >= 2.  Anything else
-    is first reflected through the factor-swapping duality; if the image is
-    still not covered, the degree is unsupported.
+    Degree (0,0) is the constant term of the K-ring product.  Every other
+    degree compares w with the one target of :func:`_three_point_target`,
+    which raises when neither the degree nor its dual image is covered.
     """
     u1 = check_index(u1, n)
     u2 = check_index(u2, n)
@@ -134,18 +139,9 @@ def three_point_incidence(u1, u2, w, deg: CurveDegree, n: int) -> int:
     d1, d2 = deg
     if d1 < 0 or d2 < 0:
         raise UnsupportedDegree(f"degree {deg} is not effective")
-    return _three_point(u1, u2, w, deg, n)
-
-
-def _three_point(u1, u2, w, deg: CurveDegree, n: int) -> int:
-    """:func:`three_point_incidence` on trusted indices and an effective degree."""
-    value = _three_point_direct(u1, u2, w, deg, n)
-    if value is None:
-        dual = [(n - b + 1, n - a + 1) for a, b in (u1, u2, w)]
-        value = _three_point_direct(*dual, (deg[1], deg[0]), n)
-    if value is None:
-        raise UnsupportedDegree(f"no three-point closed form at degree {deg} (n={n})")
-    return value
+    if deg == (0, 0):
+        return _k_terms(u1, u2, n).get(w, 0)
+    return 1 if _three_point_target(u1, u2, deg, n) == w else 0
 
 
 def correlator_value(q: CorrelatorQuery, n: int) -> int:
@@ -167,7 +163,9 @@ def symmetry_transform(q: CorrelatorQuery, n: int) -> CorrelatorQuery:
 
 
 def _three_point_row(h_idx, v, deg: CurveDegree, n: int) -> dict[SchubertIndex, int]:
-    return {w: c for w in basis_positions(n) if (c := _three_point(h_idx, v, w, deg, n))}
+    """{w: <O_h, O_v, I_w>} over the nonzero w at a quantum degree: the target alone."""
+    w = _three_point_target(h_idx, v, deg, n)
+    return {w: 1} if w else {}
 
 
 def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClass:
@@ -175,7 +173,9 @@ def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClas
 
     Evaluates the alternating sums over boundary splittings: the three-point
     correlator at ``deg`` minus metric-inverse corrections built from lower
-    degrees and two-point factors.  Returns the Q-stripped coefficient class.
+    degrees and two-point factors.  Each three-point row is its single
+    target and each two-point factor maps a class to its single target, so
+    no step scans the basis.  Returns the Q-stripped coefficient class.
     """
     if h not in ("h1", "h2"):
         raise ValueError(f"h must be 'h1' or 'h2', got {h!r}")
@@ -183,7 +183,7 @@ def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClas
         raise UnsupportedDegree(f"quantum parts exist only at l1, l2, l1+l2, got {deg}")
     hw = h1_index(n) if h == "h1" else h2_index(n)
     v = check_index(v, n)
-    classical = {w: p.constant_term() for w, p in k_product(hw, v, n).items()}
+    classical = _k_terms(hw, v, n)
     acc: dict[SchubertIndex, int] = {}
 
     def add(row: dict[SchubertIndex, int], sign: int = 1) -> None:

@@ -17,31 +17,32 @@ from .errors import RankMismatch
 from .poly import QKClass, _combine, _int_class
 
 
-def _collect(n: int, terms: list[tuple[int, int, int]]) -> QKClass:
-    """Build a class from (a, b, coeff) triples, dropping out-of-range pairs."""
+def _kept(n: int, terms: tuple[tuple[int, int, int], ...]) -> dict[SchubertIndex, int]:
+    """Sum (a, b, coeff) triples into {w: coeff}, dropping out-of-range pairs."""
     kept: dict[SchubertIndex, int] = {}
     for a, b, c in terms:
-        if a < 1 or a > n or b < 1 or b > n or a == b:
-            continue
-        w = SchubertIndex(a, b)
-        kept[w] = kept.get(w, 0) + c
-    return _int_class(n, kept)
+        if 0 < a <= n and 0 < b <= n and a != b:
+            w = SchubertIndex(a, b)
+            kept[w] = kept.get(w, 0) + c
+    return kept
+
+
+def _k_terms(u, v, n: int) -> dict[SchubertIndex, int]:
+    """:func:`k_product` as a plain {w: coeff} map, on trusted indices.
+
+    With a = i+k-n and b = j+p-1, the module docstring's first case is a > b.
+    """
+    k, p = u
+    i, j = v
+    a, b = i + k - n, j + p - 1
+    if a > b or i < j or k < p:
+        return _kept(n, ((a, b, 1),))
+    return _kept(n, ((a - 1, b, 1), (a, b + 1, 1), (a - 1, b + 1, -1)))
 
 
 def k_product(u, v, n: int) -> QKClass:
     """O_u . O_v in K(Fl(1, n-1)), as a classical QKClass."""
-    k, p = check_index(u, n)
-    i, j = check_index(v, n)
-    if i + k - n >= j + p or i < j or k < p:
-        return _collect(n, [(i + k - n, j + p - 1, 1)])
-    return _collect(
-        n,
-        [
-            (i + k - n - 1, j + p - 1, 1),
-            (i + k - n, j + p, 1),
-            (i + k - n - 1, j + p, -1),
-        ],
-    )
+    return _int_class(n, _k_terms(check_index(u, n), check_index(v, n), n))
 
 
 def k_class_product(a: QKClass, b: QKClass, n: int) -> QKClass:
@@ -71,11 +72,5 @@ def chow_product(u, v, n: int) -> QKClass:
     if i + k <= n or j + l >= n + 2:
         return QKClass.zero(n)
     if 1 <= i + k - n <= j + l - 1 <= n and i > j and k > l:
-        return _collect(
-            n,
-            [
-                (i + k - n - 1, j + l - 1, 1),
-                (i + k - n, j + l, 1),
-            ],
-        )
-    return _collect(n, [(i + k - n, j + l - 1, 1)])
+        return _int_class(n, _kept(n, ((i + k - n - 1, j + l - 1, 1), (i + k - n, j + l, 1))))
+    return _int_class(n, _kept(n, ((i + k - n, j + l - 1, 1),)))

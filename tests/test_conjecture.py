@@ -19,7 +19,7 @@ from qkflag.qkring import build_table
 
 @pytest.fixture(scope="module")
 def tables():
-    return {n: build_table(n) for n in (3, 4, 5, 6, 7)}
+    return {n: build_table(n) for n in (3, 4, 5, 6, 7, 8)}
 
 
 def test_translate_examples():
@@ -128,8 +128,9 @@ def test_conjectured_products_satisfy_sign_rule():
                         assert (c if e % 2 == 0 else -c) >= 0, (u, v, w, deg)
 
 
-@pytest.mark.parametrize("n, count", [(6, 2016), (7, 4165)])
+@pytest.mark.parametrize("n, count", [(n, n * n * (n - 2) * (3 * n - 4)) for n in range(3, 9)])
 def test_literal_gating_mismatch_count(n, count, tables):
+    # n^2 (n-2)(3n-4): 45, 256, 825, 2016, 4165, 7680 at n = 3..8
     report = compare_with_table(tables[n], gating="flipped")
     assert report.details == {"literal_gating_mismatches": count}
     assert len(compare_with_table(tables[n], gating="literal").mismatches) == count

@@ -1,6 +1,6 @@
 import pytest
 
-from qkflag.basis import dual_index, enumerate_basis, h1_index, h2_index, unit_index
+from qkflag.basis import SchubertIndex, dual_index, enumerate_basis, h1_index, h2_index, unit_index
 from qkflag.correlators import (
     CorrelatorQuery,
     _three_point_row,
@@ -14,6 +14,7 @@ from qkflag.correlators import (
     two_point_chain,
 )
 from qkflag.errors import UnsupportedDegree
+from qkflag.kring import k_product
 from qkflag.poly import DEGREE_L1, DEGREE_L1L2, DEGREE_L2, QKClass
 from qkflag.qkring import quantum_correction
 
@@ -100,7 +101,7 @@ def test_three_point_row_unsupported():
         _three_point_row((2, 1), (3, 1), (0, 2), 4)
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(3, 10))
 def test_three_point_row_matches_public_correlator(n):
     for h in (h1_index(n), h2_index(n)):
         for v in enumerate_basis(n):
@@ -111,6 +112,59 @@ def test_three_point_row_matches_public_correlator(n):
                     if (c := three_point_incidence(h, v, w, deg, n))
                 }
                 assert _three_point_row(h, v, deg, n) == want
+
+
+def _reference_direct(u1, u2, w, deg, n):
+    """The per-w closed forms in canonical position; None when the family needs duality."""
+    d1, d2 = deg
+    i1, j1 = u1
+    i2, j2 = u2
+    if deg == (0, 0):
+        return k_product(u1, u2, n).coefficient(w).constant_term()
+    if deg == (1, 1):
+        return 1 if w == unit_index(n) else 0
+    if d1 >= 2 and d2 >= 2:
+        return 1 if w == unit_index(n) else 0
+    if d1 == 1 and d2 >= 2:
+        return 1 if w == SchubertIndex(min(n, i1 + i2), 1) else 0
+    if deg == (0, 1) and j1 + j2 <= n + 2:
+        if i1 + i2 < n + 1:
+            return 0
+        if i1 + i2 == n + 1:
+            return 1 if w == SchubertIndex(1, 2) else 0
+        return 1 if w == SchubertIndex(i1 + i2 - n, 1) else 0
+    return None
+
+
+def _reference_three_point(u1, u2, w, deg, n):
+    """Every w evaluated on its own, with the duality applied to each (u1, u2, w)."""
+    value = _reference_direct(u1, u2, w, deg, n)
+    if value is None:
+        dual = [(n - b + 1, n - a + 1) for a, b in (u1, u2, w)]
+        value = _reference_direct(*dual, (deg[1], deg[0]), n)
+    if value is None:
+        raise UnsupportedDegree(f"no three-point closed form at degree {deg} (n={n})")
+    return value
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_three_point_incidence_matches_per_w_reference(n):
+    basis = enumerate_basis(n)
+    unsupported = 0
+    for deg in [(d1, d2) for d1 in range(3) for d2 in range(3)]:
+        for u1 in basis:
+            for u2 in basis:
+                for w in basis:
+                    try:
+                        want = _reference_three_point(u1, u2, w, deg, n)
+                    except UnsupportedDegree as exc:
+                        with pytest.raises(UnsupportedDegree) as got:
+                            three_point_incidence(u1, u2, w, deg, n)
+                        assert str(got.value) == str(exc)
+                        unsupported += 1
+                        continue
+                    assert three_point_incidence(u1, u2, w, deg, n) == want, (u1, u2, w, deg)
+    assert unsupported > 0
 
 
 def test_symmetry_transform_is_involution():
@@ -200,7 +254,7 @@ def test_quantum_part_h1_l1l2_point():
         assert got == QKClass(n, {(n, 1): 1, (n - 1, 1): -1})
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 10))
 @pytest.mark.parametrize("h", ["h1", "h2"])
 def test_reconstruction_matches_chevalley_corrections(n, h):
     for v in enumerate_basis(n):

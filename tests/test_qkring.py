@@ -267,6 +267,14 @@ def test_every_product_is_nonzero(n):
     assert all(not col.is_zero for op in table.ops for col in op.cols)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_nonzero_monomial_count(n):
+    # one monomial per (u, v, w, Q-degree): n^2 (n-1)(2n-3)
+    table = build_table(n)
+    count = sum(len(list(p.terms())) for op in table.ops for col in op.cols for _, p in col.items())
+    assert count == n * n * (n - 1) * (2 * n - 3)
+
+
 def test_table_from_json_rejects_duplicate_entry(tables):
     obj = table_to_json(tables[3])
     dup = json.loads(json.dumps(obj["entries"][0]))

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qkflag import qkring, verify
-from qkflag.basis import basis_positions, basis_size, enumerate_basis, h2_index
+from qkflag.basis import basis_positions, basis_size, enumerate_basis, h2_index, linear_index
 from qkflag.errors import RankMismatch
 from qkflag.kring import k_product
 from qkflag.poly import NovikovPolynomial, QKClass
@@ -205,3 +205,97 @@ def test_associativity_certified_without_brute_force(n, monkeypatch):
 def test_check_rejects_a_rank_other_than_the_tables(check, n, tables):
     with pytest.raises(RankMismatch):
         check(tables[4], n)
+
+
+def _reference_classical_report(table):
+    """The classical check through public k_product and QKClass differences, column by column."""
+    n = table.n
+    basis = enumerate_basis(n)
+    bad = []
+    for u in basis:
+        for v in basis:
+            got = table.product(u, v).classical_limit()
+            want = k_product(u, v, n)
+            if got != want:
+                for w, p in (got - want).items():
+                    bad.append(
+                        {
+                            "u": [u.i, u.j],
+                            "v": [v.i, v.j],
+                            "w": [w.i, w.j],
+                            "d1": 0,
+                            "d2": 0,
+                            "coeff": p.constant_term(),
+                        }
+                    )
+    bad.sort(key=lambda e: tuple(linear_index(tuple(e[k]), n) for k in ("u", "v", "w")))
+    details = {}
+    if getattr(table, "arbitration", None):
+        details["step_c_arbitration"] = table.arbitration
+    return {
+        "check": "classical",
+        "n": n,
+        "passed": not bad,
+        "counterexamples": bad,
+        "details": details,
+    }
+
+
+def _mutated(n, edit):
+    """The n table, through its JSON, with ``edit`` applied to the entry list."""
+    obj = table_to_json(build_table(n))
+    edit(obj["entries"])
+    return table_from_json(obj)
+
+
+def _degrees(entry):
+    return [(t["d1"], t["d2"]) for t in entry["poly"]]
+
+
+def _bump_constant(entries):
+    entry = next(e for e in entries if e["u"] == [2, 1] and _degrees(e)[0] == (0, 0))
+    entry["poly"][0]["coeff"] += 1
+
+
+def _add_constant(entries):
+    taken = {tuple(e["w"]) for e in entries if e["u"] == [3, 1] and e["v"] == [2, 3]}
+    w = next(w for w in enumerate_basis(4) if w not in taken)
+    constant = [{"d1": 0, "d2": 0, "coeff": 1}]
+    entries.append({"u": [3, 1], "v": [2, 3], "w": [w.i, w.j], "poly": constant})
+
+
+def _move_constant_to_q1(entries):
+    entry = next(e for e in entries if _degrees(e) == [(0, 0)])
+    entry["poly"][0]["d1"] = 1
+
+
+def _bump_q1(entries):
+    entry = next(e for e in entries if (1, 0) in _degrees(e))
+    entry["poly"][_degrees(entry).index((1, 0))]["coeff"] += 1
+
+
+CLASSICAL_TABLES = {
+    **{f"auto-{n}": (lambda n=n: build_table(n)) for n in range(3, 9)},
+    **{f"h1-{n}": (lambda n=n: build_table(n, "h1")) for n in (3, 4, 5)},
+    **{
+        f"golden-{n}": (
+            lambda n=n: table_from_json(json.loads((DATA / f"golden_table_n{n}.json").read_text()))
+        )
+        for n in (3, 4)
+    },
+    "changed-constant": lambda: _mutated(4, _bump_constant),
+    "added-constant": lambda: _mutated(4, _add_constant),
+    "constant-moved-to-Q1": lambda: _mutated(4, _move_constant_to_q1),
+    "changed-Q1-only": lambda: _mutated(4, _bump_q1),
+}
+CLASSICAL_FAILS = {"changed-constant", "added-constant", "constant-moved-to-Q1"}
+
+
+@pytest.mark.parametrize("name", CLASSICAL_TABLES)
+def test_classical_report_matches_class_reference(name):
+    table = CLASSICAL_TABLES[name]()
+    report = classical_consistency_check(table).to_json()
+    assert json.dumps(report) == json.dumps(_reference_classical_report(table))
+    assert report["passed"] == (name not in CLASSICAL_FAILS)
+    if name in CLASSICAL_FAILS:
+        assert len(report["counterexamples"]) == 1
