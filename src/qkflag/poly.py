@@ -5,9 +5,9 @@ containers keep a canonical form: zero coefficients are never stored, and
 iteration order is fixed (exponents sorted lexicographically, classes sorted
 by basis position) so serialized output is bit-stable.
 
-Public constructors validate their input.  Arithmetic accumulates into plain
-dicts in place and wraps the result with a ``_trusted`` constructor, which
-skips re-validation.
+Public constructors validate their input.  Class arithmetic and operator
+application all run through one kernel, :func:`_combine`, which accumulates
+into plain dicts in place and wraps the result without re-validation.
 """
 
 from __future__ import annotations
@@ -246,6 +246,10 @@ class QKClass:
         """Keep the Q-degree (0,0) part of every coefficient."""
         return self.degree_part(DEGREE_ZERO)
 
+    def _constant_terms(self) -> dict[SchubertIndex, int]:
+        """:meth:`classical_limit` as a plain {w: coeff} map; no class is built."""
+        return {w: k for w, p in self._terms.items() if (k := p._terms.get(DEGREE_ZERO))}
+
     def degree_part(self, deg: CurveDegree) -> "QKClass":
         """The classical coefficient class of Q^deg."""
         return _int_class(self.n, {w: p.coefficient(deg) for w, p in self._terms.items()})
@@ -286,15 +290,32 @@ _MINUS_ONE = NovikovPolynomial._trusted({DEGREE_ZERO: -1})
 
 
 def _combine(n: int, pairs: Iterable[tuple[QKClass, NovikovPolynomial]]) -> QKClass:
-    """The sum of ``c * factor`` over ``pairs``, accumulated in one dict in place.
+    """The one accumulate kernel: the sum of ``c * factor`` over ``pairs``.
 
-    Every ``c`` must already be a class for ``n``; nothing is re-validated.
+    Inline loops add each ``p * factor`` into one row per class; zeros and
+    empty rows are dropped once, at the end.  Every ``c`` must already be a
+    class for ``n``; nothing is re-validated.
     """
     acc: dict[SchubertIndex, dict[CurveDegree, int]] = {}
     for c, factor in pairs:
+        f = factor._terms.items()
         for w, p in c._terms.items():
-            _add_product(acc.setdefault(w, {}), p, factor)
-    return QKClass._trusted(n, {w: q for w, row in acc.items() if (q := _clean(row))})
+            if (row := acc.get(w)) is None:
+                row = acc[w] = {}
+            for (a1, a2), ca in p._terms.items():
+                for (b1, b2), cb in f:
+                    deg = (a1 + b1, a2 + b2)
+                    row[deg] = row.get(deg, 0) + ca * cb
+    return QKClass._trusted(
+        n,
+        {
+            w: NovikovPolynomial._trusted(
+                {d: k for d, k in row.items() if k} if 0 in row.values() else row
+            )
+            for w, row in acc.items()
+            if any(row.values())
+        },
+    )
 
 
 def _int_class(n: int, coeffs: dict[SchubertIndex, int]) -> QKClass:

@@ -38,7 +38,7 @@ from .basis import (
     unit_index,
 )
 from .errors import MalformedTable, RankMismatch
-from .kring import k_product
+from .kring import _k_terms, k_product
 from .poly import (
     DEGREE_L1,
     DEGREE_L1L2,
@@ -228,12 +228,12 @@ def certify_ring(table: MultiplicationTable) -> bool:
 
 
 def _oracle_outcomes(n: int, ops: list[Operator]) -> dict:
-    """Run the classical-limit and commutativity oracles over every product."""
+    """Classical-limit (constant terms vs ``_k_terms``) and commutativity oracles, all pairs."""
     basis = enumerate_basis(n)
     pairs = [(a, b) for a in range(len(basis)) for b in range(len(basis))]
     return {
         "classical_limit_ok": all(
-            ops[a].cols[b].classical_limit() == k_product(basis[a], basis[b], n) for a, b in pairs
+            ops[a].cols[b]._constant_terms() == _k_terms(basis[a], basis[b], n) for a, b in pairs
         ),
         "commutative_ok": all(ops[a].cols[b] == ops[b].cols[a] for a, b in pairs if a < b),
     }

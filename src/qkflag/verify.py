@@ -23,7 +23,7 @@ from .basis import (
 from .errors import RankMismatch
 from .kring import _k_terms
 from .poly import QKClass, c1_pairing
-from .qkring import certify_ring, chevalley_apply
+from .qkring import Operator, certify_ring, chevalley_apply
 
 
 @dataclass
@@ -158,31 +158,19 @@ def ring_axiom_checks(
 
 
 def _associativity_counterexamples(table, n: int, basis) -> list[dict]:
-    """Every (u, v, w) with (O_u * O_v) * O_w != O_u * (O_v * O_w), by brute force."""
-    # (O_u * O_v) * O_w == O_u * (O_v * O_w) for every basis w is the
-    # operator identity M_u . M_v == "multiplication by O_u * O_v".
-    bad = []
-    for u in basis:
-        mu = table.matrix(u)
-        for v in basis:
-            lhs = mu.compose(table.matrix(v))
-            rhs = None
-            for x, p in table.product(u, v).items():
-                scaled = table.matrix(x).scaled(p)
-                rhs = scaled if rhs is None else rhs + scaled
-            for w in basis:
-                left = lhs.column(w)
-                right = rhs.column(w) if rhs is not None else QKClass.zero(n)
-                if left != right:
-                    bad.append(
-                        {
-                            "axiom": "associativity",
-                            "u": [u.i, u.j],
-                            "v": [v.i, v.j],
-                            "w": [w.i, w.j],
-                        }
-                    )
-    return bad
+    """Every (u, v, w) with (O_u * O_v) * O_w != O_u * (O_v * O_w), by brute force.
+
+    Column by column: M_u (M_v e_w) against R_w (O_u * O_v), where R_w sends
+    e_x to O_x * O_w (column w of every M_x).  No operator sum is built.
+    """
+    right = [Operator._trusted(n, [op.cols[c] for op in table.ops]) for c in range(len(basis))]
+    return [
+        {"axiom": "associativity", "u": [u.i, u.j], "v": [v.i, v.j], "w": [w.i, w.j]}
+        for mu, u in zip(table.ops, basis)
+        for mv, v, uv in zip(table.ops, basis, mu.cols)
+        for vw, rw, w in zip(mv.cols, right, basis)
+        if mu.apply(vw) != rw.apply(uv)
+    ]
 
 
 def classical_consistency_check(table, n: int | None = None) -> VerificationReport:
@@ -198,7 +186,7 @@ def classical_consistency_check(table, n: int | None = None) -> VerificationRepo
     bad = []
     for u, op in zip(basis, table.ops):
         for v, col in zip(basis, op.cols):
-            got = {w: c for w, p in col._terms.items() if (c := p.constant_term())}
+            got = col._constant_terms()
             want = _k_terms(u, v, n)
             if got != want:
                 for w in got.keys() | want.keys():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkflag.basis import enumerate_basis
 from qkflag.errors import RankMismatch
 from qkflag.poly import (
     DEGREE_L1,
@@ -9,6 +10,7 @@ from qkflag.poly import (
     DEGREE_L2,
     NovikovPolynomial,
     QKClass,
+    _combine,
     class_from_json,
     class_to_json,
     monomial_str,
@@ -147,3 +149,62 @@ def test_class_arithmetic_leaves_operands_unchanged(a, b, f):
         # the accumulated results keep the canonical form of validated input
         assert r == QKClass(3, dict(r.items()))
         assert all(not p.is_zero for _, p in r.items())
+
+
+KERNEL_BOX = 3  # kernel inputs have degrees in 0..2, so sums stay below 2 * 2 + 1 = 5
+
+
+def kernel_polys():
+    degrees = st.tuples(st.integers(0, KERNEL_BOX - 1), st.integers(0, KERNEL_BOX - 1))
+    return st.dictionaries(degrees, st.integers(-3, 3), max_size=4).map(NovikovPolynomial)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A rank n in 3..5 and (class, factor) pairs; some pairs cancel outright."""
+    n = draw(st.integers(3, 5))
+    classes = st.dictionaries(st.sampled_from(enumerate_basis(n)), kernel_polys(), max_size=5)
+    pairs = draw(st.lists(st.tuples(classes.map(lambda t: QKClass(n, t)), kernel_polys()), max_size=4))
+    if pairs:
+        # negated copies cancel their originals term by term
+        pairs += [(c, -f) for c, f in draw(st.lists(st.sampled_from(pairs), max_size=2))]
+    return n, pairs
+
+
+def _dense_combine(n, pairs):
+    """Every (w, degree) coefficient of sum c * factor, one slot at a time, by convolution."""
+    box = range(2 * KERNEL_BOX - 1)
+    dense = {}
+    for w in enumerate_basis(n):
+        rows = [(c.coefficient(w), f) for c, f in pairs]
+        for d1 in box:
+            for d2 in box:
+                dense[w, (d1, d2)] = sum(
+                    p.coefficient((a1, a2)) * f.coefficient((d1 - a1, d2 - a2))
+                    for p, f in rows
+                    for a1 in range(min(d1, KERNEL_BOX - 1) + 1)
+                    for a2 in range(min(d2, KERNEL_BOX - 1) + 1)
+                )
+    return dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_inputs())
+def test_combine_matches_dense_reference(inputs):
+    n, pairs = inputs
+    result = _combine(n, pairs)
+    stored = {(w, d): c for w, p in result._terms.items() for d, c in p._terms.items()}
+    assert stored == {key: c for key, c in _dense_combine(n, pairs).items() if c}
+    # canonical: no empty polynomial and no zero coefficient is stored
+    assert all(p._terms and 0 not in p._terms.values() for p in result._terms.values())
+    assert result == QKClass(n, dict(result.items()))
+
+
+def test_combine_drops_rows_that_cancel():
+    a = QKClass(4, {(1, 2): ONE + Q1, (4, 1): Q2})
+    result = _combine(4, [(a, Q1), (QKClass(4, {(1, 2): ONE}), -Q1), (a, -Q1), (a, Q1)])
+    assert result._terms == {
+        (1, 2): NovikovPolynomial({(2, 0): 1}),
+        (4, 1): NovikovPolynomial({(1, 1): 1}),
+    }
+    assert _combine(4, [(a, Q1), (a, -Q1)])._terms == {}

@@ -206,6 +206,50 @@ def test_arbitration_matches_two_variant_oracle(n, tables):
     assert tables[n].step_c_variant == chosen
 
 
+def _changed(n, a, b, delta):
+    """The h2 operators at n with column b of M_a (basis positions) plus ``delta``."""
+    ops = qkring._build_with_variant(n, "h2")
+    ops[a].cols[b] = ops[a].cols[b] + QKClass(n, delta)
+    return ops
+
+
+def _changed_constant(n):
+    """The h2 operators with one constant term of a diagonal column O_u * O_u bumped by 1."""
+    ops = qkring._build_with_variant(n, "h2")
+    a, w = next(
+        (a, w) for a, op in enumerate(ops) for w, p in op.cols[a].items() if p.constant_term()
+    )
+    return _changed(n, a, a, {w: 1})
+
+
+ORACLE_CASES = {
+    **{
+        f"{v}-{n}": (lambda n=n, v=v: qkring._build_with_variant(n, v))
+        for n in range(3, 7)
+        for v in ("h2", "h1")
+    },
+    "changed-constant": lambda: _changed_constant(4),
+    "changed-Q1-only": lambda: _changed(4, 1, 1, {(2, 1): Q1}),
+    "changed-one-side": lambda: _changed(4, 1, 2, {(2, 1): Q1}),
+}
+ORACLE_FAILS = {
+    "changed-constant": "classical_limit_ok",
+    "changed-one-side": "commutative_ok",
+    **{f"h1-{n}": "commutative_ok" for n in range(3, 7)},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_oracle_outcomes_match_class_reference(name):
+    ops = ORACLE_CASES[name]()
+    n = ops[0].n
+    outcomes = qkring._oracle_outcomes(n, ops)
+    # the class-based reference: classical_limit() against public k_product
+    assert outcomes == _brute_force_outcomes(qkring.MultiplicationTable(n, ops, "test"))
+    failed = {k for k, ok in outcomes.items() if not ok}
+    assert failed == ({ORACLE_FAILS[name]} if name in ORACLE_FAILS else set())
+
+
 def _count_compositions(monkeypatch, fn):
     calls = []
     compose = Operator.compose

@@ -173,6 +173,35 @@ def test_certified_ring_report_matches_brute_force(name, monkeypatch):
         assert len(fast["counterexamples"]) == H1_COUNTEREXAMPLES[name]
 
 
+def _operator_sum_counterexamples(table, n, basis):
+    """The brute force composed whole: M_u . M_v against the operator sum of c_x M_x."""
+    bad = []
+    for u in basis:
+        mu = table.matrix(u)
+        for v in basis:
+            lhs = mu.compose(table.matrix(v))
+            rhs = None
+            for x, p in table.product(u, v).items():
+                scaled = table.matrix(x).scaled(p)
+                rhs = scaled if rhs is None else rhs + scaled
+            for w in basis:
+                right = rhs.column(w) if rhs is not None else QKClass.zero(n)
+                if lhs.column(w) != right:
+                    bad.append(
+                        {"axiom": "associativity", "u": [u.i, u.j], "v": [v.i, v.j], "w": [w.i, w.j]}
+                    )
+    return bad
+
+
+@pytest.mark.parametrize("name", ["h1-3", "h1-4", "noncommuting-4", "flipped-H1"])
+def test_associativity_fallback_matches_operator_sums(name):
+    table = ORACLE_TABLES[name]()
+    n, basis = table.n, enumerate_basis(table.n)
+    got = verify._associativity_counterexamples(table, n, basis)
+    assert json.dumps(got) == json.dumps(_operator_sum_counterexamples(table, n, basis))
+    assert got
+
+
 def test_certified_associativity_composes_fewer_than_2n(monkeypatch):
     table = build_table(5)
     calls = []
