@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .basis import SchubertIndex, _length, basis_positions, check_index, check_rank, dim_incidence
 from .errors import DegenerateTarget
-from .poly import CurveDegree, NovikovPolynomial, QKClass, c1_pairing
+from .poly import CurveDegree, QKClass, c1_pairing
 
 
 def translate(idx: int, u, v, n: int) -> SchubertIndex:
@@ -91,20 +91,21 @@ def _formula_terms(u, v, n: int):
     """One evaluation of the closed formula on trusted indices.
 
     Returns ``(base, gate, group)``: the t0 term and the signed t1..t3 group,
-    each as a map ``(w, deg) -> coeff``, and the parity ``Delta(u, v, t1)``.
+    each as a flat map ``(w, d1, d2) -> coeff`` (the layout of
+    :class:`~qkflag.poly.QKClass`), and the parity ``Delta(u, v, t1)``.
     The flipped gate adds the group when ``gate`` is 1, the literal gate
     when it is 0; a degenerate t1 leaves the group empty.
     """
     t = [_translate(idx, u, v, n) for idx in range(4)]
     base = {}
     if not is_degenerate(t[0]) and _delta(u, v, t[0], n):
-        base[t[0], _degree_vector(u, v, t[0], n)] = 1
+        base[(t[0], *_degree_vector(u, v, t[0], n))] = 1
     if is_degenerate(t[1]):
         return base, 1, {}
     group: dict = {}
     for w, sign in zip(t[1:], (1, 1, -1)):
         if not is_degenerate(w):
-            key = (w, _degree_vector(u, v, w, n))
+            key = (w, *_degree_vector(u, v, w, n))
             group[key] = group.get(key, 0) + sign
     return base, _delta(u, v, t[1], n), group
 
@@ -129,10 +130,7 @@ def conjectured_product(u, v, n: int, gating: str = "flipped") -> QKClass:
     if gating not in GATINGS:
         raise ValueError(f"gating must be one of {GATINGS}, got {gating!r}")
     base, gate, group = _formula_terms(check_index(u, n), check_index(v, n), n)
-    polys: dict = {}
-    for (w, deg), c in _gated(base, group, gate if gating == "flipped" else 1 - gate).items():
-        polys.setdefault(w, {})[deg] = c
-    return QKClass(n, {w: NovikovPolynomial(terms) for w, terms in polys.items()})
+    return QKClass._trusted(n, _gated(base, group, gate if gating == "flipped" else 1 - gate))
 
 
 @dataclass
@@ -187,7 +185,7 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     other_count = 0
     for u, op in zip(pos, table.ops):
         for v, col in zip(pos, op.cols):
-            want = {(w, d): c for w, poly in col._terms.items() for d, c in poly._terms.items()}
+            want = col._terms
             base, gate, group = _formula_terms(u, v, n)
             for g, on in (("flipped", gate), ("literal", 1 - gate)):
                 got = _gated(base, group, on)
@@ -197,16 +195,16 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
                 if g != gating:
                     other_count += len(keys)
                     continue
-                for w, deg in sorted(keys, key=lambda t: (pos[t[0]], t[1])):
+                for w, d1, d2 in sorted(keys, key=lambda t: (pos[t[0]], t[1], t[2])):
                     mismatches.append(
                         {
                             "u": [u.i, u.j],
                             "v": [v.i, v.j],
                             "w": [w.i, w.j],
-                            "d1": deg[0],
-                            "d2": deg[1],
-                            "table": want.get((w, deg), 0),
-                            "conjecture": got.get((w, deg), 0),
+                            "d1": d1,
+                            "d2": d2,
+                            "table": want.get((w, d1, d2), 0),
+                            "conjecture": got.get((w, d1, d2), 0),
                         }
                     )
     other = GATINGS[1 - GATINGS.index(gating)]

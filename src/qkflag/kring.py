@@ -53,8 +53,11 @@ def k_class_product(a: QKClass, b: QKClass, n: int) -> QKClass:
     check_rank(n)
     if a.n != n or b.n != n:
         raise RankMismatch(f"classes built for n={a.n}/{b.n}, expected {n}")
-    terms_a, terms_b = a._terms.items(), b._terms.items()
-    return _combine(n, ((k_product(u, v, n), pa * pb) for u, pa in terms_a for v, pb in terms_b))
+    return _combine(n, (
+        (k_product(u, v, n), a1 + b1, a2 + b2, ca * cb)
+        for (u, a1, a2), ca in a._terms.items()
+        for (v, b1, b2), cb in b._terms.items()
+    ))
 
 
 def k_unit(n: int) -> QKClass:

@@ -3,11 +3,13 @@
 Coefficients are Python ints, so arithmetic is arbitrary precision.  Both
 containers keep a canonical form: zero coefficients are never stored, and
 iteration order is fixed (exponents sorted lexicographically, classes sorted
-by basis position) so serialized output is bit-stable.
+by basis position) so serialized output is bit-stable.  A class is one flat
+map over (class, degree) pairs, not a map of polynomials; see
+:class:`QKClass`.
 
 Public constructors validate their input.  Class arithmetic and operator
 application all run through one kernel, :func:`_combine`, which accumulates
-into plain dicts in place and wraps the result without re-validation.
+flat terms into one plain dict and wraps the result without re-validation.
 """
 
 from __future__ import annotations
@@ -171,10 +173,14 @@ def poly_from_json(items: Iterable[Mapping]) -> NovikovPolynomial:
 
 
 class QKClass:
-    """Finitely supported map SchubertIndex -> NovikovPolynomial.
+    """An element of the small quantum K-ring for a fixed n.
 
-    An element of the small quantum K-ring for a fixed n.  A classical
-    K-class is the special case where every polynomial is constant.
+    Stored as one flat map ``{(w, d1, d2): c}``: ``w`` a
+    :class:`~qkflag.basis.SchubertIndex` valid for n, ``(d1, d2)`` a
+    nonnegative curve degree, ``c`` a nonzero int, the coefficient of
+    Q1^d1 Q2^d2 O_w.  A :class:`NovikovPolynomial` per class is built only
+    by :meth:`coefficient` and :meth:`items`.  A classical K-class is the
+    special case where every degree is (0, 0).
     """
 
     __slots__ = ("n", "_terms")
@@ -182,11 +188,11 @@ class QKClass:
     def __init__(self, n: int, terms: Mapping | None = None):
         self.n = check_rank(n)
         polys = {check_index(w, n): _as_poly(p) for w, p in (terms or {}).items()}
-        self._terms = {w: p for w, p in polys.items() if p}
+        self._terms = {(w, d1, d2): c for w, p in polys.items() for (d1, d2), c in p._terms.items()}
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[SchubertIndex, NovikovPolynomial]) -> "QKClass":
-        """Wrap a map that is already clean: valid indices for n, no zero polynomial."""
+    def _trusted(cls, n: int, terms: dict[tuple[SchubertIndex, int, int], int]) -> "QKClass":
+        """Wrap a flat map that is already clean: valid indices for n, no zero coefficient."""
         c = object.__new__(cls)
         c.n = n
         c._terms = terms
@@ -205,12 +211,15 @@ class QKClass:
         return not self._terms
 
     def coefficient(self, w) -> NovikovPolynomial:
-        return self._terms.get(SchubertIndex(*w), NovikovPolynomial.zero())
+        return dict(self.items()).get(SchubertIndex(*w), NovikovPolynomial.zero())
 
     def items(self) -> list[tuple[SchubertIndex, NovikovPolynomial]]:
         """(class, polynomial) pairs in basis order."""
+        rows: dict[SchubertIndex, dict[CurveDegree, int]] = {}
+        for (w, d1, d2), c in self._terms.items():
+            rows.setdefault(w, {})[d1, d2] = c
         pos = basis_positions(self.n)
-        return sorted(self._terms.items(), key=lambda kv: pos[kv[0]])
+        return [(w, NovikovPolynomial._trusted(rows[w])) for w in sorted(rows, key=pos.__getitem__)]
 
     def _check_same_rank(self, other: "QKClass") -> None:
         if self.n != other.n:
@@ -218,18 +227,19 @@ class QKClass:
 
     def __add__(self, other: "QKClass") -> "QKClass":
         self._check_same_rank(other)
-        return _combine(self.n, ((self, _ONE), (other, _ONE)))
+        return _combine(self.n, ((self, 0, 0, 1), (other, 0, 0, 1)))
 
     def __sub__(self, other: "QKClass") -> "QKClass":
         self._check_same_rank(other)
-        return _combine(self.n, ((self, _ONE), (other, _MINUS_ONE)))
+        return _combine(self.n, ((self, 0, 0, 1), (other, 0, 0, -1)))
 
     def __neg__(self) -> "QKClass":
-        return _combine(self.n, ((self, _MINUS_ONE),))
+        return _combine(self.n, ((self, 0, 0, -1),))
 
     def scaled(self, factor) -> "QKClass":
         """Multiply every coefficient by an integer or Novikov polynomial."""
-        return _combine(self.n, ((self, _as_poly(factor)),))
+        factor = _as_poly(factor)._terms.items()
+        return _combine(self.n, ((self, b1, b2, cb) for (b1, b2), cb in factor))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QKClass):
@@ -248,14 +258,16 @@ class QKClass:
 
     def _constant_terms(self) -> dict[SchubertIndex, int]:
         """:meth:`classical_limit` as a plain {w: coeff} map; no class is built."""
-        return {w: k for w, p in self._terms.items() if (k := p._terms.get(DEGREE_ZERO))}
+        return {w: c for (w, d1, d2), c in self._terms.items() if not (d1 or d2)}
 
     def degree_part(self, deg: CurveDegree) -> "QKClass":
         """The classical coefficient class of Q^deg."""
-        return _int_class(self.n, {w: p.coefficient(deg) for w, p in self._terms.items()})
+        return QKClass._trusted(
+            self.n, {(w, 0, 0): c for (w, d1, d2), c in self._terms.items() if (d1, d2) == deg}
+        )
 
     def degree_support(self) -> set[CurveDegree]:
-        return set().union(*(p._terms for p in self._terms.values()))
+        return {(d1, d2) for _, d1, d2 in self._terms}
 
     def __repr__(self) -> str:
         return f"QKClass(n={self.n}, {dict(self.items())!r})"
@@ -266,7 +278,7 @@ class QKClass:
 
     def sorted_monomials(self) -> list[tuple[SchubertIndex, CurveDegree, int]]:
         """Flat (class, degree, coeff) triples: degree asc, positives first, basis order."""
-        flat = [(w, deg, c) for w, p in self._terms.items() for deg, c in p.terms()]
+        flat = [(w, (d1, d2), c) for (w, d1, d2), c in self._terms.items()]
         pos = basis_positions(self.n)
         flat.sort(key=lambda t: (t[1], 0 if t[2] > 0 else 1, pos[t[0]]))
         return flat
@@ -286,42 +298,27 @@ def _signed_sum(terms: list[tuple[int, str]]) -> str:
 
 
 _ONE = NovikovPolynomial._trusted({DEGREE_ZERO: 1})
-_MINUS_ONE = NovikovPolynomial._trusted({DEGREE_ZERO: -1})
 
 
-def _combine(n: int, pairs: Iterable[tuple[QKClass, NovikovPolynomial]]) -> QKClass:
-    """The one accumulate kernel: the sum of ``c * factor`` over ``pairs``.
+def _combine(n: int, terms: Iterable[tuple[QKClass, int, int, int]]) -> QKClass:
+    """The one accumulate kernel: the sum of ``c * cb * Q1^b1 Q2^b2`` over ``terms``.
 
-    Inline loops add each ``p * factor`` into one row per class; zeros and
-    empty rows are dropped once, at the end.  Every ``c`` must already be a
-    class for ``n``; nothing is re-validated.
+    Each ``(c, b1, b2, cb)`` adds every flat term of ``c``, shifted by the
+    degree (b1, b2) and scaled by ``cb``, into one flat map; zeros are
+    dropped once, at the end.  Every ``c`` must already be a class for
+    ``n``; nothing is re-validated.
     """
-    acc: dict[SchubertIndex, dict[CurveDegree, int]] = {}
-    for c, factor in pairs:
-        f = factor._terms.items()
-        for w, p in c._terms.items():
-            if (row := acc.get(w)) is None:
-                row = acc[w] = {}
-            for (a1, a2), ca in p._terms.items():
-                for (b1, b2), cb in f:
-                    deg = (a1 + b1, a2 + b2)
-                    row[deg] = row.get(deg, 0) + ca * cb
-    return QKClass._trusted(
-        n,
-        {
-            w: NovikovPolynomial._trusted(
-                {d: k for d, k in row.items() if k} if 0 in row.values() else row
-            )
-            for w, row in acc.items()
-            if any(row.values())
-        },
-    )
+    acc: dict[tuple[SchubertIndex, int, int], int] = {}
+    for c, b1, b2, cb in terms:
+        for (w, a1, a2), ca in c._terms.items():
+            key = (w, a1 + b1, a2 + b2)
+            acc[key] = acc.get(key, 0) + ca * cb
+    return QKClass._trusted(n, {key: k for key, k in acc.items() if k})
 
 
 def _int_class(n: int, coeffs: dict[SchubertIndex, int]) -> QKClass:
     """A classical class from valid indices and integer coefficients, zeros dropped."""
-    polys = {w: NovikovPolynomial._trusted({DEGREE_ZERO: c}) for w, c in coeffs.items() if c}
-    return QKClass._trusted(n, polys)
+    return QKClass._trusted(n, {(w, 0, 0): c for w, c in coeffs.items() if c})
 
 
 def class_to_json(c: QKClass) -> dict:

@@ -88,8 +88,8 @@ class Operator:
     def apply(self, c: QKClass) -> QKClass:
         if c.n != self.n:
             raise RankMismatch(f"operator for n={self.n} applied to class for n={c.n}")
-        pos = basis_positions(self.n)
-        return _combine(self.n, ((self.cols[pos[w]], p) for w, p in c._terms.items()))
+        pos, cols = basis_positions(self.n), self.cols
+        return _combine(self.n, ((cols[pos[w]], d1, d2, k) for (w, d1, d2), k in c._terms.items()))
 
     def compose(self, other: "Operator") -> "Operator":
         """self . other (apply other first)."""
@@ -352,19 +352,28 @@ def table_from_json(obj) -> MultiplicationTable:
     """Rebuild a table from the golden-file layout (no re-arbitration).
 
     Raises :class:`MalformedTable` unless ``obj`` is an object with an int
-    ``n`` and an ``entries`` list, every index is valid for n, no (u, v, w)
-    repeats, and every product O_u * O_v has an entry.
+    ``n`` and an ``entries`` list, every index is a pair of ints (not bools)
+    valid for n, no (u, v, w) repeats, and every product O_u * O_v has an
+    entry.  A list shorter than the N^2 products (N = n(n-1)) is refused
+    before the basis is built, so a large ``n`` allocates nothing.
     """
     if not isinstance(obj, dict) or type(obj.get("n")) is not int:
         raise MalformedTable("cached table must be a JSON object with an integer 'n'")
-    if not isinstance(obj.get("entries"), list):
+    entries = obj.get("entries")
+    if not isinstance(entries, list):
         raise MalformedTable("cached table has no 'entries' list")
     n = check_rank(obj["n"])
+    products = basis_size(n) ** 2
+    if len(entries) < products:
+        raise MalformedTable(f"cached table has {len(entries)} entries for {products} products")
     basis = enumerate_basis(n)
     cols: dict[tuple, dict] = {(u, v): {} for u in basis for v in basis}
-    for k, e in enumerate(obj["entries"]):
+    for k, e in enumerate(entries):
         try:
-            u, v, w = (check_index(e[key], n) for key in ("u", "v", "w"))
+            pairs = [e[key] for key in ("u", "v", "w")]
+            if not all(type(x) is int for pair in pairs for x in pair):
+                raise ValueError(f"indices {pairs!r} must hold integers")
+            u, v, w = (check_index(pair, n) for pair in pairs)
             poly = poly_from_json(e["poly"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedTable(f"cached table entry {k} is malformed: {exc!r}") from None

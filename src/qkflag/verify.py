@@ -20,7 +20,6 @@ from .basis import (
     linear_index,
     unit_index,
 )
-from .errors import RankMismatch
 from .kring import _k_terms
 from .poly import QKClass, c1_pairing
 from .qkring import Operator, certify_ring, chevalley_apply
@@ -51,13 +50,6 @@ class VerificationReport:
         return line
 
 
-def _rank(table, n: int | None) -> int:
-    """The table's n; the checks read the table by position, so an explicit n must match."""
-    if n is not None and n != table.n:
-        raise RankMismatch(f"table built for n={table.n}, checked for n={n}")
-    return table.n
-
-
 def _pair_key(n):
     def key(entry):
         return (
@@ -71,43 +63,37 @@ def _pair_key(n):
     return key
 
 
-def positivity_check(table, n: int | None = None) -> VerificationReport:
+def positivity_check(table) -> VerificationReport:
     """Sign rule for every structure constant:
 
     (-1)^(codim w - codim u - codim v + (d1+d2)(n-1)) * N_{u,v}^{w,(d1,d2)} >= 0.
     """
-    n = _rank(table, n)
+    n = table.n
     basis = enumerate_basis(n)
     codims = {w: dim_incidence(n) - _length(w.i, w.j, n) for w in basis}
     bad = []
     for u, op in zip(basis, table.ops):
         for v, col in zip(basis, op.cols):
-            for w, p in col.items():
-                base = codims[w] - codims[u] - codims[v]
-                for deg, c in p.terms():
-                    e = base + c1_pairing(deg, n)
-                    signed = c if e % 2 == 0 else -c
-                    if signed < 0:
-                        bad.append(
-                            {
-                                "u": [u.i, u.j],
-                                "v": [v.i, v.j],
-                                "w": [w.i, w.j],
-                                "d1": deg[0],
-                                "d2": deg[1],
-                                "coeff": c,
-                                "expected_sign": "+" if e % 2 == 0 else "-",
-                            }
-                        )
+            for (w, d1, d2), c in col._terms.items():
+                e = codims[w] - codims[u] - codims[v] + c1_pairing((d1, d2), n)
+                signed = c if e % 2 == 0 else -c
+                if signed < 0:
+                    bad.append(
+                        {
+                            "u": [u.i, u.j],
+                            "v": [v.i, v.j],
+                            "w": [w.i, w.j],
+                            "d1": d1,
+                            "d2": d2,
+                            "coeff": c,
+                            "expected_sign": "+" if e % 2 == 0 else "-",
+                        }
+                    )
     bad.sort(key=_pair_key(n))
     return VerificationReport("positivity", n, not bad, bad)
 
 
-def ring_axiom_checks(
-    table,
-    n: int | None = None,
-    associativity: bool | None = None,
-) -> VerificationReport:
+def ring_axiom_checks(table, *, associativity: bool | None = None) -> VerificationReport:
     """Identity column, commutativity on all pairs, associativity on all triples.
 
     Associativity runs by default only for n <= 5; pass
@@ -124,7 +110,7 @@ def ring_axiom_checks(
     certificate fails are all N^2 products M_u M_v composed and compared,
     which lists every failing triple.
     """
-    n = _rank(table, n)
+    n = table.n
     basis = enumerate_basis(n)
     run_assoc = (n <= 5) if associativity is None else associativity
     bad = []
@@ -173,7 +159,7 @@ def _associativity_counterexamples(table, n: int, basis) -> list[dict]:
     ]
 
 
-def classical_consistency_check(table, n: int | None = None) -> VerificationReport:
+def classical_consistency_check(table) -> VerificationReport:
     """Q -> 0 limit of every table entry equals the closed K-ring formula.
 
     Each column's constant terms, as a plain {w: coeff} map, are compared
@@ -181,7 +167,7 @@ def classical_consistency_check(table, n: int | None = None) -> VerificationRepo
     no class is built.  A column that differs lists one counterexample per
     w where the two disagree, with the difference as ``coeff``.
     """
-    n = _rank(table, n)
+    n = table.n
     basis = enumerate_basis(n)
     bad = []
     for u, op in zip(basis, table.ops):
@@ -208,9 +194,9 @@ def classical_consistency_check(table, n: int | None = None) -> VerificationRepo
     return VerificationReport("classical", n, not bad, bad, details)
 
 
-def chevalley_consistency_check(table, n: int | None = None) -> VerificationReport:
+def chevalley_consistency_check(table) -> VerificationReport:
     """Table rows for h1, h2 equal the classical+correction operator columnwise."""
-    n = _rank(table, n)
+    n = table.n
     basis = enumerate_basis(n)
     bad = []
     for h, hw in (("h1", h1_index(n)), ("h2", h2_index(n))):

@@ -1,10 +1,13 @@
 import json
+import pathlib
 
 import pytest
 
 from qkflag.cli import build_parser, main
 from qkflag.poly import class_from_json
 from qkflag.qkring import build_table, qk_product, table_entries
+
+GOLDEN_N3 = pathlib.Path(__file__).parent / "data" / "golden_table_n3.json"
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +254,29 @@ def test_cache_with_empty_entries_exits_2(tmp_path, capsys):
     )
     _assert_one_error_line(*result)
 
+
+
+def test_cache_with_huge_n_and_no_entries_exits_2(tmp_path, capsys):
+    # the basis and the N^2 empty columns for n = 10^6 used to be allocated first
+    cache = tmp_path / "huge.json"
+    cache.write_text('{"n": 1000000, "entries": []}')
+    result = run_cli(
+        capsys, "product", "--n", "3", "--u", "1,2", "--v", "1,2", "--table", str(cache)
+    )
+    _assert_one_error_line(*result)
+
+
+@pytest.mark.parametrize("key, index", [("u", [1.5, 2]), ("w", [2.0, 3])], ids=["u", "w"])
+def test_cache_with_float_index_exits_2(key, index, tmp_path, capsys):
+    # "u": [1.5, 2] used to end in a KeyError traceback, "w": [2.0, 3] to print Q1*O_2.0,3
+    obj = json.loads(GOLDEN_N3.read_text())
+    obj["entries"][0][key] = index
+    cache = tmp_path / "float_index.json"
+    cache.write_text(json.dumps(obj))
+    result = run_cli(
+        capsys, "product", "--n", "3", "--u", "1,2", "--v", "1,2", "--table", str(cache)
+    )
+    _assert_one_error_line(*result)
 
 def test_cache_with_duplicate_entry_exits_2(tmp_path, capsys):
     cache = tmp_path / "dup.json"

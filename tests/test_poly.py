@@ -161,29 +161,32 @@ def kernel_polys():
 
 @st.composite
 def kernel_inputs(draw):
-    """A rank n in 3..5 and (class, factor) pairs; some pairs cancel outright."""
+    """A rank n in 3..5 and (class, b1, b2, cb) terms; some terms cancel outright."""
     n = draw(st.integers(3, 5))
     classes = st.dictionaries(st.sampled_from(enumerate_basis(n)), kernel_polys(), max_size=5)
-    pairs = draw(st.lists(st.tuples(classes.map(lambda t: QKClass(n, t)), kernel_polys()), max_size=4))
-    if pairs:
+    shift = st.integers(0, KERNEL_BOX - 1)
+    terms = draw(
+        st.lists(
+            st.tuples(classes.map(lambda t: QKClass(n, t)), shift, shift, st.integers(-3, 3)),
+            max_size=6,
+        )
+    )
+    if terms:
         # negated copies cancel their originals term by term
-        pairs += [(c, -f) for c, f in draw(st.lists(st.sampled_from(pairs), max_size=2))]
-    return n, pairs
+        terms += [(c, b1, b2, -cb) for c, b1, b2, cb in draw(st.lists(st.sampled_from(terms), max_size=2))]
+    return n, terms
 
 
-def _dense_combine(n, pairs):
-    """Every (w, degree) coefficient of sum c * factor, one slot at a time, by convolution."""
+def _dense_combine(n, terms):
+    """Every (w, d1, d2) coefficient of sum cb * Q^(b1,b2) * c, one slot at a time, by convolution."""
     box = range(2 * KERNEL_BOX - 1)
     dense = {}
     for w in enumerate_basis(n):
-        rows = [(c.coefficient(w), f) for c, f in pairs]
+        rows = [(c.coefficient(w), b1, b2, cb) for c, b1, b2, cb in terms]
         for d1 in box:
             for d2 in box:
-                dense[w, (d1, d2)] = sum(
-                    p.coefficient((a1, a2)) * f.coefficient((d1 - a1, d2 - a2))
-                    for p, f in rows
-                    for a1 in range(min(d1, KERNEL_BOX - 1) + 1)
-                    for a2 in range(min(d2, KERNEL_BOX - 1) + 1)
+                dense[w, d1, d2] = sum(
+                    p.coefficient((d1 - b1, d2 - b2)) * cb for p, b1, b2, cb in rows
                 )
     return dense
 
@@ -191,20 +194,46 @@ def _dense_combine(n, pairs):
 @settings(max_examples=60, deadline=None)
 @given(kernel_inputs())
 def test_combine_matches_dense_reference(inputs):
-    n, pairs = inputs
-    result = _combine(n, pairs)
-    stored = {(w, d): c for w, p in result._terms.items() for d, c in p._terms.items()}
-    assert stored == {key: c for key, c in _dense_combine(n, pairs).items() if c}
-    # canonical: no empty polynomial and no zero coefficient is stored
-    assert all(p._terms and 0 not in p._terms.values() for p in result._terms.values())
+    n, terms = inputs
+    result = _combine(n, terms)
+    assert result._terms == {key: c for key, c in _dense_combine(n, terms).items() if c}
+    # canonical: no zero coefficient is stored
+    assert 0 not in result._terms.values()
     assert result == QKClass(n, dict(result.items()))
 
 
 def test_combine_drops_rows_that_cancel():
     a = QKClass(4, {(1, 2): ONE + Q1, (4, 1): Q2})
-    result = _combine(4, [(a, Q1), (QKClass(4, {(1, 2): ONE}), -Q1), (a, -Q1), (a, Q1)])
-    assert result._terms == {
-        (1, 2): NovikovPolynomial({(2, 0): 1}),
-        (4, 1): NovikovPolynomial({(1, 1): 1}),
-    }
-    assert _combine(4, [(a, Q1), (a, -Q1)])._terms == {}
+    o12 = QKClass(4, {(1, 2): ONE})
+    result = _combine(4, [(a, 1, 0, 1), (o12, 1, 0, -1), (a, 1, 0, -1), (a, 1, 0, 1)])
+    assert result._terms == {((1, 2), 2, 0): 1, ((4, 1), 1, 1): 1}
+    assert _combine(4, [(a, 1, 0, 1), (a, 1, 0, -1)])._terms == {}
+    assert _combine(4, [(a, 0, 0, 0)])._terms == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.dictionaries(st.sampled_from(enumerate_basis(n)), kernel_polys(), max_size=5)
+    )
+))
+def test_combine_builds_what_the_constructor_builds(inputs):
+    n, polys = inputs
+    direct = QKClass(n, polys)
+    combined = _combine(
+        n,
+        (
+            (QKClass.basis_element(w, n), b1, b2, cb)
+            for w, p in polys.items()
+            for (b1, b2), cb in p.terms()
+        ),
+    )
+    assert combined == direct
+    for w in enumerate_basis(n):
+        assert combined.coefficient(w) == direct.coefficient(w) == polys.get(w, NovikovPolynomial.zero())
+    assert combined.items() == direct.items()
+    for d1 in range(KERNEL_BOX):
+        for d2 in range(KERNEL_BOX):
+            assert combined.degree_part((d1, d2)) == direct.degree_part((d1, d2))
+    assert str(combined) == str(direct)
+    assert class_to_json(combined) == class_to_json(direct)

@@ -347,6 +347,19 @@ def test_table_from_json_rejects_malformed(mutate, tables):
         table_from_json(mutate(table_to_json(tables[3])))
 
 
+
+@pytest.mark.parametrize(
+    "key, index",
+    [("u", [1.5, 2]), ("w", [2.0, 3]), ("v", [True, 2])],
+    ids=["float-u", "float-w", "bool-v"],
+)
+def test_table_from_json_rejects_non_int_index(key, index):
+    # a float u used to end in a KeyError, a float w to load as O_2.0,3
+    obj = json.loads((DATA / "golden_table_n3.json").read_text())
+    obj["entries"][0][key] = index
+    with pytest.raises(MalformedTable, match="integers"):
+        table_from_json(obj)
+
 def _with_first_term(obj, **fields):
     obj["entries"][0]["poly"][0].update(fields)
     return obj

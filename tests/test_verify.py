@@ -5,7 +5,6 @@ import pytest
 
 from qkflag import qkring, verify
 from qkflag.basis import basis_positions, basis_size, enumerate_basis, h2_index, linear_index
-from qkflag.errors import RankMismatch
 from qkflag.kring import k_product
 from qkflag.poly import NovikovPolynomial, QKClass
 from qkflag.qkring import (
@@ -232,7 +231,9 @@ def test_associativity_certified_without_brute_force(n, monkeypatch):
 )
 @pytest.mark.parametrize("n", [3, 5])
 def test_check_rejects_a_rank_other_than_the_tables(check, n, tables):
-    with pytest.raises(RankMismatch):
+    # the checks read n from the table and take no second positional argument,
+    # so an old ring_axiom_checks(table, 5) is refused, not read as associativity=5
+    with pytest.raises(TypeError):
         check(tables[4], n)
 
 
