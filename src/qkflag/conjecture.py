@@ -15,6 +15,10 @@ by Delta(u,v,t1) (the opposite parity).  Only the flipped gate reproduces
 the unit law and the hyperplane-class rows, and it is the variant that
 matches the computed table; the comparator reports every mismatch of either
 convention, so the question stays settled empirically rather than by fiat.
+
+For u = (i, j), v = (k, p) every term reads only i+k, j+p and the parity of
+l(u)+l(v), so :func:`compare_with_table` evaluates the formula once per such
+class, in a dict local to the call.
 """
 
 from __future__ import annotations
@@ -173,9 +177,10 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     Lists every (u, v, w, degree) where the two coefficient values differ,
     in basis-then-degree order.  The report also carries the mismatch count
     of the other gating convention, so both readings stay visible.  The
-    formula is evaluated once per (u, v) on trusted indices: both gatings
-    are read off that one evaluation and compared with the table column
-    term by term, and rows are built only for the requested gating.
+    formula is evaluated once per class (i+k, j+p, (l(u)+l(v)) mod 2) of
+    u = (i, j), v = (k, p), which is all it reads, in a cache local to the
+    call; each pair compares its own table column with both gatings term
+    by term, and rows are built only for the requested gating.
     """
     if gating not in GATINGS:
         raise ValueError(f"gating must be one of {GATINGS}, got {gating!r}")
@@ -183,12 +188,16 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     pos = basis_positions(n)
     mismatches = []
     other_count = 0
+    lengths = {w: _length(w.i, w.j, n) for w in pos}
+    gated: dict = {}
     for u, op in zip(pos, table.ops):
         for v, col in zip(pos, op.cols):
             want = col._terms
-            base, gate, group = _formula_terms(u, v, n)
-            for g, on in (("flipped", gate), ("literal", 1 - gate)):
-                got = _gated(base, group, on)
+            cls = (u.i + v.i, u.j + v.j, (lengths[u] + lengths[v]) & 1)
+            if cls not in gated:
+                base, gate, group = _formula_terms(u, v, n)
+                gated[cls] = (_gated(base, group, gate), _gated(base, group, 1 - gate))
+            for g, got in zip(GATINGS, gated[cls]):
                 if got == want:
                     continue
                 keys = [t for t in got.keys() | want.keys() if got.get(t, 0) != want.get(t, 0)]

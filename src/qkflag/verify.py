@@ -164,16 +164,23 @@ def classical_consistency_check(table) -> VerificationReport:
 
     Each column's constant terms, as a plain {w: coeff} map, are compared
     with the formula's terms from the trusted :func:`qkflag.kring._k_terms`;
-    no class is built.  A column that differs lists one counterexample per
-    w where the two disagree, with the difference as ``coeff``.
+    no class is built.  The formula reads only i+k, j+p and whether i < j
+    or k < p (u = (i, j), v = (k, p)), so it is evaluated once per such
+    class, in a dict local to the call.  A column that differs lists one
+    counterexample per w where the two disagree, with the difference as
+    ``coeff``.
     """
     n = table.n
     basis = enumerate_basis(n)
     bad = []
+    k_terms: dict = {}
     for u, op in zip(basis, table.ops):
         for v, col in zip(basis, op.cols):
             got = col._constant_terms()
-            want = _k_terms(u, v, n)
+            cls = (u.i + v.i, u.j + v.j, u.i < u.j or v.i < v.j)
+            if cls not in k_terms:
+                k_terms[cls] = _k_terms(u, v, n)
+            want = k_terms[cls]
             if got != want:
                 for w in got.keys() | want.keys():
                     if c := got.get(w, 0) - want.get(w, 0):

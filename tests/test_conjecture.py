@@ -1,9 +1,10 @@
 import pytest
 
-from qkflag.basis import codim, enumerate_basis, h1_index, linear_index, unit_index
+from qkflag.basis import codim, enumerate_basis, h1_index, length, linear_index, unit_index
 from qkflag.conjecture import (
     GATINGS,
     DiffReport,
+    _formula_terms,
     compare_with_table,
     conjectured_product,
     degree_operator,
@@ -15,6 +16,9 @@ from qkflag.conjecture import (
 from qkflag.errors import DegenerateTarget
 from qkflag.poly import NovikovPolynomial, QKClass, c1_pairing
 from qkflag.qkring import build_table
+from qkflag.verify import classical_consistency_check
+
+from .test_verify import _reference_classical_report
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +206,61 @@ def test_comparator_matches_naive_diff(n, gating, tables):
 def test_comparator_rejects_unknown_gating(tables):
     with pytest.raises(ValueError):
         compare_with_table(tables[3], gating="both")
+
+
+def _class(u, v, n):
+    """The key compare_with_table caches the formula under."""
+    return (u.i + v.i, u.j + v.j, (length(u, n) + length(v, n)) & 1)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_formula_terms_depend_only_on_class(n):
+    # compare_with_table evaluates the formula once per class; that is
+    # exact only while this holds
+    seen = {}
+    for u in enumerate_basis(n):
+        for v in enumerate_basis(n):
+            terms = _formula_terms(u, v, n)
+            assert seen.setdefault(_class(u, v, n), terms) == terms, (u, v)
+
+
+def _perturbed(n):
+    """build_table(n) with one shared-class coefficient changed and one term added.
+
+    The changed pair sits strictly inside its class (another pair of the class
+    comes before it and another after), so a memo keyed on the wrong thing
+    would hand it a neighbour's cached value or leak its column to one.
+    """
+    table = build_table(n)
+    pairs = [(u, v) for u in enumerate_basis(n) for v in enumerate_basis(n)]
+    members = {}
+    for u, v in pairs:
+        members.setdefault(_class(u, v, n), []).append((u, v))
+    u, v, w = next(
+        (u, v, w)
+        for m in members.values()
+        if len(m) >= 3
+        for u, v in m[1:-1]
+        for w, p in table.product(u, v).items()
+        if p.constant_term() > 0
+    )
+    col = table.product(u, v)
+    table.matrix(u).cols[linear_index(v, n)] = col + QKClass.basis_element(w, n)
+    x, y = pairs[len(pairs) // 2]
+    col = table.product(x, y)
+    w = next(w for w in enumerate_basis(n) if col.coefficient(w).is_zero)
+    table.matrix(x).cols[linear_index(y, n)] = col + QKClass.basis_element(w, n)
+    return table
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_comparator_and_classical_check_on_perturbed_table(n):
+    table = _perturbed(n)
+    for gating in GATINGS:
+        got, want = compare_with_table(table, gating), _naive_diff(table, gating)
+        assert got.to_json() == want.to_json()
+        assert got.to_text() == want.to_text()
+    assert not compare_with_table(table, "flipped").empty
+    report = classical_consistency_check(table).to_json()
+    assert len(report["counterexamples"]) == 2
+    assert report == _reference_classical_report(table)

@@ -4,7 +4,7 @@ import pytest
 
 from qkflag.basis import codim, enumerate_basis, unit_index
 from qkflag.errors import InvalidIndex
-from qkflag.kring import chow_product, k_class_product, k_product, k_unit
+from qkflag.kring import _k_terms, chow_product, k_class_product, k_product, k_unit
 from qkflag.poly import QKClass
 
 
@@ -34,6 +34,17 @@ def test_out_of_range_terms_dropped():
 def test_invalid_index_rejected():
     with pytest.raises(InvalidIndex):
         k_product((1, 1), (2, 3), 4)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_k_terms_depend_only_on_class(n):
+    # classical_consistency_check evaluates _k_terms once per class
+    # (i+k, j+p, i<j or k<p); that is exact only while this holds
+    seen = {}
+    for u in enumerate_basis(n):
+        for v in enumerate_basis(n):
+            cls = (u.i + v.i, u.j + v.j, u.i < u.j or v.i < v.j)
+            assert seen.setdefault(cls, _k_terms(u, v, n)) == _k_terms(u, v, n), (u, v)
 
 
 @pytest.mark.parametrize("n", range(3, 7))

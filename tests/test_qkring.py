@@ -5,9 +5,11 @@ import pytest
 
 from qkflag.basis import enumerate_basis, h1_index, h2_index, unit_index
 from qkflag import qkring
+from qkflag.conjecture import conjectured_product
+from qkflag.correlators import two_point
 from qkflag.errors import InvalidIndex, InvalidRank, MalformedTable, QKFlagError, RankMismatch
 from qkflag.kring import k_product
-from qkflag.poly import NovikovPolynomial, QKClass
+from qkflag.poly import DEGREE_L1, NovikovPolynomial, QKClass
 from qkflag.qkring import (
     CHEVALLEY_DEGREES,
     Operator,
@@ -292,6 +294,23 @@ def test_witness_fallback_builds_h1_in_full(n, tables, monkeypatch):
     assert both == h2 + h1
     assert table.arbitration == tables[n].arbitration
     assert table_to_json(table) == table_to_json(tables[n])
+
+
+@pytest.mark.parametrize("bad", [(1.0, 2), (True, 2), (2, 1.0), (2, True)])
+def test_public_entry_points_refuse_non_int_components(bad, tables):
+    n = 3
+    calls = [
+        lambda: QKClass.basis_element(bad, n),
+        lambda: k_product(bad, (1, 2), n),
+        lambda: k_product((1, 2), bad, n),
+        lambda: qk_product(bad, (1, 2), n, tables[n]),
+        lambda: conjectured_product(bad, (1, 2), n),
+        lambda: two_point(bad, (1, 2), DEGREE_L1, n),
+        lambda: two_point((1, 2), bad, DEGREE_L1, n),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidIndex):
+            call()
 
 
 def test_public_entry_points_still_validate_indices(tables):
