@@ -37,7 +37,7 @@ def check_index(w, n: int) -> SchubertIndex:
     check_rank(n)
     i, j = w
     if type(i) is not int or type(j) is not int:
-        raise InvalidIndex(f"Schubert index components must be int, got ({i!r},{j!r})")
+        raise InvalidIndex(f"Schubert index components must be integers, got ({i!r},{j!r})")
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise InvalidIndex(f"({i},{j}) is not a valid Schubert index for n={n}")
     return SchubertIndex(i, j)

@@ -2,23 +2,23 @@
 
 Exit codes: 0 success / all checks pass; 1 a verification or comparison
 reported failures; 2 malformed arguments or unsupported inputs.
+
+Each subcommand imports the qkflag modules it runs inside its handler, and
+``csv`` only when it writes CSV: ``flags`` loads only ``flags`` and
+``errors``, and ``correlator`` loads the closed forms without ``qkring``,
+``verify`` or ``conjecture``.  A cold command pays for nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
-from . import basis, conjecture, correlators, flags, qkring, verify
 from .errors import QKFlagError
-from .kring import k_product
-from .poly import QKClass, class_to_json
-from .qkring import MultiplicationTable, build_table, qk_product, table_to_json
 
 FORMATS = ("text", "json", "csv")
+CSV_HEADER = ("u_i", "u_j", "v_i", "v_j", "w_i", "w_j", "d1", "d2", "coeff")
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture", help="compare the closed formula against the table")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gating", choices=conjecture.GATINGS, default="flipped")
+    p.add_argument("--gating", choices=("flipped", "literal"), default="flipped")
     p.add_argument("--table", dest="table_path")
     p.add_argument("--format", choices=("text", "json"), default="json")
 
@@ -110,7 +110,8 @@ def _parse_degree(text: str) -> tuple[int, int]:
         raise QKFlagError(str(exc))
 
 
-def _load_table(n: int, path: str | None) -> MultiplicationTable:
+def _load_table(n: int, path: str | None):
+    from .qkring import build_table, table_from_json
     if path is None:
         return build_table(n)
     with open(path, "r", encoding="utf-8") as fh:
@@ -118,64 +119,76 @@ def _load_table(n: int, path: str | None) -> MultiplicationTable:
             obj = json.load(fh)
         except RecursionError:
             raise QKFlagError(f"cached table {path} is nested too deeply to read") from None
-    table = qkring.table_from_json(obj)
+    table = table_from_json(obj)
     if table.n != n:
         raise QKFlagError(f"cached table is for n={table.n}, not n={n}")
     return table
 
 
-def render_product(u, v, result: QKClass, fmt: str) -> str:
+def _csv_text(rows) -> str:
+    import csv
+    import io
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
+
+
+def render_product(u, v, result, fmt: str) -> str:
     if fmt == "text":
         left = f"O_{u[0]},{u[1]} * O_{v[0]},{v[1]}"
         return f"{left} = {result}"
     if fmt == "json":
+        from .poly import class_to_json
         payload = class_to_json(result)
         payload["u"] = list(u)
         payload["v"] = list(v)
         return json.dumps(payload)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["u_i", "u_j", "v_i", "v_j", "w_i", "w_j", "d1", "d2", "coeff"])
-    for w, p in result.items():
-        for (d1, d2), c in p.terms():
-            writer.writerow([u[0], u[1], v[0], v[1], w.i, w.j, d1, d2, c])
-    return buf.getvalue().rstrip("\n")
+    return _csv_text(
+        [u[0], u[1], v[0], v[1], w.i, w.j, d1, d2, c]
+        for w, p in result.items()
+        for (d1, d2), c in p.terms()
+    )
 
 
-def render_table(table: MultiplicationTable, fmt: str) -> str:
+def render_table(table, fmt: str) -> str:
     if fmt == "json":
+        from .qkring import table_to_json
         return json.dumps(table_to_json(table))
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["u_i", "u_j", "v_i", "v_j", "w_i", "w_j", "d1", "d2", "coeff"])
-        for u, v, w, p in qkring.table_entries(table):
-            for (d1, d2), c in p.terms():
-                writer.writerow([u.i, u.j, v.i, v.j, w.i, w.j, d1, d2, c])
-        return buf.getvalue().rstrip("\n")
+        from .qkring import table_entries
+        return _csv_text(
+            [u.i, u.j, v.i, v.j, w.i, w.j, d1, d2, c]
+            for u, v, w, p in table_entries(table)
+            for (d1, d2), c in p.terms()
+        )
+    from .basis import enumerate_basis
     lines = []
-    for u in basis.enumerate_basis(table.n):
+    for u in enumerate_basis(table.n):
         m = table.matrix(u)
-        for v in basis.enumerate_basis(table.n):
+        for v in enumerate_basis(table.n):
             lines.append(f"O_{u.i},{u.j} * O_{v.i},{v.j} = {m.column(v)}")
     return "\n".join(lines)
 
 
 def _cmd_product(args) -> int:
-    u = basis.check_index(args.u, args.n)
-    v = basis.check_index(args.v, args.n)
+    from .basis import check_index
+    u = check_index(args.u, args.n)
+    v = check_index(args.v, args.n)
     if args.classical:
+        from .kring import k_product
         result = k_product(u, v, args.n)
     else:
-        table = _load_table(args.n, args.table_path)
-        result = qk_product(u, v, args.n, table)
+        from .qkring import qk_product
+        result = qk_product(u, v, args.n, _load_table(args.n, args.table_path))
     print(render_product(u, v, result, args.format))
     return 0
 
 
 def _cmd_table(args) -> int:
-    table = build_table(args.n)
-    text = render_table(table, args.format)
+    from .qkring import build_table
+    text = render_table(build_table(args.n), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -184,32 +197,24 @@ def _cmd_table(args) -> int:
     return 0
 
 
-CHECK_RUNNERS = {
-    "positivity": verify.positivity_check,
-    "classical": verify.classical_consistency_check,
-    "chevalley": verify.chevalley_consistency_check,
-}
-
-
 def _cmd_verify(args) -> int:
+    from . import verify
+    from .qkring import degree_bound_check
+    check_runners = {
+        "positivity": verify.positivity_check,
+        "ring": lambda t: verify.ring_axiom_checks(t, associativity=args.n <= args.assoc_max),
+        "classical": verify.classical_consistency_check,
+        "degree": degree_bound_check,
+        "chevalley": verify.chevalley_consistency_check,
+    }
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not names:
         raise QKFlagError(f"--checks names no check: {args.checks!r}")
-    known = set(CHECK_RUNNERS) | {"ring", "degree"}
-    unknown = [c for c in names if c not in known]
+    unknown = [c for c in names if c not in check_runners]
     if unknown:
         raise QKFlagError(f"unknown checks: {', '.join(unknown)}")
     table = _load_table(args.n, args.table_path)
-    reports = []
-    for name in names:
-        if name == "ring":
-            reports.append(
-                verify.ring_axiom_checks(table, associativity=args.n <= args.assoc_max)
-            )
-        elif name == "degree":
-            reports.append(qkring.degree_bound_check(table))
-        else:
-            reports.append(CHECK_RUNNERS[name](table))
+    reports = [check_runners[name](table) for name in names]
     if args.format == "json":
         print(json.dumps(verify.reports_to_json(reports)))
     else:
@@ -218,8 +223,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    from .conjecture import compare_with_table
     table = _load_table(args.n, args.table_path)
-    report = conjecture.compare_with_table(table, gating=args.gating)
+    report = compare_with_table(table, gating=args.gating)
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:
@@ -228,6 +234,7 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_correlator(args) -> int:
+    from . import correlators
     if args.kind == "pn":
         if args.m is None or args.i is None or args.d is None:
             raise QKFlagError("--kind pn needs --m, --i i1,i2,i3 and --d D")
@@ -250,14 +257,8 @@ def _cmd_correlator(args) -> int:
             if args.v is None:
                 raise QKFlagError("--kind three needs --v")
             value = correlators.three_point_incidence(args.u, args.v, args.w, deg, args.n)
-            query = {
-                "kind": "three",
-                "n": args.n,
-                "u": list(args.u),
-                "v": list(args.v),
-                "w": list(args.w),
-                "d": list(deg),
-            }
+            query = {"kind": "three", "n": args.n, "u": list(args.u), "v": list(args.v),
+                     "w": list(args.w), "d": list(deg)}
     if args.format == "json":
         print(json.dumps({"query": query, "value": value}))
     else:
@@ -266,6 +267,7 @@ def _cmd_correlator(args) -> int:
 
 
 def _cmd_flags(args) -> int:
+    from . import flags
     if args.shape is None or args.degrees is None:
         raise QKFlagError("flags needs --shape and --degrees")
     ambient = args.ambient if args.ambient is not None else max(args.shape) + 1
@@ -273,38 +275,19 @@ def _cmd_flags(args) -> int:
         shape = flags.FlagShape(args.shape, ambient)
         result = flags.balanced_construct(shape, args.degrees)
         if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "shape": list(shape.ranks),
-                        "n": shape.n,
-                        "degrees": list(result.degrees),
-                        "sequences": [list(row) for row in result.sequences],
-                        "spread": flags.spread(result),
-                    }
-                )
-            )
+            rows = [list(row) for row in result.sequences]
+            print(json.dumps({"shape": list(shape.ranks), "n": shape.n, "degrees": list(result.degrees),
+                              "sequences": rows, "spread": flags.spread(result)}))
         else:
-            rows = " ".join("(" + ",".join(map(str, row)) + ")" for row in result.sequences)
-            print(rows)
+            print(" ".join("(" + ",".join(map(str, row)) + ")" for row in result.sequences))
         return 0
     if args.k is None or args.r is None:
         raise QKFlagError("--stabilized needs --k and --r")
     s = flags.StabilizationInput(args.shape, ambient, args.degrees, args.k, args.r)
     ok = flags.theorem_conditions(s)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "ranks": list(s.ranks),
-                    "n": s.n,
-                    "degrees": list(s.degrees),
-                    "k": s.k,
-                    "r": s.r,
-                    "stabilized": ok,
-                }
-            )
-        )
+        print(json.dumps({"ranks": list(s.ranks), "n": s.n, "degrees": list(s.degrees),
+                          "k": s.k, "r": s.r, "stabilized": ok}))
     else:
         print("stabilized" if ok else "not-stabilized")
     return 0

@@ -24,8 +24,8 @@ class, in a dict local to the call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .basis import SchubertIndex, _length, basis_positions, check_index, check_rank, dim_incidence
 from .errors import DegenerateTarget
 from .poly import CurveDegree, QKClass, c1_pairing
@@ -137,12 +137,14 @@ def conjectured_product(u, v, n: int, gating: str = "flipped") -> QKClass:
     return QKClass._trusted(n, _gated(base, group, gate if gating == "flipped" else 1 - gate))
 
 
-@dataclass
-class DiffReport:
-    n: int
-    gating: str
-    mismatches: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+class DiffReport(Record):
+    __slots__ = ("n", "gating", "mismatches", "details")
+
+    def __init__(
+        self, n: int, gating: str, mismatches: list | None = None, details: dict | None = None
+    ):
+        mismatches = [] if mismatches is None else mismatches
+        super().__init__(n, gating, mismatches, {} if details is None else details)
 
     @property
     def empty(self) -> bool:

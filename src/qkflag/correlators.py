@@ -17,8 +17,7 @@ validate their indices; the private helpers they share run on trusted ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .basis import (
     SchubertIndex,
     check_index,
@@ -40,13 +39,15 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class CorrelatorQuery:
+class CorrelatorQuery(FrozenRecord):
     """Inputs O_{u_1}, ..., plus one dual-basis insertion I_w, at a fixed degree."""
 
-    inputs: tuple[SchubertIndex, ...]
-    dual_output: SchubertIndex
-    degree: CurveDegree
+    __slots__ = ("inputs", "dual_output", "degree")
+
+    def __init__(
+        self, inputs: tuple[SchubertIndex, ...], dual_output: SchubertIndex, degree: CurveDegree
+    ):
+        super().__init__(inputs, dual_output, degree)
 
 
 def two_point(u, w, deg: CurveDegree, n: int) -> int:

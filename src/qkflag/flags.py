@@ -10,47 +10,40 @@ here against exhaustive search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from ._record import FrozenRecord
 from .errors import BoundExceeded, InvalidIndex, NonUniqueMinimizer, ShapeMismatch
 
 
-@dataclass(frozen=True)
-class FlagShape:
+class FlagShape(FrozenRecord):
     """Strictly increasing ranks 0 < i_1 < ... < i_m < n."""
 
-    ranks: tuple[int, ...]
-    n: int
+    __slots__ = ("ranks", "n")
 
-    def __post_init__(self):
-        r = tuple(self.ranks)
-        object.__setattr__(self, "ranks", r)
+    def __init__(self, ranks: tuple[int, ...], n: int):
+        r = tuple(ranks)
         if not r:
             raise ShapeMismatch("flag shape needs at least one rank")
         if any(b <= a for a, b in zip((0,) + r, r)):
             raise ShapeMismatch(f"ranks must be strictly increasing and positive: {r}")
-        if r[-1] >= self.n:
-            raise ShapeMismatch(f"largest rank {r[-1]} must be < n={self.n}")
+        if r[-1] >= n:
+            raise ShapeMismatch(f"largest rank {r[-1]} must be < n={n}")
+        super().__init__(r, n)
 
     @property
     def m(self) -> int:
         return len(self.ranks)
 
 
-@dataclass(frozen=True)
-class AdmissibleSequenceSet:
+class AdmissibleSequenceSet(FrozenRecord):
     """Rows a_{k,.} (lengths i_k) together with the degree vector d."""
 
-    sequences: tuple[tuple[int, ...], ...]
-    degrees: tuple[int, ...]
+    __slots__ = ("sequences", "degrees")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "sequences", tuple(tuple(row) for row in self.sequences)
-        )
-        object.__setattr__(self, "degrees", tuple(self.degrees))
+    def __init__(self, sequences: tuple[tuple[int, ...], ...], degrees: tuple[int, ...]):
+        super().__init__(tuple(tuple(row) for row in sequences), tuple(degrees))
 
 
 def is_admissible(a: AdmissibleSequenceSet, shape: FlagShape) -> bool:
@@ -235,8 +228,7 @@ def splitting_predicate(shape: FlagShape, degrees, k: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class StabilizationInput:
+class StabilizationInput(FrozenRecord):
     """Numeric data for the correlator-stabilization bounds.
 
     Ranks n_1 < ... < n_m < n of the flag, degree vector d, the forgotten
@@ -244,24 +236,18 @@ class StabilizationInput:
     d_0 = d_{m+1} = 0, n_0 = 0, n_{m+1} = n.
     """
 
-    ranks: tuple[int, ...]
-    n: int
-    degrees: tuple[int, ...]
-    k: int
-    r: int
+    __slots__ = ("ranks", "n", "degrees", "k", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(self.ranks))
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        shape = FlagShape(self.ranks, self.n)  # validates monotonicity
-        if len(self.degrees) != shape.m:
-            raise ShapeMismatch(
-                f"{len(self.degrees)} degrees for an {shape.m}-step shape"
-            )
-        if not 1 <= self.k <= shape.m:
-            raise ShapeMismatch(f"k must lie in [1, {shape.m}], got {self.k}")
-        if self.r < 0:
-            raise ShapeMismatch(f"r must be nonnegative, got {self.r}")
+    def __init__(self, ranks: tuple[int, ...], n: int, degrees: tuple[int, ...], k: int, r: int):
+        ranks, degrees = tuple(ranks), tuple(degrees)
+        shape = FlagShape(ranks, n)  # validates monotonicity
+        if len(degrees) != shape.m:
+            raise ShapeMismatch(f"{len(degrees)} degrees for an {shape.m}-step shape")
+        if not 1 <= k <= shape.m:
+            raise ShapeMismatch(f"k must lie in [1, {shape.m}], got {k}")
+        if r < 0:
+            raise ShapeMismatch(f"r must be nonnegative, got {r}")
+        super().__init__(ranks, n, degrees, k, r)
 
 
 def theorem_conditions(s: StabilizationInput) -> bool:

@@ -23,8 +23,7 @@ is built in full only if the witness cannot tell the two variants apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .basis import (
     SchubertIndex,
     basis_positions,
@@ -58,7 +57,7 @@ Q1Q2 = NovikovPolynomial.monomial(DEGREE_L1L2)
 CHEVALLEY_DEGREES: frozenset[CurveDegree] = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
 
 
-class Operator:
+class Operator(Record):
     """A linear endomorphism of the Schubert basis over Z[Q1,Q2]."""
 
     __slots__ = ("n", "cols")
@@ -106,11 +105,6 @@ class Operator:
     def scaled(self, factor) -> "Operator":
         return Operator._trusted(self.n, [c.scaled(factor) for c in self.cols])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self.n == other.n and self.cols == other.cols
-
     def degree_support(self) -> set[CurveDegree]:
         return set().union(*(col.degree_support() for col in self.cols))
 
@@ -152,14 +146,15 @@ def chevalley_operator(h: str, n: int) -> Operator:
     return Operator(n, [chevalley_apply(h, v, n) for v in enumerate_basis(n)])
 
 
-@dataclass
-class MultiplicationTable:
+class MultiplicationTable(Record):
     """All star-multiplication operators M_u in basis order."""
 
-    n: int
-    ops: list[Operator]
-    step_c_variant: str
-    arbitration: dict = field(default_factory=dict)
+    __slots__ = ("n", "ops", "step_c_variant", "arbitration")
+
+    def __init__(
+        self, n: int, ops: list[Operator], step_c_variant: str, arbitration: dict | None = None
+    ):
+        super().__init__(n, ops, step_c_variant, {} if arbitration is None else arbitration)
 
     def matrix(self, u) -> Operator:
         return self.ops[linear_index(u, self.n)]
@@ -370,10 +365,7 @@ def table_from_json(obj) -> MultiplicationTable:
     cols: dict[tuple, dict] = {(u, v): {} for u in basis for v in basis}
     for k, e in enumerate(entries):
         try:
-            pairs = [e[key] for key in ("u", "v", "w")]
-            if not all(type(x) is int for pair in pairs for x in pair):
-                raise ValueError(f"indices {pairs!r} must hold integers")
-            u, v, w = (check_index(pair, n) for pair in pairs)
+            u, v, w = (check_index(e[key], n) for key in ("u", "v", "w"))
             poly = poly_from_json(e["poly"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedTable(f"cached table entry {k} is malformed: {exc!r}") from None

@@ -8,8 +8,8 @@ same table serialize byte-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .basis import (
     _length,
     basis_positions,
@@ -25,13 +25,13 @@ from .poly import QKClass, c1_pairing
 from .qkring import Operator, certify_ring, chevalley_apply
 
 
-@dataclass
-class VerificationReport:
-    check: str
-    n: int
-    passed: bool
-    counterexamples: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+class VerificationReport(Record):
+    __slots__ = ("check", "n", "passed", "counterexamples", "details")
+
+    def __init__(self, check: str, n: int, passed: bool, counterexamples: list | None = None,
+                 details: dict | None = None):
+        counterexamples = [] if counterexamples is None else counterexamples
+        super().__init__(check, n, passed, counterexamples, {} if details is None else details)
 
     def to_json(self) -> dict:
         return {

@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import qkflag
 from qkflag.cli import build_parser, main
 from qkflag.poly import class_from_json
 from qkflag.qkring import build_table, qk_product, table_entries
@@ -329,3 +333,79 @@ def test_cache_with_repeated_degree_exits_2(tmp_path, capsys):
 def test_verify_empty_check_list_exits_2(checks, capsys):
     # ",," used to build the table, print an empty line and exit 0
     _assert_one_error_line(*run_cli(capsys, "verify", "--n", "3", "--checks", checks))
+
+
+def test_gating_choices_match_conjecture():
+    from qkflag.conjecture import GATINGS
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    gating = next(a for a in sub.choices["conjecture"]._actions if a.dest == "gating")
+    assert tuple(gating.choices) == GATINGS
+    assert gating.default == GATINGS[0]
+
+
+# A fresh interpreter runs one command (or a bare ``import qkflag``) and
+# reports the exit code and the qkflag and dataclasses modules it imported.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import qkflag
+    code = 0
+else:
+    from qkflag.cli import run
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+new = sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("qkflag", "dataclasses"))
+print(json.dumps({"code": code, "modules": new}))
+"""
+
+_TABLE_FREE = {"qkflag.qkring", "qkflag.verify", "qkflag.conjecture"}
+_SWEEP_FREE = {"qkflag.verify", "qkflag.conjecture", "qkflag.correlators", "qkflag.flags"}
+_FLAGS = ["flags", "--shape", "1,3", "--degrees", "2,4"]
+_TWO_POINT = ["correlator", "--kind", "two", "--n", "5", "--u", "2,3", "--w", "5,3", "--d"]
+_PN = ["correlator", "--kind", "pn", "--m", "3", "--i", "1,2,3", "--d", "1"]
+_CLASSICAL = ["product", "--n", "5", "--u", "4,1", "--v", "3,5", "--classical", "--format", "csv"]
+_PRODUCT = ["product", "--n", "3", "--u", "2,1", "--v", "1,3", "--format", "json"]
+_VERIFY = ["verify", "--n", "3", "--checks", "positivity,ring,classical,degree,chevalley"]
+
+# (argv, exit code, modules it must load, modules it must not load)
+_BUDGETS = {
+    "import": (None, 0, {"qkflag"}, {"qkflag.errors"}),
+    "flags-balanced": (_FLAGS + ["--balanced"], 0, {"qkflag.flags"}, _TABLE_FREE | {"qkflag.poly", "qkflag.basis"}),
+    "flags-stabilized": (
+        _FLAGS + ["--stabilized", "--k", "2", "--r", "3", "--format", "json"],
+        0,
+        {"qkflag.flags"},
+        _TABLE_FREE | {"qkflag.poly", "qkflag.basis"},
+    ),
+    "correlator-two": (_TWO_POINT + ["l1"], 0, {"qkflag.correlators"}, _TABLE_FREE | {"qkflag.flags"}),
+    "correlator-unsupported": (_TWO_POINT + ["2,1"], 2, {"qkflag.correlators"}, _TABLE_FREE),
+    "correlator-pn": (_PN, 0, {"qkflag.correlators"}, _TABLE_FREE),
+    "product-classical": (_CLASSICAL, 0, {"qkflag.kring"}, _SWEEP_FREE | {"qkflag.qkring"}),
+    "product": (_PRODUCT, 0, {"qkflag.qkring"}, _SWEEP_FREE),
+    "table": (["table", "--n", "3", "--format", "csv"], 0, {"qkflag.qkring"}, _SWEEP_FREE),
+    "verify": (_VERIFY, 0, {"qkflag.verify"}, _SWEEP_FREE - {"qkflag.verify"}),
+    "conjecture": (["conjecture", "--n", "3"], 0, {"qkflag.conjecture"}, _SWEEP_FREE - {"qkflag.conjecture"}),
+}
+
+
+@pytest.mark.parametrize("argv, code, loads, never", _BUDGETS.values(), ids=_BUDGETS)
+def test_command_imports_only_what_it_runs(argv, code, loads, never):
+    src = str(pathlib.Path(qkflag.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    modules = set(report["modules"])
+    assert report["code"] == code
+    assert "dataclasses" not in modules
+    assert loads <= modules and not modules & never, sorted(modules)
+    if argv is None:
+        assert modules == {"qkflag"}
