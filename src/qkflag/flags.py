@@ -113,16 +113,12 @@ def balanced_construct(shape: FlagShape, degrees) -> AdmissibleSequenceSet:
         prev = rows[-1]
         ik = shape.ranks[k]
         dk = degrees[k]
+        # carry the longest prefix that fits under the residual average,
+        # and enlarge it while it grows; from r = 0 the first pass is the
+        # row-average prefix.  r strictly grows, so i_k + 1 passes suffice
+        # (the cap only guards against an implementation error)
         r = 0
-        for j, val in enumerate(prev, start=1):
-            if val * ik <= dk:
-                r = j
-            else:
-                break
-        # enlarge the carried prefix while some later previous-row entry
-        # fits under the residual average; r strictly grows, so i_k passes
-        # suffice (the cap only guards against an implementation error)
-        for _ in range(ik):
+        for _ in range(ik + 1):
             carried = sum(prev[:r])
             new_r = r
             for j in range(r + 1, len(prev) + 1):
@@ -219,11 +215,13 @@ def splitting_predicate(shape: FlagShape, degrees, k: int) -> bool:
         raise ShapeMismatch(f"{len(degrees)} degrees for an {shape.m}-step shape")
     if not 1 < k <= shape.m:
         raise InvalidIndex(f"k must satisfy 1 < k <= {shape.m}, got {k}")
-    ranks = (0,) + shape.ranks
-    degs = (0,) + degrees
-    ik = shape.ranks[k - 1]
+    return _carries_over((0,) + shape.ranks, (0,) + degrees, k)
+
+
+def _carries_over(ranks: tuple[int, ...], degs: tuple[int, ...], k: int) -> bool:
+    """d_k >= n_k ceil((d_p - d_{p-1}) / (n_p - n_{p-1})) for all p < k (n_0 = d_0 = 0)."""
     return all(
-        degs[k] >= ik * _ceil_div(degs[p] - degs[p - 1], ranks[p] - ranks[p - 1])
+        degs[k] >= ranks[k] * _ceil_div(degs[p] - degs[p - 1], ranks[p] - ranks[p - 1])
         for p in range(1, k)
     )
 
@@ -263,10 +261,7 @@ def theorem_conditions(s: StabilizationInput) -> bool:
     degs = (0,) + s.degrees + (0,)
     k = s.k
     nk = ranks[k]
-    cond1 = all(
-        degs[k] >= nk * _ceil_div(degs[p] - degs[p - 1], ranks[p] - ranks[p - 1])
-        for p in range(1, k)
-    )
+    cond1 = _carries_over(ranks, degs, k)
     cond2 = degs[k - 1] <= degs[k + 1] // ranks[k + 1]
     step = nk - ranks[k - 1]
     cond3 = degs[k] >= (

@@ -329,5 +329,10 @@ def class_to_json(c: QKClass) -> dict:
 
 
 def class_from_json(obj: Mapping) -> QKClass:
-    terms = {(int(t["w"][0]), int(t["w"][1])): poly_from_json(t["poly"]) for t in obj["terms"]}
-    return QKClass(int(obj["n"]), terms)
+    """Inverse of :func:`class_to_json`; ValueError on a non-int n or index, or a repeated w."""
+    terms: dict[tuple, NovikovPolynomial] = {}
+    for t in obj["terms"]:
+        if (w := tuple(t["w"])) in terms:
+            raise ValueError(f"class repeats the index {w!r}")
+        terms[w] = poly_from_json(t["poly"])
+    return QKClass(obj["n"], terms)

@@ -7,8 +7,8 @@ iteration
 
     (a) M_{n,1} = Id;  M_{k,1} = H1 . M_{k+1,1}            for k = n-1 .. 2
     (b) M_{k,p} = H2 . M_{k,p-1}                           for k > p >= 2
-    (c) M_{1,2} = H1 . M_{2,1} - Q1 (Id - H?)              see step_c below
-    (d) M_{p,p+1} = H1 . M_{p+1,p} + (H2 - Id) . M_{p-1,p} for 2 <= p < n
+    (c) M_{1,2} = H1 . M_{2,1} + Q1 (H? . M_{n,1} - M_{n,1})  see step_c below
+    (d) M_{p,p+1} = H1 . M_{p+1,p} + H2 . M_{p-1,p} - M_{p-1,p}  for 2 <= p < n
     (e) M_{k,p} = H1 . M_{k+1,p}                           for k < p, k != p-1
 
 Step (c) subtracts the quantum part of O_h1 * O_{2,1}; the hyperplane class
@@ -17,8 +17,9 @@ used to seed H1, H2) or as h1 (an alternative convention).  The two choices
 agree in the classical limit but produce different tables, so
 ``build_table`` arbitrates them and records the outcome.  It builds only the
 h2 table and runs the classical-limit and commutativity oracles on it; the
-h1 outcomes follow from that build plus one witness column, and the h1 table
-is built in full only if the witness cannot tell the two variants apart.
+h1 outcomes follow from that build plus one witness column, the h1 recurrence
+run on e_{n,1} up to step (c): O_{1,2} + Q1 O_{n-1,1} - Q1 O_{n,2} at every
+n >= 3, so h1 never commutes; a guard raises if the witness is ever O_{1,2}.
 """
 
 from __future__ import annotations
@@ -164,26 +165,28 @@ class MultiplicationTable(Record):
 
 
 def _recurrence(n: int, m: dict, h1: Operator, h2: Operator, variant: str):
-    """Steps (a)-(e) in build order: yield (w, M_w) for every w but the unit.
+    """Steps (a)-(e) in build order: yield (w, x_w) for every w but the unit.
 
-    Each M_w is computed from the operators already in ``m`` (keyed by
-    (i, j); it must hold M_{n,1} = Id), read when the step runs, so a caller
-    that stores each yielded operator in ``m`` builds the table.  ``variant``
-    picks the hyperplane class of step (c).
+    ``m`` is keyed by (i, j) and holds the seed x_{n,1}: the identity
+    :class:`Operator` steps by composition (x_w = M_w), a :class:`QKClass` c
+    by application (x_w = M_w c).  Each step reads ``m`` when it runs, so a
+    caller that stores each yielded value in ``m`` runs the whole recurrence.
+    ``variant`` picks the hyperplane class H? of step (c).
     """
-    ident = m[n, 1]
+    seed = m[n, 1]
+    act = Operator.compose if isinstance(seed, Operator) else Operator.apply
     for k in range(n - 1, 1, -1):
-        yield (k, 1), h1.compose(m[k + 1, 1])
+        yield (k, 1), act(h1, m[k + 1, 1])
     for k in range(2, n + 1):
         for p in range(2, k):
-            yield (k, p), h2.compose(m[k, p - 1])
-    j = (h2 if variant == "h2" else h1) - ident
-    yield (1, 2), h1.compose(m[2, 1]) + j.scaled(Q1)
+            yield (k, p), act(h2, m[k, p - 1])
+    hc = h2 if variant == "h2" else h1
+    yield (1, 2), act(h1, m[2, 1]) + (act(hc, seed) - seed).scaled(Q1)
     for p in range(2, n):
-        yield (p, p + 1), h1.compose(m[p + 1, p]) + (h2 - ident).compose(m[p - 1, p])
+        yield (p, p + 1), act(h1, m[p + 1, p]) + act(h2, m[p - 1, p]) - m[p - 1, p]
     for p in range(3, n + 1):
         for k in range(p - 2, 0, -1):
-            yield (k, p), h1.compose(m[k + 1, p])
+            yield (k, p), act(h1, m[k + 1, p])
 
 
 def _build_with_variant(n: int, variant: str) -> list[Operator]:
@@ -222,28 +225,58 @@ def certify_ring(table: MultiplicationTable) -> bool:
     )
 
 
-def _oracle_outcomes(n: int, ops: list[Operator]) -> dict:
-    """Classical-limit (constant terms vs ``_k_terms``) and commutativity oracles, all pairs."""
+def _classical_mismatches(n: int, ops: list[Operator]):
+    """Yield (u, v, w, got - want) wherever the Q -> 0 limit of O_u * O_v is off.
+
+    ``got`` (the column's constant terms) and ``want`` (:func:`qkflag.kring._k_terms`)
+    are plain {w: coeff} maps.  The formula reads only i+k, j+p and whether
+    i < j or k < p (u = (i, j), v = (k, p)), so it runs once per such class.
+    """
     basis = enumerate_basis(n)
-    pairs = [(a, b) for a in range(len(basis)) for b in range(len(basis))]
+    k_terms: dict = {}
+    for u, op in zip(basis, ops):
+        for v, col in zip(basis, op.cols):
+            got = col._constant_terms()
+            cls = (u.i + v.i, u.j + v.j, u.i < u.j or v.i < v.j)
+            if cls not in k_terms:
+                k_terms[cls] = _k_terms(u, v, n)
+            want = k_terms[cls]
+            if got != want:
+                for w in got.keys() | want.keys():
+                    if c := got.get(w, 0) - want.get(w, 0):
+                        yield u, v, w, c
+
+
+def _noncommuting(n: int, ops: list[Operator]):
+    """Yield each (u, v), u before v in basis order, with O_u * O_v != O_v * O_u."""
+    basis = enumerate_basis(n)
+    for a, u in enumerate(basis):
+        for b, v in enumerate(basis[a + 1 :], a + 1):
+            if ops[a].cols[b] != ops[b].cols[a]:
+                yield u, v
+
+
+def _oracle_outcomes(n: int, ops: list[Operator]) -> dict:
+    """The classical-limit and commutativity oracles: each holds when its scan yields nothing."""
     return {
-        "classical_limit_ok": all(
-            ops[a].cols[b]._constant_terms() == _k_terms(basis[a], basis[b], n) for a, b in pairs
-        ),
-        "commutative_ok": all(ops[a].cols[b] == ops[b].cols[a] for a, b in pairs if a < b),
+        "classical_limit_ok": next(_classical_mismatches(n, ops), None) is None,
+        "commutative_ok": next(_noncommuting(n, ops), None) is None,
     }
 
 
 def _h1_witness_column(n: int, h2_ops: list[Operator]) -> QKClass:
-    """M^{h1}_{1,2} e_{n,1} = H1 (M_{2,1} e_{n,1}) + Q1 (H1 - Id) e_{n,1}.
+    """M^{h1}_{1,2} e_{n,1}: the h1 recurrence run on the seed e_{n,1} up to step (c).
 
-    Steps (a) and (b) do not depend on step c, so H1 = M_{n-1,1} and M_{2,1}
-    are read from the h2 build.
+    Steps (a) and (b) do not depend on step c, so H1 = M_{n-1,1} and
+    H2 = M_{n,2} are read from the h2 build.
     """
-    h1 = h2_ops[linear_index(h1_index(n), n)]
-    m21 = h2_ops[linear_index((2, 1), n)]
-    e = unit_index(n)
-    return h1.apply(m21.column(e)) + (h1.column(e) - QKClass.basis_element(e, n)).scaled(Q1)
+    pos, e = basis_positions(n), unit_index(n)
+    h1, h2 = h2_ops[pos[h1_index(n)]], h2_ops[pos[h2_index(n)]]
+    m = {e: QKClass.basis_element(e, n)}
+    for w, x in _recurrence(n, m, h1, h2, "h1"):
+        if w == (1, 2):
+            return x
+        m[w] = x
 
 
 def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
@@ -261,28 +294,20 @@ def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
     if step_c != "auto":
         raise ValueError(f"step_c must be 'h1', 'h2' or 'auto', got {step_c!r}")
 
-    built = {"h2": _build_with_variant(n, "h2")}
-    outcomes = {"h2": _oracle_outcomes(n, built["h2"])}
+    ops = _build_with_variant(n, "h2")
     # The h1 table differs from the h2 one by Q1 (H1 - H2) at step c, and
     # every later step multiplies that difference by operators over
     # Z[Q1,Q2], so each downstream difference is a multiple of Q1: the two
     # classical limits agree entry by entry.  Commutativity of h1 needs
-    # M^{h1}_{1,2} e_{n,1} = M_{n,1} e_{1,2} = O_{1,2} (M_{n,1} = Id); a
-    # witness column that differs settles it without building h1.
-    if _h1_witness_column(n, built["h2"]) != QKClass.basis_element((1, 2), n):
-        outcomes["h1"] = {**outcomes["h2"], "commutative_ok": False}
-    else:
-        built["h1"] = _build_with_variant(n, "h1")
-        outcomes["h1"] = _oracle_outcomes(n, built["h1"])
-    chosen = next((v for v in ("h2", "h1") if all(outcomes[v].values())), None)
-    if chosen is None:  # pragma: no cover - both variants failing is unreachable
+    # M^{h1}_{1,2} e_{n,1} = M_{n,1} e_{1,2} = O_{1,2} (M_{n,1} = Id), and
+    # the witness column is O_{1,2} + Q1 O_{n-1,1} - Q1 O_{n,2} instead.
+    if _h1_witness_column(n, ops) == QKClass.basis_element((1, 2), n):  # pragma: no cover
+        raise RuntimeError(f"the h1 witness column cannot tell the step-c variants apart at n={n}")
+    h2 = _oracle_outcomes(n, ops)
+    outcomes = {"h2": h2, "h1": {**h2, "commutative_ok": False}}
+    if not all(h2.values()):  # pragma: no cover - unreachable
         raise RuntimeError(f"no step-c variant passes the oracles: {outcomes}")
-    return MultiplicationTable(
-        n,
-        built[chosen],
-        chosen,
-        arbitration={"chosen": chosen, "outcomes": outcomes},
-    )
+    return MultiplicationTable(n, ops, "h2", arbitration={"chosen": "h2", "outcomes": outcomes})
 
 
 def qk_product(u, v, n: int, table: MultiplicationTable) -> QKClass:

@@ -20,9 +20,8 @@ from .basis import (
     linear_index,
     unit_index,
 )
-from .kring import _k_terms
 from .poly import QKClass, c1_pairing
-from .qkring import Operator, certify_ring, chevalley_apply
+from .qkring import Operator, _classical_mismatches, _noncommuting, certify_ring, chevalley_apply
 
 
 class VerificationReport(Record):
@@ -121,10 +120,8 @@ def ring_axiom_checks(table, *, associativity: bool | None = None) -> Verificati
         if col != QKClass.basis_element(v, n):
             bad.append({"axiom": "identity", "u": [e.i, e.j], "v": [v.i, v.j]})
 
-    for a, u in enumerate(basis):
-        for b, v in enumerate(basis[a + 1 :], a + 1):
-            if ops[a].cols[b] != ops[b].cols[a]:
-                bad.append({"axiom": "commutativity", "u": [u.i, u.j], "v": [v.i, v.j]})
+    for u, v in _noncommuting(n, ops):
+        bad.append({"axiom": "commutativity", "u": [u.i, u.j], "v": [v.i, v.j]})
 
     if run_assoc and not certify_ring(table):
         bad += _associativity_counterexamples(table, n, basis)
@@ -162,38 +159,15 @@ def _associativity_counterexamples(table, n: int, basis) -> list[dict]:
 def classical_consistency_check(table) -> VerificationReport:
     """Q -> 0 limit of every table entry equals the closed K-ring formula.
 
-    Each column's constant terms, as a plain {w: coeff} map, are compared
-    with the formula's terms from the trusted :func:`qkflag.kring._k_terms`;
-    no class is built.  The formula reads only i+k, j+p and whether i < j
-    or k < p (u = (i, j), v = (k, p)), so it is evaluated once per such
-    class, in a dict local to the call.  A column that differs lists one
-    counterexample per w where the two disagree, with the difference as
-    ``coeff``.
+    Reads the build's own scan, :func:`qkflag.qkring._classical_mismatches`:
+    each w where a column's constant terms differ from the formula's terms
+    is one counterexample, with the difference as ``coeff``.
     """
     n = table.n
-    basis = enumerate_basis(n)
-    bad = []
-    k_terms: dict = {}
-    for u, op in zip(basis, table.ops):
-        for v, col in zip(basis, op.cols):
-            got = col._constant_terms()
-            cls = (u.i + v.i, u.j + v.j, u.i < u.j or v.i < v.j)
-            if cls not in k_terms:
-                k_terms[cls] = _k_terms(u, v, n)
-            want = k_terms[cls]
-            if got != want:
-                for w in got.keys() | want.keys():
-                    if c := got.get(w, 0) - want.get(w, 0):
-                        bad.append(
-                            {
-                                "u": [u.i, u.j],
-                                "v": [v.i, v.j],
-                                "w": [w.i, w.j],
-                                "d1": 0,
-                                "d2": 0,
-                                "coeff": c,
-                            }
-                        )
+    bad = [
+        {"u": [u.i, u.j], "v": [v.i, v.j], "w": [w.i, w.j], "d1": 0, "d2": 0, "coeff": c}
+        for u, v, w, c in _classical_mismatches(n, table.ops)
+    ]
     bad.sort(key=_pair_key(n))
     details = {}
     if getattr(table, "arbitration", None):

@@ -131,6 +131,26 @@ def test_class_json_roundtrip():
     assert class_from_json(class_to_json(c)) == c
 
 
+_ONE_TERM = [{"d1": 0, "d2": 0, "coeff": 1}]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": "4", "terms": [{"w": [1, 4], "poly": _ONE_TERM}]},
+        {"n": 4.7, "terms": [{"w": [1, 4], "poly": _ONE_TERM}]},
+        {"n": True, "terms": []},
+        {"n": 4, "terms": [{"w": [1.9, "4"], "poly": _ONE_TERM}]},
+        {"n": 4, "terms": [{"w": [True, 4], "poly": _ONE_TERM}]},
+        {"n": 4, "terms": [{"w": [1, 4.0], "poly": _ONE_TERM}]},
+        {"n": 4, "terms": [{"w": [1, 4], "poly": _ONE_TERM}, {"w": [1, 4], "poly": _ONE_TERM}]},
+    ],
+)
+def test_class_from_json_refuses_what_it_would_coerce(obj):
+    with pytest.raises(ValueError):
+        class_from_json(obj)
+
+
 def test_str_rendering_matches_sign_major_order():
     c = QKClass(3, {(2, 3): Q1, (3, 1): Q1 * Q2, (2, 1): -(Q1 * Q2)})
     assert str(c) == "Q1*O_2,3 + Q1Q2*O_3,1 - Q1Q2*O_2,1"

@@ -274,26 +274,47 @@ def test_auto_build_composes_only_the_kept_variant(n, monkeypatch):
 
 
 def test_witness_column_is_the_h1_product(tables):
-    for n in (3, 4, 5):
-        h1_table = build_table(n, "h1")
-        witness = qkring._h1_witness_column(n, tables[n].ops)
-        assert witness == h1_table.product((1, 2), unit_index(n))
-        assert witness == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1})
+    # the closed form is why build_table never builds the h1 table: the
+    # witness is never O_{1,2}
+    for n in range(3, 13):
+        ops = tables[n].ops if n in tables else build_table(n).ops
+        witness = qkring._h1_witness_column(n, ops)
+        assert witness == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1}), n
+        if n <= 5:
+            assert witness == build_table(n, "h1").product((1, 2), unit_index(n))
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_witness_fallback_builds_h1_in_full(n, tables, monkeypatch):
-    # a witness that cannot tell the variants apart falls back to the full
-    # h1 build, with the same record
+def test_witness_that_cannot_decide_raises(n, monkeypatch):
+    # a witness equal to O_{1,2} would leave h1 undecided; the build refuses
+    # instead of building the h1 table
     monkeypatch.setattr(
         qkring, "_h1_witness_column", lambda n, ops: QKClass.basis_element((1, 2), n)
     )
-    both, table = _count_compositions(monkeypatch, lambda: build_table(n))
-    h2, _ = _count_compositions(monkeypatch, lambda: build_table(n, "h2"))
-    h1, _ = _count_compositions(monkeypatch, lambda: build_table(n, "h1"))
-    assert both == h2 + h1
-    assert table.arbitration == tables[n].arbitration
-    assert table_to_json(table) == table_to_json(tables[n])
+    variants = []
+    build = qkring._build_with_variant
+
+    def recording(n, variant):
+        variants.append(variant)
+        return build(n, variant)
+
+    monkeypatch.setattr(qkring, "_build_with_variant", recording)
+    with pytest.raises(RuntimeError, match="witness"):
+        build_table(n)
+    assert variants == ["h2"]
+
+
+@pytest.mark.parametrize("variant", ["h2", "h1"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_recurrence_on_a_class_seed_gives_one_column(n, variant):
+    # the recurrence run on e_v by application yields M_w e_v for every w
+    table = build_table(n, variant)
+    h1, h2 = table.matrix(h1_index(n)), table.matrix(h2_index(n))
+    for v in enumerate_basis(n):
+        m = {unit_index(n): QKClass.basis_element(v, n)}
+        for w, x in qkring._recurrence(n, m, h1, h2, variant):
+            m[w] = x
+        assert m == {w: table.product(w, v) for w in enumerate_basis(n)}, v
 
 
 @pytest.mark.parametrize("bad", [(1.0, 2), (True, 2), (2, 1.0), (2, True)])
