@@ -146,9 +146,7 @@ def render_product(u, v, result, fmt: str) -> str:
         payload["v"] = list(v)
         return json.dumps(payload)
     return _csv_text(
-        [u[0], u[1], v[0], v[1], w.i, w.j, d1, d2, c]
-        for w, p in result.items()
-        for (d1, d2), c in p.terms()
+        [u[0], u[1], v[0], v[1], w.i, w.j, d1, d2, c] for (w, d1, d2), c in result.ordered_terms()
     )
 
 
@@ -156,20 +154,16 @@ def render_table(table, fmt: str) -> str:
     if fmt == "json":
         from .qkring import table_to_json
         return json.dumps(table_to_json(table))
+    from .basis import enumerate_basis
+    basis = enumerate_basis(table.n)
+    products = [(u, v, col) for u, op in zip(basis, table.ops) for v, col in zip(basis, op.cols)]
     if fmt == "csv":
-        from .qkring import table_entries
         return _csv_text(
             [u.i, u.j, v.i, v.j, w.i, w.j, d1, d2, c]
-            for u, v, w, p in table_entries(table)
-            for (d1, d2), c in p.terms()
+            for u, v, col in products
+            for (w, d1, d2), c in col.ordered_terms()
         )
-    from .basis import enumerate_basis
-    lines = []
-    for u in enumerate_basis(table.n):
-        m = table.matrix(u)
-        for v in enumerate_basis(table.n):
-            lines.append(f"O_{u.i},{u.j} * O_{v.i},{v.j} = {m.column(v)}")
-    return "\n".join(lines)
+    return "\n".join(f"O_{u.i},{u.j} * O_{v.i},{v.j} = {col}" for u, v, col in products)
 
 
 def _cmd_product(args) -> int:

@@ -27,8 +27,8 @@ import json
 
 from ._record import Record
 from .basis import SchubertIndex, _length, basis_positions, check_index, check_rank, dim_incidence
-from .errors import DegenerateTarget
-from .poly import CurveDegree, QKClass, c1_pairing
+from .errors import DegenerateTarget, InvalidIndex
+from .poly import CurveDegree, QKClass, c1_pairing, written_order
 
 
 def translate(idx: int, u, v, n: int) -> SchubertIndex:
@@ -59,7 +59,11 @@ def degree_operator(idx: int, u, v, w, n: int) -> int:
 
 
 def degree_vector(u, v, w, n: int) -> CurveDegree:
-    return _degree_vector(check_index(u, n), check_index(v, n), w, n)
+    """(d_1, d_2) at w: InvalidIndex unless w is two ints in 1..n; equal ones are allowed."""
+    u, v = check_index(u, n), check_index(v, n)
+    if not all(type(x) is int and 1 <= x <= n for x in w):
+        raise InvalidIndex(f"{tuple(w)!r} is not a target index for n={n}")
+    return _degree_vector(u, v, w, n)
 
 
 def _degree_vector(u, v, w, n: int) -> CurveDegree:
@@ -188,6 +192,7 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
         raise ValueError(f"gating must be one of {GATINGS}, got {gating!r}")
     n = table.n
     pos = basis_positions(n)
+    order = written_order(n)
     mismatches = []
     other_count = 0
     lengths = {w: _length(w.i, w.j, n) for w in pos}
@@ -206,7 +211,8 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
                 if g != gating:
                     other_count += len(keys)
                     continue
-                for w, d1, d2 in sorted(keys, key=lambda t: (pos[t[0]], t[1], t[2])):
+                rows = sorted(((t, (want.get(t, 0), got.get(t, 0))) for t in keys), key=order)
+                for (w, d1, d2), (in_table, conjectured) in rows:
                     mismatches.append(
                         {
                             "u": [u.i, u.j],
@@ -214,8 +220,8 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
                             "w": [w.i, w.j],
                             "d1": d1,
                             "d2": d2,
-                            "table": want.get((w, d1, d2), 0),
-                            "conjecture": got.get((w, d1, d2), 0),
+                            "table": in_table,
+                            "conjecture": conjectured,
                         }
                     )
     other = GATINGS[1 - GATINGS.index(gating)]

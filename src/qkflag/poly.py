@@ -2,10 +2,11 @@
 
 Coefficients are Python ints, so arithmetic is arbitrary precision.  Both
 containers keep a canonical form: zero coefficients are never stored, and
-iteration order is fixed (exponents sorted lexicographically, classes sorted
-by basis position) so serialized output is bit-stable.  A class is one flat
-map over (class, degree) pairs, not a map of polynomials; see
-:class:`QKClass`.
+iteration order is fixed so serialized output is bit-stable.  A class is one
+flat map over (class, degree) pairs, not a map of polynomials; see
+:class:`QKClass`.  Its terms have one written order, :func:`written_order`
+(basis position of w, then (d1, d2)): the JSON and CSV writers and every
+verification and conjecture report list terms in it.
 
 Public constructors validate their input.  Class arithmetic and operator
 application all run through one kernel, :func:`_combine`, which accumulates
@@ -14,6 +15,7 @@ flat terms into one plain dict and wraps the result without re-validation.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
 from .basis import SchubertIndex, basis_positions, check_index, check_rank
@@ -172,6 +174,12 @@ def poly_from_json(items: Iterable[Mapping]) -> NovikovPolynomial:
     return NovikovPolynomial(terms)
 
 
+def written_order(n: int):
+    """Sort key of a flat term ``((w, d1, d2), value)``: basis position of w, then (d1, d2)."""
+    pos = basis_positions(n)
+    return lambda term: (pos[term[0][0]], term[0][1], term[0][2])
+
+
 class QKClass:
     """An element of the small quantum K-ring for a fixed n.
 
@@ -180,7 +188,8 @@ class QKClass:
     nonnegative curve degree, ``c`` a nonzero int, the coefficient of
     Q1^d1 Q2^d2 O_w.  A :class:`NovikovPolynomial` per class is built only
     by :meth:`coefficient` and :meth:`items`.  A classical K-class is the
-    special case where every degree is (0, 0).
+    special case where every degree is (0, 0).  :meth:`ordered_terms` lists
+    the terms in the written order.
     """
 
     __slots__ = ("n", "_terms")
@@ -213,13 +222,16 @@ class QKClass:
     def coefficient(self, w) -> NovikovPolynomial:
         return dict(self.items()).get(SchubertIndex(*w), NovikovPolynomial.zero())
 
+    def ordered_terms(self) -> list[tuple[tuple[SchubertIndex, int, int], int]]:
+        """Flat ((w, d1, d2), c) terms in the written order, :func:`written_order`."""
+        return sorted(self._terms.items(), key=written_order(self.n))
+
     def items(self) -> list[tuple[SchubertIndex, NovikovPolynomial]]:
-        """(class, polynomial) pairs in basis order."""
+        """(class, polynomial) pairs in basis order: :meth:`ordered_terms` grouped by class."""
         rows: dict[SchubertIndex, dict[CurveDegree, int]] = {}
-        for (w, d1, d2), c in self._terms.items():
+        for (w, d1, d2), c in self.ordered_terms():
             rows.setdefault(w, {})[d1, d2] = c
-        pos = basis_positions(self.n)
-        return [(w, NovikovPolynomial._trusted(rows[w])) for w in sorted(rows, key=pos.__getitem__)]
+        return [(w, NovikovPolynomial._trusted(p)) for w, p in rows.items()]
 
     def _check_same_rank(self, other: "QKClass") -> None:
         if self.n != other.n:
@@ -321,11 +333,16 @@ def _int_class(n: int, coeffs: dict[SchubertIndex, int]) -> QKClass:
     return QKClass._trusted(n, {(w, 0, 0): c for w, c in coeffs.items() if c})
 
 
+def _json_groups(c: QKClass) -> list[dict]:
+    """``[{"w": [i, j], "poly": [...]}, ...]``: :meth:`QKClass.ordered_terms` grouped by class."""
+    return [
+        {"w": [w.i, w.j], "poly": [{"d1": d1, "d2": d2, "coeff": k} for (_, d1, d2), k in terms]}
+        for w, terms in groupby(c.ordered_terms(), key=lambda term: term[0][0])
+    ]
+
+
 def class_to_json(c: QKClass) -> dict:
-    return {
-        "n": c.n,
-        "terms": [{"w": [w.i, w.j], "poly": poly_to_json(p)} for w, p in c.items()],
-    }
+    return {"n": c.n, "terms": _json_groups(c)}
 
 
 def class_from_json(obj: Mapping) -> QKClass:

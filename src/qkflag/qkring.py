@@ -47,8 +47,8 @@ from .poly import (
     NovikovPolynomial,
     QKClass,
     _combine,
+    _json_groups,
     poly_from_json,
-    poly_to_json,
 )
 
 Q1 = NovikovPolynomial.monomial(DEGREE_L1)
@@ -165,23 +165,24 @@ class MultiplicationTable(Record):
 
 
 def _recurrence(n: int, m: dict, h1: Operator, h2: Operator, variant: str):
-    """Steps (a)-(e) in build order: yield (w, x_w) for every w but the unit.
+    """Steps (a), (c), (b), (d), (e) in that order: yield (w, x_w) for every w but the unit.
 
     ``m`` is keyed by (i, j) and holds the seed x_{n,1}: the identity
     :class:`Operator` steps by composition (x_w = M_w), a :class:`QKClass` c
     by application (x_w = M_w c).  Each step reads ``m`` when it runs, so a
     caller that stores each yielded value in ``m`` runs the whole recurrence.
-    ``variant`` picks the hyperplane class H? of step (c).
+    ``variant`` picks the hyperplane class H? of step (c).  Step (c) reads only
+    x_{2,1} and the seed, so it runs right after (a); step (d) reads (b) and (c).
     """
     seed = m[n, 1]
     act = Operator.compose if isinstance(seed, Operator) else Operator.apply
     for k in range(n - 1, 1, -1):
         yield (k, 1), act(h1, m[k + 1, 1])
+    hc = h2 if variant == "h2" else h1
+    yield (1, 2), act(h1, m[2, 1]) + (act(hc, seed) - seed).scaled(Q1)
     for k in range(2, n + 1):
         for p in range(2, k):
             yield (k, p), act(h2, m[k, p - 1])
-    hc = h2 if variant == "h2" else h1
-    yield (1, 2), act(h1, m[2, 1]) + (act(hc, seed) - seed).scaled(Q1)
     for p in range(2, n):
         yield (p, p + 1), act(h1, m[p + 1, p]) + act(h2, m[p - 1, p]) - m[p - 1, p]
     for p in range(3, n + 1):
@@ -231,6 +232,7 @@ def _classical_mismatches(n: int, ops: list[Operator]):
     ``got`` (the column's constant terms) and ``want`` (:func:`qkflag.kring._k_terms`)
     are plain {w: coeff} maps.  The formula reads only i+k, j+p and whether
     i < j or k < p (u = (i, j), v = (k, p)), so it runs once per such class.
+    Rows come in the written order: u, v, then w, each in basis order.
     """
     basis = enumerate_basis(n)
     k_terms: dict = {}
@@ -242,7 +244,7 @@ def _classical_mismatches(n: int, ops: list[Operator]):
                 k_terms[cls] = _k_terms(u, v, n)
             want = k_terms[cls]
             if got != want:
-                for w in got.keys() | want.keys():
+                for w in basis:
                     if c := got.get(w, 0) - want.get(w, 0):
                         yield u, v, w, c
 
@@ -268,7 +270,7 @@ def _h1_witness_column(n: int, h2_ops: list[Operator]) -> QKClass:
     """M^{h1}_{1,2} e_{n,1}: the h1 recurrence run on the seed e_{n,1} up to step (c).
 
     Steps (a) and (b) do not depend on step c, so H1 = M_{n-1,1} and
-    H2 = M_{n,2} are read from the h2 build.
+    H2 = M_{n,2} are read from the h2 build.  It stops after n applications.
     """
     pos, e = basis_positions(n), unit_index(n)
     h1, h2 = h2_ops[pos[h1_index(n)]], h2_ops[pos[h2_index(n)]]
@@ -344,26 +346,16 @@ def degree_bound_check(table: MultiplicationTable):
     )
 
 
-def table_entries(table: MultiplicationTable):
-    """Yield (u, v, w, poly) for every nonzero structure constant, sorted."""
-    basis = enumerate_basis(table.n)
-    for u, m in zip(basis, table.ops):
-        for v, col in zip(basis, m.cols):
-            for w, p in col.items():
-                yield u, v, w, p
-
-
 def table_to_json(table: MultiplicationTable) -> dict:
+    """One entry per nonzero O_w in O_u * O_v, keys u, v, w, poly, in the written order."""
+    basis = enumerate_basis(table.n)
     return {
         "n": table.n,
         "entries": [
-            {
-                "u": [u.i, u.j],
-                "v": [v.i, v.j],
-                "w": [w.i, w.j],
-                "poly": poly_to_json(p),
-            }
-            for u, v, w, p in table_entries(table)
+            {"u": [u.i, u.j], "v": [v.i, v.j], **group}
+            for u, op in zip(basis, table.ops)
+            for v, col in zip(basis, op.cols)
+            for group in _json_groups(col)
         ],
     }
 

@@ -1,8 +1,11 @@
 """Structural and positivity verification sweeps over a multiplication table.
 
 Every check returns a :class:`VerificationReport` with a deterministic
-counterexample list (basis order, then degree order), so two runs over the
-same table serialize byte-identically.
+counterexample list, so two runs over the same table serialize
+byte-identically.  Rows come out in basis-then-degree order by construction:
+each scan walks u, v (and w) in basis order, and the terms of one column in
+:func:`qkflag.poly.written_order`; no report sorts its rows afterwards.  Ring
+rows come axiom by axiom: associativity, commutativity, identity.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from .basis import (
     enumerate_basis,
     h1_index,
     h2_index,
-    linear_index,
     unit_index,
 )
-from .poly import QKClass, c1_pairing
+from .poly import QKClass, c1_pairing, written_order
 from .qkring import Operator, _classical_mismatches, _noncommuting, certify_ring, chevalley_apply
 
 
@@ -49,46 +51,34 @@ class VerificationReport(Record):
         return line
 
 
-def _pair_key(n):
-    def key(entry):
-        return (
-            linear_index(tuple(entry["u"]), n),
-            linear_index(tuple(entry["v"]), n),
-            linear_index(tuple(entry["w"]), n) if "w" in entry else -1,
-            entry.get("d1", 0),
-            entry.get("d2", 0),
-        )
-
-    return key
+def _row(u, v, w, d1, d2, c) -> dict:
+    """A counterexample naming the term Q1^d1 Q2^d2 O_w of O_u * O_v and its coefficient."""
+    return {"u": [u.i, u.j], "v": [v.i, v.j], "w": [w.i, w.j], "d1": d1, "d2": d2, "coeff": c}
 
 
 def positivity_check(table) -> VerificationReport:
     """Sign rule for every structure constant:
 
     (-1)^(codim w - codim u - codim v + (d1+d2)(n-1)) * N_{u,v}^{w,(d1,d2)} >= 0.
+
+    Columns are scanned unsorted; a failing column's rows are put in the written order.
     """
     n = table.n
     basis = enumerate_basis(n)
     codims = {w: dim_incidence(n) - _length(w.i, w.j, n) for w in basis}
+    order = written_order(n)
     bad = []
     for u, op in zip(basis, table.ops):
         for v, col in zip(basis, op.cols):
+            shift = codims[u] + codims[v]
+            wrong = []
             for (w, d1, d2), c in col._terms.items():
-                e = codims[w] - codims[u] - codims[v] + c1_pairing((d1, d2), n)
-                signed = c if e % 2 == 0 else -c
-                if signed < 0:
-                    bad.append(
-                        {
-                            "u": [u.i, u.j],
-                            "v": [v.i, v.j],
-                            "w": [w.i, w.j],
-                            "d1": d1,
-                            "d2": d2,
-                            "coeff": c,
-                            "expected_sign": "+" if e % 2 == 0 else "-",
-                        }
-                    )
-    bad.sort(key=_pair_key(n))
+                # a wrong sign: c > 0 where the exponent is odd, c < 0 where it is even
+                if (codims[w] - shift + c1_pairing((d1, d2), n)) % 2 == (c > 0):
+                    wrong.append(((w, d1, d2), c))
+            if wrong:
+                for (w, d1, d2), c in sorted(wrong, key=order):
+                    bad.append({**_row(u, v, w, d1, d2, c), "expected_sign": "-" if c > 0 else "+"})
     return VerificationReport("positivity", n, not bad, bad)
 
 
@@ -113,27 +103,20 @@ def ring_axiom_checks(table, *, associativity: bool | None = None) -> Verificati
     basis = enumerate_basis(n)
     run_assoc = (n <= 5) if associativity is None else associativity
     bad = []
-
     ops = table.ops
+
+    # rows go in axiom by axiom, in the order of the axioms' names
+    if run_assoc and not certify_ring(table):
+        bad += _associativity_counterexamples(table, n, basis)
+
+    for u, v in _noncommuting(n, ops):
+        bad.append({"axiom": "commutativity", "u": [u.i, u.j], "v": [v.i, v.j]})
+
     e = unit_index(n)
     for v, col in zip(basis, ops[basis_positions(n)[e]].cols):
         if col != QKClass.basis_element(v, n):
             bad.append({"axiom": "identity", "u": [e.i, e.j], "v": [v.i, v.j]})
 
-    for u, v in _noncommuting(n, ops):
-        bad.append({"axiom": "commutativity", "u": [u.i, u.j], "v": [v.i, v.j]})
-
-    if run_assoc and not certify_ring(table):
-        bad += _associativity_counterexamples(table, n, basis)
-
-    bad.sort(
-        key=lambda entry: (
-            entry["axiom"],
-            linear_index(tuple(entry["u"]), n),
-            linear_index(tuple(entry["v"]), n),
-            linear_index(tuple(entry["w"]), n) if "w" in entry else -1,
-        )
-    )
     details = {"associativity_checked": run_assoc}
     if getattr(table, "arbitration", None):
         details["step_c_arbitration"] = table.arbitration
@@ -164,11 +147,7 @@ def classical_consistency_check(table) -> VerificationReport:
     is one counterexample, with the difference as ``coeff``.
     """
     n = table.n
-    bad = [
-        {"u": [u.i, u.j], "v": [v.i, v.j], "w": [w.i, w.j], "d1": 0, "d2": 0, "coeff": c}
-        for u, v, w, c in _classical_mismatches(n, table.ops)
-    ]
-    bad.sort(key=_pair_key(n))
+    bad = [_row(u, v, w, 0, 0, c) for u, v, w, c in _classical_mismatches(n, table.ops)]
     details = {}
     if getattr(table, "arbitration", None):
         details["step_c_arbitration"] = table.arbitration

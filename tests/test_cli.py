@@ -7,9 +7,9 @@ import sys
 import pytest
 
 import qkflag
-from qkflag.cli import build_parser, main
+from qkflag.cli import CSV_HEADER, build_parser, main
 from qkflag.poly import class_from_json
-from qkflag.qkring import build_table, qk_product, table_entries
+from qkflag.qkring import build_table, qk_product
 
 GOLDEN_N3 = pathlib.Path(__file__).parent / "data" / "golden_table_n3.json"
 
@@ -93,11 +93,26 @@ def test_table_csv_row_count(capsys):
     code, out, _ = run_cli(capsys, "table", "--n", "3", "--format", "csv")
     assert code == 0
     rows = out.strip().splitlines()
-    expected = sum(
-        len(list(p.terms())) for _, _, _, p in table_entries(build_table(3))
-    )
+    expected = sum(len(col.ordered_terms()) for op in build_table(3).ops for col in op.cols)
     assert len(rows) - 1 == expected  # header line
     assert rows[0] == "u_i,u_j,v_i,v_j,w_i,w_j,d1,d2,coeff"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_table_stdout_writes_the_golden_bytes(n, capsys):
+    # the parsed comparison elsewhere ignores key order; this pins the written bytes
+    golden = (GOLDEN_N3.parent / f"golden_table_n{n}.json").read_text()
+    code, out, _ = run_cli(capsys, "table", "--n", str(n))
+    assert code == 0
+    assert json.dumps(json.loads(out), separators=(",", ":")) + "\n" == golden
+    code, out, _ = run_cli(capsys, "table", "--n", str(n), "--format", "csv")
+    assert code == 0
+    want = [
+        ",".join(map(str, [*e["u"], *e["v"], *e["w"], t["d1"], t["d2"], t["coeff"]]))
+        for e in json.loads(golden)["entries"]
+        for t in e["poly"]
+    ]
+    assert out.splitlines() == [",".join(CSV_HEADER), *want]
 
 
 def test_table_cache_roundtrip(tmp_path, capsys):

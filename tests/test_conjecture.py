@@ -13,7 +13,7 @@ from qkflag.conjecture import (
     is_degenerate,
     translate,
 )
-from qkflag.errors import DegenerateTarget
+from qkflag.errors import DegenerateTarget, InvalidIndex
 from qkflag.poly import NovikovPolynomial, QKClass, c1_pairing
 from qkflag.qkring import build_table
 from qkflag.verify import classical_consistency_check
@@ -62,6 +62,20 @@ def test_degree_operator_values_at_translates_are_bits():
                     w = translate(idx, u, v, n)
                     for op in (1, 2):
                         assert degree_operator(op, u, v, w, n) in (0, 1)
+
+
+@pytest.mark.parametrize("w", [(9, 9), (0, 2), (2, 4), (1.0, 2), (2, 3.0), (True, 2), (2, True)])
+def test_degree_vector_refuses_an_invalid_target(w):
+    with pytest.raises(InvalidIndex):
+        degree_vector((1, 2), (2, 3), w, 3)
+    with pytest.raises(InvalidIndex):
+        degree_operator(1, (1, 2), (2, 3), w, 3)
+
+
+def test_degree_vector_accepts_a_degenerate_target():
+    # translate can return (i, i); the degree operators stay defined there
+    assert translate(0, (2, 1), (2, 1), 3) == (1, 1)
+    assert degree_vector((2, 1), (2, 1), (1, 1), 3) == (0, 0)
 
 
 def test_delta_examples():

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from qkflag.basis import enumerate_basis, h1_index, h2_index, unit_index
+from qkflag.basis import basis_positions, enumerate_basis, h1_index, h2_index, unit_index
 from qkflag import qkring
 from qkflag.conjecture import conjectured_product
 from qkflag.correlators import two_point
@@ -282,6 +282,26 @@ def test_witness_column_is_the_h1_product(tables):
         assert witness == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1}), n
         if n <= 5:
             assert witness == build_table(n, "h1").product((1, 2), unit_index(n))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_witness_column_stops_after_n_applications(n, monkeypatch):
+    # steps (a) and (c) only: n - 2 applications of H1, then H1 and H? at step (c)
+    pos = basis_positions(n)
+    ops = [None] * len(pos)  # the witness reads only H1 and H2 of the h2 build
+    ops[pos[h1_index(n)]] = chevalley_operator("h1", n)
+    ops[pos[h2_index(n)]] = chevalley_operator("h2", n)
+    calls = []
+    apply = Operator.apply
+
+    def counting(self, c):
+        calls.append(1)
+        return apply(self, c)
+
+    monkeypatch.setattr(Operator, "apply", counting)
+    witness = qkring._h1_witness_column(n, ops)
+    assert len(calls) == n
+    assert witness == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1})
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -329,3 +329,68 @@ def test_classical_report_matches_class_reference(name):
     assert report["passed"] == (name not in CLASSICAL_FAILS)
     if name in CLASSICAL_FAILS:
         assert len(report["counterexamples"]) == 1
+
+
+def _row_key(n):
+    """The written row order: linear positions of u, v and w (-1 when absent), then d1, d2."""
+
+    def key(entry):
+        return (
+            linear_index(tuple(entry["u"]), n),
+            linear_index(tuple(entry["v"]), n),
+            linear_index(tuple(entry["w"]), n) if "w" in entry else -1,
+            entry.get("d1", 0),
+            entry.get("d2", 0),
+        )
+
+    return key
+
+
+def _reversed_with_flips(n, products):
+    """The n table, through its JSON, with every coefficient of each O_u * O_v in
+    ``products`` flipped and the entries and their terms stored in reverse."""
+
+    def edit(entries):
+        for e in entries:
+            if (tuple(e["u"]), tuple(e["v"])) in products:
+                for t in e["poly"]:
+                    t["coeff"] *= -1
+            e["poly"].reverse()
+        entries.reverse()
+
+    return _mutated(n, edit)
+
+
+def test_positivity_rows_come_in_the_written_order():
+    n = 4
+    table = _reversed_with_flips(n, {((1, n), (1, n)), ((2, n), (1, n))})
+    rows = positivity_check(table).counterexamples
+    columns = [(tuple(r["u"]), tuple(r["v"])) for r in rows]
+    assert max(columns.count(c) for c in columns) >= 2
+    assert rows == sorted(rows, key=_row_key(n))
+
+
+def test_ring_rows_come_in_the_written_order_axiom_by_axiom():
+    n = 4
+    table = _reversed_with_flips(n, {((n, 1), (1, 2))})
+    rows = ring_axiom_checks(table, associativity=True).counterexamples
+    assert {r["axiom"] for r in rows} == {"identity", "commutativity", "associativity"}
+    key = _row_key(n)
+    assert rows == sorted(rows, key=lambda r: (r["axiom"], key(r)))
+
+
+PERTURBED = ("changed-constant", "added-constant", "constant-moved-to-Q1", "changed-Q1-only")
+ORDER_TABLES = {
+    **{name: CLASSICAL_TABLES[name] for name in PERTURBED},
+    # three wrong constants in one column, stored in reverse
+    "reversed-h2-column": lambda: _reversed_with_flips(4, {((4, 2), (2, 1))}),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_TABLES)
+def test_classical_rows_come_in_the_written_order(name):
+    table = ORDER_TABLES[name]()
+    rows = classical_consistency_check(table).counterexamples
+    assert rows == sorted(rows, key=_row_key(table.n))
+    if name == "reversed-h2-column":
+        assert len(rows) == 3
