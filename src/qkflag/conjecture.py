@@ -16,9 +16,11 @@ the unit law and the hyperplane-class rows, and it is the variant that
 matches the computed table; the comparator reports every mismatch of either
 convention, so the question stays settled empirically rather than by fiat.
 
-For u = (i, j), v = (k, p) every term reads only i+k, j+p and the parity of
-l(u)+l(v), so :func:`compare_with_table` evaluates the formula once per such
-class, in a dict local to the call.
+For u = (i, j), v = (k, p) every term reads only the class (i+k, j+p,
+(l(u)+l(v)) mod 2), so the formula is written once, per class, in
+:func:`_class_formula`; :func:`conjectured_product` calls it for one pair and
+:func:`compare_with_table` once per class of the table, in a dict local to
+the call, where it also counts the other gating per class.
 """
 
 from __future__ import annotations
@@ -38,10 +40,13 @@ def translate(idx: int, u, v, n: int) -> SchubertIndex:
     return _translate(idx, check_index(u, n), check_index(v, n), n)
 
 
+# (di, dj) of t_0..t_3: t_idx(u, v) = ((i+k-di) mod n + 1, (j+p-dj) mod n + 1)
+_SHIFTS = ((1, 2), (2, 2), (1, 1), (2, 1))
+
+
 def _translate(idx: int, u, v, n: int) -> SchubertIndex:
     (i, j), (k, p) = u, v
-    di = 1 if idx in (0, 2) else 2
-    dj = 2 if idx in (0, 1) else 1
+    di, dj = _SHIFTS[idx]
     return SchubertIndex((i + k - di) % n + 1, (j + p - dj) % n + 1)
 
 
@@ -86,46 +91,49 @@ def delta(u, v, w, n: int) -> int:
 
 def _delta(u, v, w, n: int) -> int:
     """:func:`delta` on trusted indices and a nondegenerate w."""
-    # codim(w) - codim(u) - codim(v), where codim = dim - length
-    e = _length(*u, n) + _length(*v, n) - _length(*w, n) - dim_incidence(n)
-    e += c1_pairing(_degree_vector(u, v, w, n), n)
+    return _parity_gate(_length(*u, n) + _length(*v, n), w, *_degree_vector(u, v, w, n), n)
+
+
+def _parity_gate(luv: int, w, d1: int, d2: int, n: int) -> int:
+    """The parity rule of Delta: 1 when codim(w) - codim(u) - codim(v) + c1(d) is even.
+
+    ``luv`` is l(u) + l(v), or just its parity; codim = dim - length.
+    """
+    e = luv - _length(*w, n) - dim_incidence(n) + c1_pairing((d1, d2), n)
     return 1 if e % 2 == 0 else 0
 
 
 GATINGS = ("flipped", "literal")
 
 
-def _formula_terms(u, v, n: int):
-    """One evaluation of the closed formula on trusted indices.
+def _class_formula(a: int, b: int, parity: int, n: int) -> tuple[dict, dict]:
+    """The closed formula for every pair u = (i, j), v = (k, p) of one class.
 
-    Returns ``(base, gate, group)``: the t0 term and the signed t1..t3 group,
-    each as a flat map ``(w, d1, d2) -> coeff`` (the layout of
-    :class:`~qkflag.poly.QKClass`), and the parity ``Delta(u, v, t1)``.
-    The flipped gate adds the group when ``gate`` is 1, the literal gate
-    when it is 0; a degenerate t1 leaves the group empty.
+    The class is a = i + k, b = j + p and parity = (l(u) + l(v)) mod 2; the
+    formula reads nothing else.  Returns the flipped and the literal product
+    (the order of :data:`GATINGS`), each a flat map ``(w, d1, d2) -> coeff``,
+    the layout of :class:`~qkflag.poly.QKClass`.  The four translates are
+    pairwise distinct, so no two terms share a key and none cancels.
     """
-    t = [_translate(idx, u, v, n) for idx in range(4)]
-    base = {}
-    if not is_degenerate(t[0]) and _delta(u, v, t[0], n):
-        base[(t[0], *_degree_vector(u, v, t[0], n))] = 1
-    if is_degenerate(t[1]):
-        return base, 1, {}
-    group: dict = {}
-    for w, sign in zip(t[1:], (1, 1, -1)):
-        if not is_degenerate(w):
-            key = (w, *_degree_vector(u, v, w, n))
-            group[key] = group.get(key, 0) + sign
-    return base, _delta(u, v, t[1], n), group
+    terms = []  # (w, d1, d2) of t_0..t_3, None where degenerate
+    for di, dj in _SHIFTS:
+        s, t = (a - di) % n + 1, (b - dj) % n + 1
+        terms.append(None if s == t else (SchubertIndex(s, t), 1 - (a - s) // n, (b - t) // n))
+    t0, t1 = terms[0], terms[1]
+    base = {t0: 1} if t0 and _parity_gate(parity, *t0, n) else {}
+    if t1 is None:  # a degenerate t1 zeroes the whole gated group
+        return base, base
+    full = dict(base)
+    for key, sign in zip(terms[1:], (1, 1, -1)):
+        if key:
+            full[key] = sign
+    return (full, base) if _parity_gate(parity, *t1, n) else (base, full)
 
 
-def _gated(base: dict, group: dict, on: int) -> dict:
-    """``base`` plus ``group`` when ``on``; zero coefficients dropped."""
-    if not on:
-        return base
-    out = dict(base)
-    for key, c in group.items():
-        out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
+def _formula_terms(u, v, n: int) -> tuple[dict, dict]:
+    """:func:`_class_formula` at the class of the trusted pair (u, v)."""
+    (i, j), (k, p) = u, v
+    return _class_formula(i + k, j + p, (_length(i, j, n) + _length(k, p, n)) & 1, n)
 
 
 def conjectured_product(u, v, n: int, gating: str = "flipped") -> QKClass:
@@ -137,8 +145,8 @@ def conjectured_product(u, v, n: int, gating: str = "flipped") -> QKClass:
     """
     if gating not in GATINGS:
         raise ValueError(f"gating must be one of {GATINGS}, got {gating!r}")
-    base, gate, group = _formula_terms(check_index(u, n), check_index(v, n), n)
-    return QKClass._trusted(n, _gated(base, group, gate if gating == "flipped" else 1 - gate))
+    terms = _formula_terms(check_index(u, n), check_index(v, n), n)
+    return QKClass._trusted(n, terms[GATINGS.index(gating)])
 
 
 class DiffReport(Record):
@@ -177,53 +185,65 @@ class DiffReport(Record):
         return "\n".join(lines)
 
 
+def _differing(x: dict, y: dict) -> list:
+    """The keys where two flat maps differ."""
+    return [t for t in x.keys() | y.keys() if x.get(t, 0) != y.get(t, 0)]
+
+
 def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     """Structural diff of the closed formula against a built table.
 
     Lists every (u, v, w, degree) where the two coefficient values differ,
     in basis-then-degree order.  The report also carries the mismatch count
-    of the other gating convention, so both readings stay visible.  The
-    formula is evaluated once per class (i+k, j+p, (l(u)+l(v)) mod 2) of
-    u = (i, j), v = (k, p), which is all it reads, in a cache local to the
-    call; each pair compares its own table column with both gatings term
-    by term, and rows are built only for the requested gating.
+    of the other gating convention, so both readings stay visible.
+
+    The formula is evaluated once per class (i+k, j+p, (l(u)+l(v)) mod 2)
+    of u = (i, j), v = (k, p), which is all it reads, by
+    :func:`_class_formula`, in a dict local to the call.  The other gating
+    is counted per class too: each class keeps the number of keys where its
+    two gatings differ, and a column equal to the requested gating adds that
+    number with no per-key work, since its mismatches against the other
+    gating are exactly those keys.  Only a column that differs from the
+    requested gating is compared key by key with both.
     """
     if gating not in GATINGS:
         raise ValueError(f"gating must be one of {GATINGS}, got {gating!r}")
     n = table.n
     pos = basis_positions(n)
     order = written_order(n)
+    g = GATINGS.index(gating)
     mismatches = []
     other_count = 0
     lengths = {w: _length(w.i, w.j, n) for w in pos}
-    gated: dict = {}
+    per_class: dict = {}
     for u, op in zip(pos, table.ops):
         for v, col in zip(pos, op.cols):
-            want = col._terms
             cls = (u.i + v.i, u.j + v.j, (lengths[u] + lengths[v]) & 1)
-            if cls not in gated:
-                base, gate, group = _formula_terms(u, v, n)
-                gated[cls] = (_gated(base, group, gate), _gated(base, group, 1 - gate))
-            for g, got in zip(GATINGS, gated[cls]):
-                if got == want:
-                    continue
-                keys = [t for t in got.keys() | want.keys() if got.get(t, 0) != want.get(t, 0)]
-                if g != gating:
-                    other_count += len(keys)
-                    continue
-                rows = sorted(((t, (want.get(t, 0), got.get(t, 0))) for t in keys), key=order)
-                for (w, d1, d2), (in_table, conjectured) in rows:
-                    mismatches.append(
-                        {
-                            "u": [u.i, u.j],
-                            "v": [v.i, v.j],
-                            "w": [w.i, w.j],
-                            "d1": d1,
-                            "d2": d2,
-                            "table": in_table,
-                            "conjecture": conjectured,
-                        }
-                    )
-    other = GATINGS[1 - GATINGS.index(gating)]
+            if cls not in per_class:
+                maps = _class_formula(*cls, n)
+                got, other = maps[g], maps[1 - g]
+                per_class[cls] = (got, other, len(_differing(got, other)))
+            got, other, apart = per_class[cls]
+            want = col._terms
+            if want == got:
+                other_count += apart
+                continue
+            if want != other:
+                other_count += len(_differing(want, other))
+            keys = _differing(want, got)
+            rows = sorted(((t, (want.get(t, 0), got.get(t, 0))) for t in keys), key=order)
+            for (w, d1, d2), (in_table, conjectured) in rows:
+                mismatches.append(
+                    {
+                        "u": [u.i, u.j],
+                        "v": [v.i, v.j],
+                        "w": [w.i, w.j],
+                        "d1": d1,
+                        "d2": d2,
+                        "table": in_table,
+                        "conjecture": conjectured,
+                    }
+                )
+    other = GATINGS[1 - g]
     details = {f"{other}_gating_mismatches": other_count}
     return DiffReport(n=n, gating=gating, mismatches=mismatches, details=details)

@@ -42,10 +42,7 @@ class NovikovPolynomial:
 
     def __init__(self, terms: Mapping[CurveDegree, int] | None = None):
         terms = {(d1, d2): c for (d1, d2), c in (terms or {}).items()}
-        for d1, d2 in terms:
-            if d1 < 0 or d2 < 0:
-                raise ValueError(f"negative curve degree ({d1},{d2})")
-        self._terms = {d: c for d, c in terms.items() if c}
+        self._terms = _nonnegative(terms)
 
     @classmethod
     def _trusted(cls, terms: dict[CurveDegree, int]) -> "NovikovPolynomial":
@@ -163,6 +160,11 @@ def poly_from_json(items: Iterable[Mapping]) -> NovikovPolynomial:
     Raises ValueError unless every field is an int (not a bool) and the
     degrees are nonnegative and distinct.
     """
+    return NovikovPolynomial._trusted(_poly_terms(items))
+
+
+def _poly_terms(items: Iterable[Mapping]) -> dict[CurveDegree, int]:
+    """:func:`poly_from_json` as a plain ``{(d1, d2): c}`` map, zeros dropped."""
     terms: dict[CurveDegree, int] = {}
     for t in items:
         d1, d2, c = t["d1"], t["d2"], t["coeff"]
@@ -171,7 +173,15 @@ def poly_from_json(items: Iterable[Mapping]) -> NovikovPolynomial:
         if (d1, d2) in terms:
             raise ValueError(f"polynomial repeats the degree ({d1},{d2})")
         terms[d1, d2] = c
-    return NovikovPolynomial(terms)
+    return _nonnegative(terms)
+
+
+def _nonnegative(terms: dict[CurveDegree, int]) -> dict[CurveDegree, int]:
+    """``terms`` without zero coefficients; ValueError on a negative degree."""
+    for d1, d2 in terms:
+        if d1 < 0 or d2 < 0:
+            raise ValueError(f"negative curve degree ({d1},{d2})")
+    return {d: c for d, c in terms.items() if c}
 
 
 def written_order(n: int):
@@ -220,7 +230,10 @@ class QKClass:
         return not self._terms
 
     def coefficient(self, w) -> NovikovPolynomial:
-        return dict(self.items()).get(SchubertIndex(*w), NovikovPolynomial.zero())
+        """The polynomial coefficient of O_w: a filter over the flat terms, no sort."""
+        w = SchubertIndex(*w)
+        terms = self._terms.items()
+        return NovikovPolynomial._trusted({(d1, d2): c for (x, d1, d2), c in terms if x == w})
 
     def ordered_terms(self) -> list[tuple[tuple[SchubertIndex, int, int], int]]:
         """Flat ((w, d1, d2), c) terms in the written order, :func:`written_order`."""

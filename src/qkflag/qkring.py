@@ -38,7 +38,7 @@ from .basis import (
     unit_index,
 )
 from .errors import MalformedTable, RankMismatch
-from .kring import _k_terms, k_product
+from .kring import _k_terms
 from .poly import (
     DEGREE_L1,
     DEGREE_L1L2,
@@ -48,12 +48,10 @@ from .poly import (
     QKClass,
     _combine,
     _json_groups,
-    poly_from_json,
+    _poly_terms,
 )
 
 Q1 = NovikovPolynomial.monomial(DEGREE_L1)
-Q2 = NovikovPolynomial.monomial(DEGREE_L2)
-Q1Q2 = NovikovPolynomial.monomial(DEGREE_L1L2)
 
 CHEVALLEY_DEGREES: frozenset[CurveDegree] = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
 
@@ -121,25 +119,37 @@ def quantum_correction(h: str, v, n: int) -> QKClass:
     k, p = check_index(v, n)
     single: dict = {}  # the degree-l1 part for h1, the degree-l2 part for h2
     if h == "h1":
+        deg = DEGREE_L1
         if k == 1:
-            single = {(n - 1, n) if p == n else (n, p): Q1}
+            single = {(n - 1, n) if p == n else (n, p): 1}
         elif (k, p) == (2, 1):
-            single = {(n, 1): Q1, (n, 2): -Q1}
-        both = {(n, 1): Q1Q2, (n - 1, 1): -Q1Q2}
+            single = {(n, 1): 1, (n, 2): -1}
+        both = {(n, 1): 1, (n - 1, 1): -1}
     else:
+        deg = DEGREE_L2
         if p == n:
-            single = {(1, 2) if k == 1 else (k, 1): Q2}
+            single = {(1, 2) if k == 1 else (k, 1): 1}
         elif (k, p) == (n, n - 1):
-            single = {(n, 1): Q2, (n - 1, 1): -Q2}
-        both = {(n, 1): Q1Q2, (n, 2): -Q1Q2}
+            single = {(n, 1): 1, (n - 1, 1): -1}
+        both = {(n, 1): 1, (n, 2): -1}
+    terms = {(SchubertIndex(*w), *deg): c for w, c in single.items()}
     # the degree-(l1+l2) part appears only on the point class
-    return QKClass(n, single) + QKClass(n, both if (k, p) == (1, n) else {})
+    if (k, p) == (1, n):
+        terms.update({(SchubertIndex(*w), *DEGREE_L1L2): c for w, c in both.items()})
+    return QKClass._trusted(n, terms)
 
 
 def chevalley_apply(h: str, v, n: int) -> QKClass:
-    """O_h * O_v: classical product plus quantum correction."""
+    """O_h * O_v: classical product plus quantum correction.
+
+    The two parts share no key: the classical terms have degree (0, 0), the
+    quantum ones a nonzero degree.
+    """
     hw = h1_index(n) if h == "h1" else h2_index(n)
-    return k_product(hw, v, n) + quantum_correction(h, v, n)
+    v = check_index(v, n)
+    terms = {(w, 0, 0): c for w, c in _k_terms(hw, v, n).items() if c}
+    terms.update(quantum_correction(h, v, n)._terms)
+    return QKClass._trusted(n, terms)
 
 
 def chevalley_operator(h: str, n: int) -> Operator:
@@ -336,7 +346,11 @@ def degree_bound_check(table: MultiplicationTable):
                 counterexamples.append(
                     {"h": h, "v": [v.i, v.j], "d1": deg[0], "d2": deg[1]}
                 )
-    max_deg = max((deg for op in table.ops for deg in op.degree_support()), default=(0, 0))
+    # one pass over the flat terms; every degree is at least (0, 0)
+    max_deg = max(
+        ((d1, d2) for op in table.ops for col in op.cols for _, d1, d2 in col._terms),
+        default=(0, 0),
+    )
     return VerificationReport(
         check="degree",
         n=n,
@@ -366,8 +380,11 @@ def table_from_json(obj) -> MultiplicationTable:
     Raises :class:`MalformedTable` unless ``obj`` is an object with an int
     ``n`` and an ``entries`` list, every index is a pair of ints (not bools)
     valid for n, no (u, v, w) repeats, and every product O_u * O_v has an
-    entry.  A list shorter than the N^2 products (N = n(n-1)) is refused
-    before the basis is built, so a large ``n`` allocates nothing.
+    entry; zero coefficients are dropped first, so a product whose entries
+    are all 0 has none.  A list shorter than the N^2 products (N = n(n-1))
+    is refused before the basis is built, so a large ``n`` allocates nothing.
+    Each entry's terms go straight into its column's flat map, and the
+    checked columns are wrapped without being validated again.
     """
     if not isinstance(obj, dict) or type(obj.get("n")) is not int:
         raise MalformedTable("cached table must be a JSON object with an integer 'n'")
@@ -379,19 +396,22 @@ def table_from_json(obj) -> MultiplicationTable:
     if len(entries) < products:
         raise MalformedTable(f"cached table has {len(entries)} entries for {products} products")
     basis = enumerate_basis(n)
-    cols: dict[tuple, dict] = {(u, v): {} for u in basis for v in basis}
+    cols: dict[tuple, dict] = {(u, v): {} for u in basis for v in basis}  # flat maps
+    seen = set()
     for k, e in enumerate(entries):
         try:
-            u, v, w = (check_index(e[key], n) for key in ("u", "v", "w"))
-            poly = poly_from_json(e["poly"])
+            u, v, w = check_index(e["u"], n), check_index(e["v"], n), check_index(e["w"], n)
+            terms = _poly_terms(e["poly"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedTable(f"cached table entry {k} is malformed: {exc!r}") from None
-        if w in cols[u, v]:
+        if (u, v, w) in seen:
             raise MalformedTable(f"cached table repeats {u.label()} * {v.label()} at {w.label()}")
-        cols[u, v][w] = poly
-    ops = [Operator(n, [QKClass(n, cols[u, v]) for v in basis]) for u in basis]
-    for u, op in zip(basis, ops):
-        for v, col in zip(basis, op.cols):
-            if col.is_zero:
-                raise MalformedTable(f"cached table has no entry for {u.label()} * {v.label()}")
+        seen.add((u, v, w))
+        col = cols[u, v]
+        for (d1, d2), c in terms.items():
+            col[w, d1, d2] = c
+    for (u, v), col in cols.items():
+        if not col:
+            raise MalformedTable(f"cached table has no entry for {u.label()} * {v.label()}")
+    ops = [Operator._trusted(n, [QKClass._trusted(n, cols[u, v]) for v in basis]) for u in basis]
     return MultiplicationTable(n, ops, step_c_variant="loaded")

@@ -1,5 +1,6 @@
 import pytest
 
+from qkflag import conjecture
 from qkflag.basis import codim, enumerate_basis, h1_index, length, linear_index, unit_index
 from qkflag.conjecture import (
     GATINGS,
@@ -210,7 +211,7 @@ def _naive_diff(table, gating):
 
 
 @pytest.mark.parametrize("gating", GATINGS)
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_comparator_matches_naive_diff(n, gating, tables):
     got, want = compare_with_table(tables[n], gating), _naive_diff(tables[n], gating)
     assert got.to_json() == want.to_json()
@@ -236,6 +237,27 @@ def test_formula_terms_depend_only_on_class(n):
         for v in enumerate_basis(n):
             terms = _formula_terms(u, v, n)
             assert seen.setdefault(_class(u, v, n), terms) == terms, (u, v)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_comparator_evaluates_the_formula_once_per_class(n, tables, monkeypatch):
+    calls = []
+    evaluate = conjecture._class_formula
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(conjecture, "_class_formula", counted)
+    basis = enumerate_basis(n)
+    classes = {_class(u, v, n) for u in basis for v in basis}
+    for gating in GATINGS:
+        # a second call does the same work: nothing is cached across calls
+        for _ in range(2):
+            calls.clear()
+            compare_with_table(tables[n], gating)
+            assert len(calls) == len(classes)
+            assert {args[:3] for args in calls} == classes
 
 
 def _perturbed(n):

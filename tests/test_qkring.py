@@ -85,6 +85,52 @@ def test_chevalley_operator_degree_support():
             assert chevalley_operator(h, n).degree_support() <= CHEVALLEY_DEGREES
 
 
+def _reference_quantum_correction(h, v, n):
+    """quantum_correction as two validated classes and their sum."""
+    k, p = v
+    single = {}
+    if h == "h1":
+        if k == 1:
+            single = {(n - 1, n) if p == n else (n, p): Q1}
+        elif (k, p) == (2, 1):
+            single = {(n, 1): Q1, (n, 2): -Q1}
+        both = {(n, 1): Q1Q2, (n - 1, 1): -Q1Q2}
+    else:
+        if p == n:
+            single = {(1, 2) if k == 1 else (k, 1): Q2}
+        elif (k, p) == (n, n - 1):
+            single = {(n, 1): Q2, (n - 1, 1): -Q2}
+        both = {(n, 1): Q1Q2, (n, 2): -Q1Q2}
+    return QKClass(n, single) + QKClass(n, both if (k, p) == (1, n) else {})
+
+
+def _reference_chevalley_apply(h, v, n):
+    hw = h1_index(n) if h == "h1" else h2_index(n)
+    return k_product(hw, v, n) + _reference_quantum_correction(h, v, n)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_chevalley_columns_match_the_validated_construction(n):
+    # the flat maps are built directly; the terms and their order must not move
+    for h in ("h1", "h2"):
+        for v in enumerate_basis(n):
+            for got, want in (
+                (quantum_correction(h, v, n), _reference_quantum_correction(h, v, n)),
+                (chevalley_apply(h, v, n), _reference_chevalley_apply(h, v, n)),
+            ):
+                assert got == want, (h, v)
+                assert list(got._terms.items()) == list(want._terms.items()), (h, v)
+
+
+def test_chevalley_apply_still_validates():
+    with pytest.raises(InvalidIndex):
+        chevalley_apply("h1", (2, 2), 4)
+    with pytest.raises(ValueError, match="h must be"):
+        chevalley_apply("h3", (1, 2), 4)
+    with pytest.raises(InvalidIndex):
+        chevalley_apply("h3", (2, 2), 4)
+
+
 def test_build_table_rejects_bad_rank():
     with pytest.raises(InvalidRank):
         build_table(2)
@@ -174,6 +220,37 @@ def test_degree_bound_check(tables):
         report = degree_bound_check(table)
         assert report.passed
         assert report.details["max_degree"] == {"d1": 1, "d2": 1}
+
+
+def test_degree_bound_check_reads_max_degree_over_every_column():
+    # a Q1^2 term outside the hyperplane rows raises max_degree but is no counterexample
+    n = 4
+    table = build_table(n)
+    basis = enumerate_basis(n)
+    u, v = (1, 2), (1, 2)
+    assert u not in (h1_index(n), h2_index(n))
+    cols = table.matrix(u).cols
+    i = basis.index(v)
+    cols[i] = cols[i] + QKClass.basis_element((2, 3), n, NovikovPolynomial.monomial((2, 0)))
+    report = degree_bound_check(table)
+    assert report.passed
+    assert report.details["max_degree"] == {"d1": 2, "d2": 0}
+    want = max(set().union(*(op.degree_support() for op in table.ops)))
+    assert want == (2, 0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_coefficient_reads_the_grouped_items(n, tables):
+    zero = NovikovPolynomial.zero()
+    for op in tables[n].ops:
+        for col in op.cols:
+            grouped = dict(col.items())
+            for w in enumerate_basis(n):
+                assert col.coefficient(w) == grouped.get(w, zero)
+                assert col.coefficient(tuple(w)) == grouped.get(w, zero)
+    col = tables[n].product((1, 2), (1, 2))
+    absent = next(w for w in enumerate_basis(n) if w not in dict(col.items()))
+    assert col.coefficient((absent.i, absent.j)).is_zero
 
 
 def test_table_json_roundtrip(tables):
@@ -444,3 +521,32 @@ def test_table_from_json_rejects_bad_poly_term(mutate, tables):
     assert obj["entries"][0]["poly"] == [{"d1": 1, "d2": 0, "coeff": 1}]
     with pytest.raises(MalformedTable):
         table_from_json(mutate(obj))
+
+
+def test_table_from_json_refuses_a_product_whose_entries_are_all_zero():
+    # the unit column O_{3,1} * O_{1,2} has one entry, O_{1,2}; a zero
+    # coefficient there is dropped and leaves the product with no entry
+    obj = json.loads((DATA / "golden_table_n3.json").read_text())
+    entry = next(e for e in obj["entries"] if e["u"] == [3, 1] and e["v"] == [1, 2])
+    assert entry["poly"] == [{"d1": 0, "d2": 0, "coeff": 1}]
+    entry["poly"][0]["coeff"] = 0
+    with pytest.raises(MalformedTable, match=r"^cached table has no entry for O_3,1 \* O_1,2$"):
+        table_from_json(obj)
+
+
+def test_table_from_json_drops_zero_coefficients():
+    obj = json.loads((DATA / "golden_table_n3.json").read_text())
+    obj["entries"][0]["poly"].append({"d1": 3, "d2": 3, "coeff": 0})
+    table = table_from_json(obj)
+    assert table.ops == table_from_json(json.loads((DATA / "golden_table_n3.json").read_text())).ops
+    assert all(c for op in table.ops for col in op.cols for c in col._terms.values())
+
+
+def test_table_from_json_refuses_a_negative_degree():
+    obj = json.loads((DATA / "golden_table_n3.json").read_text())
+    obj["entries"][2]["poly"][0]["d2"] = -1
+    d1 = obj["entries"][2]["poly"][0]["d1"]
+    msg = f"cached table entry 2 is malformed: ValueError('negative curve degree ({d1},-1)')"
+    with pytest.raises(MalformedTable) as exc:
+        table_from_json(obj)
+    assert str(exc.value) == msg

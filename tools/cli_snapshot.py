@@ -8,11 +8,13 @@ exit code and written file, so a change that must keep the CLI's output is
 checked by running this with ``PYTHONPATH`` set to each tree's ``src`` and
 diffing the two outputs.  The list covers ``table`` and ``product`` in every
 format at n = 3..6, ``verify`` (all five checks, text and json),
-``conjecture`` (both gatings), ``correlator`` and ``flags``; ``verify``,
-``conjecture`` and ``product`` also run with ``--table`` on a cached n = 4
-table with signs flipped (see :func:`flipped_cache`), so failing reports go
-through the CLI too.  The file ``qkflag`` was imported from goes to
-stderr, not into the snapshot.
+``conjecture`` (both gatings, also at n = 7 and 8), ``correlator`` and
+``flags``; ``verify``, ``conjecture`` and ``product`` also run with
+``--table`` on a cached n = 4 table with signs flipped (see
+:func:`flipped_cache`), so failing reports go through the CLI too, and
+``product`` on a cached n = 3 table whose only entry for one product has
+coefficient 0 (see :func:`zeroed_cache`), which must be refused.  The file
+``qkflag`` was imported from goes to stderr, not into the snapshot.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def commands(n: int) -> list[list[str]]:
     return cmds
 
 
-# ``{cache}`` stands for the flipped n = 4 table
+# ``{cache}`` stands for the flipped n = 4 table, ``{zeroed}`` for the zeroed n = 3 table
 FIXED = [
     ["verify", "--n", "4", "--checks", CHECKS, "--table", "{cache}"],
     ["verify", "--n", "4", "--checks", CHECKS, "--table", "{cache}", "--format", "json"],
@@ -70,6 +72,11 @@ FIXED = [
     ["flags", "--stabilized", "--shape", "1,3", "--ambient", "4", "--degrees", "6,6", "--k", "1", "--r", "3"],
     ["flags", "--stabilized", "--shape", "1,3", "--ambient", "4", "--degrees", "5,6", "--k", "1", "--r", "3",
      "--format", "json"],
+    ["conjecture", "--n", "7", "--gating", "flipped"],
+    ["conjecture", "--n", "7", "--gating", "literal"],
+    ["conjecture", "--n", "8", "--gating", "flipped"],
+    ["conjecture", "--n", "8", "--gating", "literal"],
+    ["product", "--n", "3", "--u", "1,2", "--v", "1,2", "--table", "{zeroed}"],
 ]
 
 
@@ -105,12 +112,29 @@ def flipped_cache(tmp: Path) -> Path:
     return flipped
 
 
+def zeroed_cache(tmp: Path) -> Path:
+    """The n = 3 table with the coefficient of its one entry for O_{3,1} * O_{1,2} set to 0.
+
+    A zero coefficient is dropped on load, so that product has no entry left
+    and the cache must be refused (exit 2).
+    """
+    cache = tmp / "table_n3.json"
+    snapshot(["table", "--n", "3", "--out", str(cache)], cache)
+    obj = json.loads(cache.read_text())
+    (entry,) = [e for e in obj["entries"] if (e["u"], e["v"]) == ([3, 1], [1, 2])]
+    for term in entry["poly"]:
+        term["coeff"] = 0
+    zeroed = tmp / "zeroed_n3.json"
+    zeroed.write_text(json.dumps(obj))
+    return zeroed
+
+
 def main() -> int:
     print(f"qkflag from {Path(qkflag.__file__).parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
-        cache = str(flipped_cache(Path(tmp)))
+        files = {"{cache}": str(flipped_cache(Path(tmp))), "{zeroed}": str(zeroed_cache(Path(tmp)))}
         for argv in [cmd for n in NS for cmd in commands(n)] + FIXED:
-            code, out, written = snapshot([cache if a == "{cache}" else a for a in argv])
+            code, out, written = snapshot([files.get(a, a) for a in argv])
             print(" ".join(argv), code, out, written, sep="\t")
     return 0
 
