@@ -190,6 +190,11 @@ def _differing(x: dict, y: dict) -> list:
     return [t for t in x.keys() | y.keys() if x.get(t, 0) != y.get(t, 0)]
 
 
+def _mismatch_rows(want: dict, got: dict, order) -> list:
+    """Sorted by ``order``: ``((w, d1, d2), (table, conjecture))`` wherever ``want`` and ``got`` differ."""
+    return sorted(((t, (want.get(t, 0), got.get(t, 0))) for t in _differing(want, got)), key=order)
+
+
 def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     """Structural diff of the closed formula against a built table.
 
@@ -200,11 +205,12 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     The formula is evaluated once per class (i+k, j+p, (l(u)+l(v)) mod 2)
     of u = (i, j), v = (k, p), which is all it reads, by
     :func:`_class_formula`, in a dict local to the call.  The other gating
-    is counted per class too: each class keeps the number of keys where its
-    two gatings differ, and a column equal to the requested gating adds that
-    number with no per-key work, since its mismatches against the other
-    gating are exactly those keys.  Only a column that differs from the
-    requested gating is compared key by key with both.
+    is handled per class too: each class keeps ``apart``, the number of keys
+    where its two gatings differ.  A column equal to the requested gating
+    adds ``apart`` to the other gating's count with no per-key work.  A
+    column equal to the other gating has exactly those keys as rows, built
+    and sorted once per class and stamped with its u and v.  Only a column
+    that equals neither is compared key by key with both.
     """
     if gating not in GATINGS:
         raise ValueError(f"gating must be one of {GATINGS}, got {gating!r}")
@@ -216,6 +222,7 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     other_count = 0
     lengths = {w: _length(w.i, w.j, n) for w in pos}
     per_class: dict = {}
+    other_rows: dict = {}  # per class: the rows of a column equal to the other gating
     for u, op in zip(pos, table.ops):
         for v, col in zip(pos, op.cols):
             cls = (u.i + v.i, u.j + v.j, (lengths[u] + lengths[v]) & 1)
@@ -228,10 +235,13 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
             if want == got:
                 other_count += apart
                 continue
-            if want != other:
+            if want == other:
+                if cls not in other_rows:
+                    other_rows[cls] = _mismatch_rows(other, got, order)
+                rows = other_rows[cls]
+            else:
                 other_count += len(_differing(want, other))
-            keys = _differing(want, got)
-            rows = sorted(((t, (want.get(t, 0), got.get(t, 0))) for t in keys), key=order)
+                rows = _mismatch_rows(want, got, order)
             for (w, d1, d2), (in_table, conjectured) in rows:
                 mismatches.append(
                     {

@@ -93,8 +93,10 @@ def three_point_projective(i1: int, i2: int, i3: int, d: int, m: int) -> int:
     for idx in (i1, i2, i3):
         if not 1 <= idx <= m + 1:
             raise ValueError(f"index {idx} out of range [1, {m + 1}]")
-    if d < 1:
+    if d == 0:
         raise UnsupportedDegree("degree 0 is the classical product, not handled here")
+    if d < 0:
+        raise UnsupportedDegree(f"degree {d} is negative; a correlator degree is at least 1")
     if d == 1 and i1 + i2 + i3 < m + 2:
         return 0
     return 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .basis import SchubertIndex, check_index, check_rank, unit_index
 from .errors import RankMismatch
-from .poly import QKClass, _combine, _int_class
+from .poly import _IDENTITY, QKClass, _combine, _int_class
 
 
 def _kept(n: int, terms: tuple[tuple[int, int, int], ...]) -> dict[SchubertIndex, int]:
@@ -53,11 +53,11 @@ def k_class_product(a: QKClass, b: QKClass, n: int) -> QKClass:
     check_rank(n)
     if a.n != n or b.n != n:
         raise RankMismatch(f"classes built for n={a.n}/{b.n}, expected {n}")
-    return _combine(n, (
-        (k_product(u, v, n), a1 + b1, a2 + b2, ca * cb)
+    return _combine(n, [
+        (ca * cb, a1 + b1, a2 + b2, _IDENTITY, (k_product(u, v, n),))
         for (u, a1, a2), ca in a._terms.items()
         for (v, b1, b2), cb in b._terms.items()
-    ))
+    ])[0]
 
 
 def k_unit(n: int) -> QKClass:

@@ -8,9 +8,12 @@ flat map over (class, degree) pairs, not a map of polynomials; see
 (basis position of w, then (d1, d2)): the JSON and CSV writers and every
 verification and conjecture report list terms in it.
 
-Public constructors validate their input.  Class arithmetic and operator
-application all run through one kernel, :func:`_combine`, which accumulates
-flat terms into one plain dict and wraps the result without re-validation.
+Public constructors validate their input.  All arithmetic on classes,
+polynomials and operators runs through one kernel, :func:`_combine`.  It
+evaluates a short list of parts ``s * Q1^b1 Q2^b2 * A(x)``, with one
+accumulate loop per column: A is an operator's columns prepared as flat
+term tuples, or :data:`_IDENTITY`.  It wraps each result without
+re-validation.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ class NovikovPolynomial:
         return set(self._terms)
 
     def __add__(self, other) -> "NovikovPolynomial":
-        return _clean(_add_product(dict(self._terms), _as_poly(other), _ONE))
+        return _poly_sum(((1, 0, 0, self), (1, 0, 0, _as_poly(other))))
 
     __radd__ = __add__
 
@@ -95,7 +98,7 @@ class NovikovPolynomial:
         return NovikovPolynomial._trusted({deg: -c for deg, c in self._terms.items()})
 
     def __mul__(self, other) -> "NovikovPolynomial":
-        return _clean(_add_product({}, self, _as_poly(other)))
+        return _poly_sum([(c, d1, d2, self) for (d1, d2), c in _as_poly(other)._terms.items()])
 
     __rmul__ = __mul__
 
@@ -117,20 +120,18 @@ class NovikovPolynomial:
         return _signed_sum([(c, monomial_str(deg)) for deg, c in self.terms()])
 
 
-def _add_product(
-    row: dict[CurveDegree, int], a: NovikovPolynomial, b: NovikovPolynomial
-) -> dict[CurveDegree, int]:
-    """Add the terms of a * b into ``row`` in place and return it."""
-    for (a1, a2), ca in a._terms.items():
-        for (b1, b2), cb in b._terms.items():
-            deg = (a1 + b1, a2 + b2)
-            row[deg] = row.get(deg, 0) + ca * cb
-    return row
+def _poly_sum(parts) -> NovikovPolynomial:
+    """``sum s * Q1^b1 Q2^b2 * p`` over ``(s, b1, b2, p)`` parts, through the one kernel.
 
-
-def _clean(row: dict[CurveDegree, int]) -> NovikovPolynomial:
-    """Wrap an accumulated row, dropping zero coefficients."""
-    return NovikovPolynomial._trusted({d: c for d, c in row.items() if c})
+    Each p enters :func:`_combine` as a class whose terms all sit under one
+    placeholder index, 0.
+    """
+    flat = [
+        (s, b1, b2, _IDENTITY, (QKClass._trusted(0, {(0, *d): c for d, c in p._terms.items()}),))
+        for s, b1, b2, p in parts
+    ]
+    (total,) = _combine(0, flat)
+    return NovikovPolynomial._trusted({(d1, d2): c for (_, d1, d2), c in total._terms.items()})
 
 
 def _as_poly(x) -> NovikovPolynomial:
@@ -252,19 +253,19 @@ class QKClass:
 
     def __add__(self, other: "QKClass") -> "QKClass":
         self._check_same_rank(other)
-        return _combine(self.n, ((self, 0, 0, 1), (other, 0, 0, 1)))
+        return _combine(self.n, ((1, 0, 0, _IDENTITY, (self,)), (1, 0, 0, _IDENTITY, (other,))))[0]
 
     def __sub__(self, other: "QKClass") -> "QKClass":
         self._check_same_rank(other)
-        return _combine(self.n, ((self, 0, 0, 1), (other, 0, 0, -1)))
+        return _combine(self.n, ((1, 0, 0, _IDENTITY, (self,)), (-1, 0, 0, _IDENTITY, (other,))))[0]
 
     def __neg__(self) -> "QKClass":
-        return _combine(self.n, ((self, 0, 0, -1),))
+        return _combine(self.n, ((-1, 0, 0, _IDENTITY, (self,)),))[0]
 
     def scaled(self, factor) -> "QKClass":
         """Multiply every coefficient by an integer or Novikov polynomial."""
         factor = _as_poly(factor)._terms.items()
-        return _combine(self.n, ((self, b1, b2, cb) for (b1, b2), cb in factor))
+        return _combine(self.n, [(cb, b1, b2, _IDENTITY, (self,)) for (b1, b2), cb in factor])[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QKClass):
@@ -322,23 +323,49 @@ def _signed_sum(terms: list[tuple[int, str]]) -> str:
     return " ".join(parts) or "0"
 
 
-_ONE = NovikovPolynomial._trusted({DEGREE_ZERO: 1})
+class _Identity(dict):
+    """The identity's columns for the kernel: e_w, as one flat term, for every index w.
 
-
-def _combine(n: int, terms: Iterable[tuple[QKClass, int, int, int]]) -> QKClass:
-    """The one accumulate kernel: the sum of ``c * cb * Q1^b1 Q2^b2`` over ``terms``.
-
-    Each ``(c, b1, b2, cb)`` adds every flat term of ``c``, shifted by the
-    degree (b1, b2) and scaled by ``cb``, into one flat map; zeros are
-    dropped once, at the end.  Every ``c`` must already be a class for
-    ``n``; nothing is re-validated.
+    A column is made on its first lookup and kept, so later lookups of w
+    are plain dict reads; it depends on w alone, so every caller may share it.
     """
-    acc: dict[tuple[SchubertIndex, int, int], int] = {}
-    for c, b1, b2, cb in terms:
-        for (w, a1, a2), ca in c._terms.items():
-            key = (w, a1 + b1, a2 + b2)
-            acc[key] = acc.get(key, 0) + ca * cb
-    return QKClass._trusted(n, {key: k for key, k in acc.items() if k})
+
+    __slots__ = ()
+
+    def __missing__(self, w: SchubertIndex) -> tuple:
+        col = self[w] = (((w, 0, 0), 1),)
+        return col
+
+
+_IDENTITY = _Identity()
+
+
+def _combine(n: int, parts, width: int = 1) -> list[QKClass]:
+    """The one accumulate kernel: column j of ``sum s * Q1^b1 Q2^b2 * A(x)`` for each j < ``width``.
+
+    Each part ``(s, b1, b2, cols, xs)`` names an int ``s``, a shift (b1, b2),
+    an operator A and a value x given by its columns: ``xs[j]`` is column j
+    of x, a class for ``n``.  ``cols`` maps every index w to A e_w as a tuple
+    of flat ``((w', e1, e2), c)`` terms; :data:`_IDENTITY` is the identity.
+    One loop per column walks the terms of every ``xs[j]`` and adds the
+    terms of A they select, shifted and scaled, into one flat map; zeros are
+    dropped once, at the end.  Nothing is re-validated.
+    """
+    out = []
+    for j in range(width):
+        acc: dict[tuple[SchubertIndex, int, int], int] = {}
+        for s, b1, b2, cols, xs in parts:
+            for (w, a1, a2), c in xs[j]._terms.items():
+                c *= s
+                a1 += b1
+                a2 += b2
+                for (x, e1, e2), k in cols[w]:
+                    key = (x, a1 + e1, a2 + e2)
+                    acc[key] = acc.get(key, 0) + c * k
+        if 0 in acc.values():
+            acc = {key: c for key, c in acc.items() if c}
+        out.append(QKClass._trusted(n, acc))
+    return out
 
 
 def _int_class(n: int, coeffs: dict[SchubertIndex, int]) -> QKClass:

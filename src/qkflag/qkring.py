@@ -11,6 +11,14 @@ iteration
     (d) M_{p,p+1} = H1 . M_{p+1,p} + H2 . M_{p-1,p} - M_{p-1,p}  for 2 <= p < n
     (e) M_{k,p} = H1 . M_{k+1,p}                           for k < p, k != p-1
 
+Each step is written once, in ``_steps``, as a short list of parts
+s * Q1^b1 Q2^b2 * A(x): A is H1, H2, H? or the identity, and x an earlier
+value.  On operators a step is one :meth:`Operator.compose` call, which
+builds the result with one pass of the kernel :func:`qkflag.poly._combine`
+per column, so steps (c) and (d) build no intermediate operator.  On a
+single class (the h1 witness column below) it is one
+:meth:`Operator.apply` call, one kernel pass.
+
 Step (c) subtracts the quantum part of O_h1 * O_{2,1}; the hyperplane class
 appearing in that correction can be taken as h2 (matching the corrections
 used to seed H1, H2) or as h1 (an alternative convention).  The two choices
@@ -44,14 +52,13 @@ from .poly import (
     DEGREE_L1L2,
     DEGREE_L2,
     CurveDegree,
-    NovikovPolynomial,
     QKClass,
+    _IDENTITY,
+    _as_poly,
     _combine,
     _json_groups,
     _poly_terms,
 )
-
-Q1 = NovikovPolynomial.monomial(DEGREE_L1)
 
 CHEVALLEY_DEGREES: frozenset[CurveDegree] = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
 
@@ -83,29 +90,82 @@ class Operator(Record):
     def column(self, v) -> QKClass:
         return self.cols[linear_index(v, self.n)]
 
-    def apply(self, c: QKClass) -> QKClass:
-        if c.n != self.n:
-            raise RankMismatch(f"operator for n={self.n} applied to class for n={c.n}")
-        pos, cols = basis_positions(self.n), self.cols
-        return _combine(self.n, ((cols[pos[w]], d1, d2, k) for (w, d1, d2), k in c._terms.items()))
+    def _term_columns(self, keys=None) -> dict:
+        """``{w: column w as a tuple of flat ((w', d1, d2), c) terms}``: what the kernel reads for A.
 
-    def compose(self, other: "Operator") -> "Operator":
-        """self . other (apply other first)."""
-        if other.n != self.n:
-            raise RankMismatch("composing operators of different ranks")
-        return Operator._trusted(self.n, [self.apply(col) for col in other.cols])
+        For every w, or for the w of each flat key (w, d1, d2) in ``keys``.
+        """
+        pos, cols = basis_positions(self.n), self.cols
+        ws = pos if keys is None else (w for w, _, _ in keys)
+        return {w: tuple(cols[pos[w]]._terms.items()) for w in ws}
+
+    def apply(self, c: QKClass, *more) -> QKClass:
+        """self c, plus the parts in ``more``: :meth:`compose` with classes for values.
+
+        Of each operator, only the columns its class reads are prepared.
+        """
+        parts = ((1, 0, 0, self, c), *more)
+        _check_ranks(self.n, parts, "applied to class")
+        return _combine(self.n, [
+            (s, b1, b2, _IDENTITY if a is None else a._term_columns(x._terms), (x,))
+            for s, b1, b2, a, x in parts
+        ])[0]
+
+    def compose(self, other: "Operator", *more) -> "Operator":
+        """self . other (apply other first), plus the parts in ``more``.
+
+        A part ``(s, b1, b2, A, x)`` adds s * Q1^b1 Q2^b2 * A . x, with A an
+        operator or None for the identity.  The whole sum takes one kernel
+        pass per column and builds no intermediate operator, so a recurrence
+        step on operators (see :func:`_steps`) is one call.
+        """
+        parts = ((1, 0, 0, self, other), *more)
+        _check_ranks(self.n, parts, "composed with operator")
+        return self._sum([
+            (s, b1, b2, _IDENTITY if a is None else a._term_columns(), x.cols)
+            for s, b1, b2, a, x in parts
+        ])
 
     def __add__(self, other: "Operator") -> "Operator":
-        return Operator._trusted(self.n, [a + b for a, b in zip(self.cols, other.cols)])
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        return Operator._trusted(self.n, [a - b for a, b in zip(self.cols, other.cols)])
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Operator", sign: int) -> "Operator":
+        if other.n != self.n:
+            raise RankMismatch(f"mixing operators for n={self.n} and n={other.n}")
+        return self._sum([(1, 0, 0, _IDENTITY, self.cols), (sign, 0, 0, _IDENTITY, other.cols)])
 
     def scaled(self, factor) -> "Operator":
-        return Operator._trusted(self.n, [c.scaled(factor) for c in self.cols])
+        factor = _as_poly(factor)._terms.items()
+        return self._sum([(cb, b1, b2, _IDENTITY, self.cols) for (b1, b2), cb in factor])
+
+    def _sum(self, parts) -> "Operator":
+        """The operator whose columns :func:`qkflag.poly._combine` gives for ``parts``."""
+        return Operator._trusted(self.n, _combine(self.n, parts, len(self.cols)))
 
     def degree_support(self) -> set[CurveDegree]:
         return set().union(*(col.degree_support() for col in self.cols))
+
+
+def _check_ranks(n: int, parts, verb: str) -> None:
+    """RankMismatch unless the operator A (None skipped) and the value x of every part are for ``n``."""
+    for _, _, _, a, x in parts:
+        if x.n != n or a is not None and a.n != n:
+            raise RankMismatch(f"operator for n={n} {verb} for n={a.n if x.n == n else x.n}")
+
+
+class _Prepared(Operator):
+    """An operator whose kernel columns are prepared once: H1 or H2 over every step of a run."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, op: Operator):
+        self.n, self.cols, self._columns = op.n, op.cols, op._term_columns()
+
+    def _term_columns(self, keys=None) -> dict:
+        return self._columns
 
 
 def quantum_correction(h: str, v, n: int) -> QKClass:
@@ -174,30 +234,52 @@ class MultiplicationTable(Record):
         return self.matrix(u).column(v)
 
 
-def _recurrence(n: int, m: dict, h1: Operator, h2: Operator, variant: str):
-    """Steps (a), (c), (b), (d), (e) in that order: yield (w, x_w) for every w but the unit.
+def _steps(n: int, m: dict, h1, h2, hc):
+    """Steps (a), (c), (b), (d), (e) in that order: yield (w, A, x, more) for every w but the unit.
 
-    ``m`` is keyed by (i, j) and holds the seed x_{n,1}: the identity
-    :class:`Operator` steps by composition (x_w = M_w), a :class:`QKClass` c
-    by application (x_w = M_w c).  Each step reads ``m`` when it runs, so a
-    caller that stores each yielded value in ``m`` runs the whole recurrence.
-    ``variant`` picks the hyperplane class H? of step (c).  Step (c) reads only
-    x_{2,1} and the seed, so it runs right after (a); step (d) reads (b) and (c).
+    Each stands for x_w = A x + the sum of ``more``, a short tuple of parts
+    ``(s, b1, b2, B, y)``, each s * Q1^b1 Q2^b2 * B y; A is ``h1`` or
+    ``h2``, B is ``hc`` (the H? of step (c)), ``h2`` or None (the identity),
+    as :meth:`Operator.compose` and :meth:`Operator.apply` take them.  The
+    values x and y are earlier ones, read from ``m`` (keyed by (i, j)) when
+    the step is reached.  Step (c) reads only x_{2,1} and the seed x_{n,1},
+    so it runs right after (a); step (d) reads (b) and (c).
     """
-    seed = m[n, 1]
-    act = Operator.compose if isinstance(seed, Operator) else Operator.apply
     for k in range(n - 1, 1, -1):
-        yield (k, 1), act(h1, m[k + 1, 1])
-    hc = h2 if variant == "h2" else h1
-    yield (1, 2), act(h1, m[2, 1]) + (act(hc, seed) - seed).scaled(Q1)
+        yield (k, 1), h1, m[k + 1, 1], ()
+    yield (1, 2), *_step_c(n, m, h1, hc)
     for k in range(2, n + 1):
         for p in range(2, k):
-            yield (k, p), act(h2, m[k, p - 1])
+            yield (k, p), h2, m[k, p - 1], ()
     for p in range(2, n):
-        yield (p, p + 1), act(h1, m[p + 1, p]) + act(h2, m[p - 1, p]) - m[p - 1, p]
+        y = m[p - 1, p]
+        yield (p, p + 1), h1, m[p + 1, p], ((1, 0, 0, h2, y), (-1, 0, 0, None, y))
     for p in range(3, n + 1):
         for k in range(p - 2, 0, -1):
-            yield (k, p), act(h1, m[k + 1, p])
+            yield (k, p), h1, m[k + 1, p], ()
+
+
+def _step_c(n: int, m: dict, h1, hc) -> tuple:
+    """Step (c) as (A, x, more): x_{1,2} = H1 x_{2,1} + Q1 H? x_{n,1} - Q1 x_{n,1}."""
+    seed = m[n, 1]
+    return h1, m[2, 1], ((1, 1, 0, hc, seed), (-1, 1, 0, None, seed))
+
+
+def _recurrence(n: int, m: dict, h1: Operator, h2: Operator, variant: str):
+    """Evaluate steps (a)-(e) of :func:`_steps`: yield (w, x_w) for every w but the unit.
+
+    ``m`` is keyed by (i, j) and holds the seed x_{n,1}: the identity
+    :class:`Operator` gives x_w = M_w, a :class:`QKClass` c gives x_w = M_w c.
+    Each step reads ``m`` when it runs, so a caller that stores each yielded
+    value in ``m`` runs the whole recurrence.  ``variant`` picks the
+    hyperplane class H? of step (c).  H1 and H2 are prepared for the kernel
+    once, and each step is one :meth:`Operator.compose` call on operators,
+    one :meth:`Operator.apply` call on classes.
+    """
+    h1, h2 = _Prepared(h1), _Prepared(h2)
+    act = Operator.compose if isinstance(m[n, 1], Operator) else Operator.apply
+    for w, a, x, more in _steps(n, m, h1, h2, h2 if variant == "h2" else h1):
+        yield w, act(a, x, *more)
 
 
 def _build_with_variant(n: int, variant: str) -> list[Operator]:
@@ -226,14 +308,19 @@ def certify_ring(table: MultiplicationTable) -> bool:
         return False
     if any(op.cols[unit] != QKClass.basis_element(u, n) for u, op in m.items()):
         return False
-    h1, h2 = m[h1_index(n)], m[h2_index(n)]
+    h1, h2 = _Prepared(m[h1_index(n)]), _Prepared(m[h2_index(n)])
     if h1.compose(h2) != h2.compose(h1):
         return False
-    step_c_h1 = (h1 - h2).scaled(Q1)  # Q1 (H1 - Id) in place of Q1 (H2 - Id)
-    return all(
-        m[w] == op or (w == (1, 2) and m[w] == op + step_c_h1)
-        for w, op in _recurrence(n, m, h1, h2, "h2")
-    )
+    for w, a, x, more in _steps(n, m, h1, h2, h2):
+        if m[w] == a.compose(x, *more):
+            continue
+        if w != (1, 2):
+            return False
+        # step (c) may hold with H1 as H?: Q1 (H1 - Id) in place of Q1 (H2 - Id)
+        a, x, more = _step_c(n, m, h1, h1)
+        if m[w] != a.compose(x, *more):
+            return False
+    return True
 
 
 def _classical_mismatches(n: int, ops: list[Operator]):
@@ -383,8 +470,9 @@ def table_from_json(obj) -> MultiplicationTable:
     entry; zero coefficients are dropped first, so a product whose entries
     are all 0 has none.  A list shorter than the N^2 products (N = n(n-1))
     is refused before the basis is built, so a large ``n`` allocates nothing.
-    Each entry's terms go straight into its column's flat map, and the
-    checked columns are wrapped without being validated again.
+    Each distinct index pair is checked once.  Each entry's terms go
+    straight into its column's flat map, and the checked columns are
+    wrapped without being validated again.
     """
     if not isinstance(obj, dict) or type(obj.get("n")) is not int:
         raise MalformedTable("cached table must be a JSON object with an integer 'n'")
@@ -398,9 +486,20 @@ def table_from_json(obj) -> MultiplicationTable:
     basis = enumerate_basis(n)
     cols: dict[tuple, dict] = {(u, v): {} for u in basis for v in basis}  # flat maps
     seen = set()
+    valid: dict = {}  # every index pair that passed check_index, keyed by itself
+
+    def index(x) -> SchubertIndex:
+        # (1.0, 2) and (True, 2) are equal to (1, 2), so only exact ints may hit
+        i, j = x
+        if type(i) is int and type(j) is int and (i, j) in valid:
+            return valid[i, j]
+        w = check_index(x, n)
+        valid[w] = w
+        return w
+
     for k, e in enumerate(entries):
         try:
-            u, v, w = check_index(e["u"], n), check_index(e["v"], n), check_index(e["w"], n)
+            u, v, w = index(e["u"]), index(e["v"]), index(e["w"])
             terms = _poly_terms(e["poly"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedTable(f"cached table entry {k} is malformed: {exc!r}") from None

@@ -23,7 +23,14 @@ from .basis import (
     unit_index,
 )
 from .poly import QKClass, c1_pairing, written_order
-from .qkring import Operator, _classical_mismatches, _noncommuting, certify_ring, chevalley_apply
+from .qkring import (
+    Operator,
+    _classical_mismatches,
+    _noncommuting,
+    _Prepared,
+    certify_ring,
+    chevalley_apply,
+)
 
 
 class VerificationReport(Record):
@@ -127,12 +134,15 @@ def _associativity_counterexamples(table, n: int, basis) -> list[dict]:
     """Every (u, v, w) with (O_u * O_v) * O_w != O_u * (O_v * O_w), by brute force.
 
     Column by column: M_u (M_v e_w) against R_w (O_u * O_v), where R_w sends
-    e_x to O_x * O_w (column w of every M_x).  No operator sum is built.
+    e_x to O_x * O_w (column w of every M_x).  Each M_u and R_w is prepared
+    for the kernel once, and no operator sum is built.
     """
-    right = [Operator._trusted(n, [op.cols[c] for op in table.ops]) for c in range(len(basis))]
+    right = [
+        _Prepared(Operator._trusted(n, [op.cols[c] for op in table.ops])) for c in range(len(basis))
+    ]
     return [
         {"axiom": "associativity", "u": [u.i, u.j], "v": [v.i, v.j], "w": [w.i, w.j]}
-        for mu, u in zip(table.ops, basis)
+        for mu, u in zip(map(_Prepared, table.ops), basis)
         for mv, v, uv in zip(table.ops, basis, mu.cols)
         for vw, rw, w in zip(mv.cols, right, basis)
         if mu.apply(vw) != rw.apply(uv)

@@ -199,6 +199,13 @@ def test_correlator_unsupported_degree_exits_2(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_correlator_pn_names_the_degree_it_refuses(capsys, d):
+    code, out, err = run_cli(capsys, "correlator", "--kind", "pn", "--m", "2", "--i", "1,1,1", "--d", d)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: degree {d} is ") and err.count("\n") == 1
+
+
 def test_flags_balanced(capsys):
     code, out, _ = run_cli(
         capsys, "flags", "--balanced", "--shape", "2,4", "--degrees", "2,3"

@@ -289,6 +289,37 @@ def _perturbed(n):
     return table
 
 
+def _with_literal_columns(n):
+    """build_table(n) with every column of one class set to the literal gating's map.
+
+    The class is the first whose two gatings differ, so in the flipped diff
+    each of its columns equals the other gating and takes that class's rows.
+    """
+    table = build_table(n)
+    basis = enumerate_basis(n)
+    members = {}
+    for u in basis:
+        for v in basis:
+            members.setdefault(_class(u, v, n), []).append((u, v))
+    pairs = next(
+        m for m in members.values()
+        if len(m) >= 2 and conjectured_product(*m[0], n, "literal") != table.product(*m[0])
+    )
+    for u, v in pairs:
+        table.matrix(u).cols[linear_index(v, n)] = conjectured_product(u, v, n, "literal")
+    return table
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_comparator_stamps_the_rows_of_a_column_equal_to_the_other_gating(n):
+    table = _with_literal_columns(n)
+    for gating in GATINGS:
+        got, want = compare_with_table(table, gating), _naive_diff(table, gating)
+        assert got.to_json() == want.to_json()
+        assert got.to_text() == want.to_text()
+    assert compare_with_table(table, "flipped").mismatches
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_comparator_and_classical_check_on_perturbed_table(n):
     table = _perturbed(n)

@@ -56,6 +56,19 @@ def test_three_point_projective_examples():
         three_point_projective(1, 1, 1, 0, 3)
 
 
+@pytest.mark.parametrize(
+    "d, msg",
+    [
+        (0, "degree 0 is the classical product, not handled here"),
+        (-1, "degree -1 is negative; a correlator degree is at least 1"),
+    ],
+)
+def test_three_point_projective_names_the_degree_it_refuses(d, msg):
+    with pytest.raises(UnsupportedDegree) as exc:
+        three_point_projective(1, 1, 1, d, 2)
+    assert str(exc.value) == msg
+
+
 def test_three_point_incidence_l2_vanishing():
     n = 5
     for p in range(2, n + 1):

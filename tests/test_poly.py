@@ -10,6 +10,7 @@ from qkflag.poly import (
     DEGREE_L2,
     NovikovPolynomial,
     QKClass,
+    _IDENTITY,
     _combine,
     class_from_json,
     class_to_json,
@@ -197,6 +198,11 @@ def kernel_inputs(draw):
     return n, terms
 
 
+def _combined(n, terms):
+    """The kernel on identity parts: sum cb * Q^(b1,b2) * c over (c, b1, b2, cb) terms."""
+    return _combine(n, [(cb, b1, b2, _IDENTITY, (c,)) for c, b1, b2, cb in terms])[0]
+
+
 def _dense_combine(n, terms):
     """Every (w, d1, d2) coefficient of sum cb * Q^(b1,b2) * c, one slot at a time, by convolution."""
     box = range(2 * KERNEL_BOX - 1)
@@ -215,7 +221,7 @@ def _dense_combine(n, terms):
 @given(kernel_inputs())
 def test_combine_matches_dense_reference(inputs):
     n, terms = inputs
-    result = _combine(n, terms)
+    result = _combined(n, terms)
     assert result._terms == {key: c for key, c in _dense_combine(n, terms).items() if c}
     # canonical: no zero coefficient is stored
     assert 0 not in result._terms.values()
@@ -225,10 +231,10 @@ def test_combine_matches_dense_reference(inputs):
 def test_combine_drops_rows_that_cancel():
     a = QKClass(4, {(1, 2): ONE + Q1, (4, 1): Q2})
     o12 = QKClass(4, {(1, 2): ONE})
-    result = _combine(4, [(a, 1, 0, 1), (o12, 1, 0, -1), (a, 1, 0, -1), (a, 1, 0, 1)])
+    result = _combined(4, [(a, 1, 0, 1), (o12, 1, 0, -1), (a, 1, 0, -1), (a, 1, 0, 1)])
     assert result._terms == {((1, 2), 2, 0): 1, ((4, 1), 1, 1): 1}
-    assert _combine(4, [(a, 1, 0, 1), (a, 1, 0, -1)])._terms == {}
-    assert _combine(4, [(a, 0, 0, 0)])._terms == {}
+    assert _combined(4, [(a, 1, 0, 1), (a, 1, 0, -1)])._terms == {}
+    assert _combined(4, [(a, 0, 0, 0)])._terms == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,7 +246,7 @@ def test_combine_drops_rows_that_cancel():
 def test_combine_builds_what_the_constructor_builds(inputs):
     n, polys = inputs
     direct = QKClass(n, polys)
-    combined = _combine(
+    combined = _combined(
         n,
         (
             (QKClass.basis_element(w, n), b1, b2, cb)

@@ -208,6 +208,22 @@ def test_qk_product_reads_table(tables):
         qk_product((1, 3), (3, 1), 3, table)
 
 
+def test_operators_of_different_ranks_do_not_mix():
+    small, large = Operator.identity(3), Operator.identity(4)
+    for a, b in ((small, large), (large, small)):
+        for mix in (
+            lambda: a + b,
+            lambda: a - b,
+            lambda: a.compose(b),
+            lambda: a.apply(b.cols[0]),
+            lambda: a.compose(a, (1, 0, 0, b, a)),
+            lambda: a.compose(a, (1, 0, 0, None, b)),
+            lambda: a.apply(a.cols[0], (1, 0, 0, None, b.cols[0])),
+        ):
+            with pytest.raises(RankMismatch):
+                mix()
+
+
 def test_classical_limit_matches_k_product(tables):
     for n, table in tables.items():
         for u in enumerate_basis(n):
@@ -329,24 +345,33 @@ def test_oracle_outcomes_match_class_reference(name):
     assert failed == ({ORACLE_FAILS[name]} if name in ORACLE_FAILS else set())
 
 
-def _count_compositions(monkeypatch, fn):
+def _count_applications(monkeypatch, fn, on_operators=True):
+    """Run fn; count the operators applied by ``Operator.compose`` (or by ``Operator.apply``).
+
+    Every recurrence step on operators is one compose call, and on classes
+    one apply call: its own operator and each further part with an operator
+    other than the identity is one application (one composition when the
+    values are operators), as in the construction before the steps were
+    fused.
+    """
     calls = []
-    compose = Operator.compose
+    name = "compose" if on_operators else "apply"
+    method = getattr(Operator, name)
 
-    def counting(self, other):
-        calls.append(1)
-        return compose(self, other)
+    def counting(self, x, *more):
+        calls.append(1 + sum(a is not None for _, _, _, a, _ in more))
+        return method(self, x, *more)
 
-    monkeypatch.setattr(Operator, "compose", counting)
+    monkeypatch.setattr(Operator, name, counting)
     result = fn()
-    monkeypatch.setattr(Operator, "compose", compose)
-    return len(calls), result
+    monkeypatch.setattr(Operator, name, method)
+    return sum(calls), result
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7])
 def test_auto_build_composes_only_the_kept_variant(n, monkeypatch):
-    auto, _ = _count_compositions(monkeypatch, lambda: build_table(n))
-    kept, _ = _count_compositions(monkeypatch, lambda: build_table(n, "h2"))
+    auto, _ = _count_applications(monkeypatch, lambda: build_table(n))
+    kept, _ = _count_applications(monkeypatch, lambda: build_table(n, "h2"))
     assert auto == kept > 0
 
 
@@ -368,16 +393,10 @@ def test_witness_column_stops_after_n_applications(n, monkeypatch):
     ops = [None] * len(pos)  # the witness reads only H1 and H2 of the h2 build
     ops[pos[h1_index(n)]] = chevalley_operator("h1", n)
     ops[pos[h2_index(n)]] = chevalley_operator("h2", n)
-    calls = []
-    apply = Operator.apply
-
-    def counting(self, c):
-        calls.append(1)
-        return apply(self, c)
-
-    monkeypatch.setattr(Operator, "apply", counting)
-    witness = qkring._h1_witness_column(n, ops)
-    assert len(calls) == n
+    calls, witness = _count_applications(
+        monkeypatch, lambda: qkring._h1_witness_column(n, ops), on_operators=False
+    )
+    assert calls == n
     assert witness == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1})
 
 
@@ -412,6 +431,93 @@ def test_recurrence_on_a_class_seed_gives_one_column(n, variant):
         for w, x in qkring._recurrence(n, m, h1, h2, variant):
             m[w] = x
         assert m == {w: table.product(w, v) for w in enumerate_basis(n)}, v
+
+
+def _apply(op, col):
+    """op applied to one flat column, in plain dict arithmetic."""
+    acc = {}
+    for (w, a1, a2), c in col.items():
+        for (x, e1, e2), k in op[w].items():
+            acc[x, a1 + e1, a2 + e2] = acc.get((x, a1 + e1, a2 + e2), 0) + c * k
+    return acc
+
+
+def _compose(a, b):
+    return {v: _apply(a, col) for v, col in b.items()}
+
+
+def _add(a, b, sign=1):
+    out = {}
+    for v in a:
+        col = dict(a[v])
+        for key, c in b[v].items():
+            col[key] = col.get(key, 0) + sign * c
+        out[v] = col
+    return out
+
+
+def _scaled_q1(a):
+    return {v: {(w, d1 + 1, d2): c for (w, d1, d2), c in col.items()} for v, col in a.items()}
+
+
+def _pre_change_build(n, variant):
+    """Steps (a)-(e) as whole operators: compose, +, -, .scaled(Q1), one after another.
+
+    Operators are {v: {(w, d1, d2): c}} maps in plain dict arithmetic, with
+    zeros kept until the end, so nothing here runs through the kernel.
+    """
+    basis = enumerate_basis(n)
+    h1, h2 = ({v: dict(chevalley_apply(h, v, n)._terms) for v in basis} for h in ("h1", "h2"))
+    ident = {v: {(v, 0, 0): 1} for v in basis}
+    m = {(n, 1): ident}
+    for k in range(n - 1, 1, -1):
+        m[k, 1] = _compose(h1, m[k + 1, 1])
+    hc = h2 if variant == "h2" else h1
+    m[1, 2] = _add(_compose(h1, m[2, 1]), _scaled_q1(_add(_compose(hc, ident), ident, -1)))
+    for k in range(2, n + 1):
+        for p in range(2, k):
+            m[k, p] = _compose(h2, m[k, p - 1])
+    for p in range(2, n):
+        step = _add(_compose(h1, m[p + 1, p]), _compose(h2, m[p - 1, p]))
+        m[p, p + 1] = _add(step, m[p - 1, p], -1)
+    for p in range(3, n + 1):
+        for k in range(p - 2, 0, -1):
+            m[k, p] = _compose(h1, m[k + 1, p])
+    return {w: {v: {key: c for key, c in col.items() if c} for v, col in op.items()} for w, op in m.items()}
+
+
+@pytest.mark.parametrize("variant", ["h2", "h1"])
+@pytest.mark.parametrize("n", range(3, 11))
+def test_fused_steps_equal_the_pre_change_construction(n, variant):
+    want = _pre_change_build(n, variant)
+    basis = enumerate_basis(n)
+    ops = qkring._build_with_variant(n, variant)
+    for w, op in zip(basis, ops):
+        assert {v: col._terms for v, col in zip(basis, op.cols)} == want[w], w
+        assert all(0 not in col._terms.values() for col in op.cols)
+    # the class seed e_v through the same steps gives column v of every M_w
+    h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
+    for v in basis:
+        m = {unit_index(n): QKClass.basis_element(v, n)}
+        for w, x in qkring._recurrence(n, m, h1, h2, variant):
+            assert x._terms == want[w][v], (w, v)
+            m[w] = x
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_apply_and_compose_match_plain_dict_arithmetic(n, tables):
+    # apply prepares only the columns its class reads; compose prepares all
+    basis = enumerate_basis(n)
+    h1 = chevalley_operator("h1", n)
+    ref = {v: dict(col._terms) for v, col in zip(basis, h1.cols)}
+    for op in tables[n].ops:
+        want = _compose(ref, {v: col._terms for v, col in zip(basis, op.cols)})
+        assert [col._terms for col in h1.compose(op).cols] == [
+            {key: c for key, c in want[v].items() if c} for v in basis
+        ]
+        assert [h1.apply(col) for col in op.cols] == h1.compose(op).cols
+    assert h1.scaled(Q1 - 2).cols == [col.scaled(Q1 - 2) for col in h1.cols]
+    assert all(col.is_zero for col in h1.scaled(0).cols) and len(h1.scaled(0).cols) == len(basis)
 
 
 @pytest.mark.parametrize("bad", [(1.0, 2), (True, 2), (2, 1.0), (2, True)])
@@ -496,6 +602,24 @@ def test_table_from_json_rejects_non_int_index(key, index):
     obj["entries"][0][key] = index
     with pytest.raises(MalformedTable, match="integers"):
         table_from_json(obj)
+
+@pytest.mark.parametrize("index", [[1.0, 2], [True, 2]], ids=["float", "bool"])
+@pytest.mark.parametrize("key", ["u", "v", "w"])
+def test_table_from_json_refuses_a_non_int_index_after_an_equal_valid_one(key, index):
+    # (1.0, 2) and (True, 2) hash and compare equal to (1, 2): once [1, 2]
+    # has been checked, a later equal-looking index must still be refused
+    obj = json.loads((DATA / "golden_table_n3.json").read_text())
+    k = max(k for k, e in enumerate(obj["entries"]) if e[key] == [1, 2])
+    assert any(e[key] == [1, 2] for e in obj["entries"][:k])
+    obj["entries"][k][key] = index
+    msg = (
+        f"cached table entry {k} is malformed: InvalidIndex("
+        f"'Schubert index components must be integers, got ({index[0]!r},2)')"
+    )
+    with pytest.raises(MalformedTable) as exc:
+        table_from_json(obj)
+    assert str(exc.value) == msg
+
 
 def _with_first_term(obj, **fields):
     obj["entries"][0]["poly"][0].update(fields)

@@ -202,17 +202,19 @@ def test_associativity_fallback_matches_operator_sums(name):
 
 
 def test_certified_associativity_composes_fewer_than_2n(monkeypatch):
+    # every recurrence step on operators is one Operator.compose call; its own
+    # operator and each further part with an operator is one composition
     table = build_table(5)
     calls = []
     compose = Operator.compose
 
-    def counting(self, other):
-        calls.append(1)
-        return compose(self, other)
+    def counting(self, other, *more):
+        calls.append(1 + sum(a is not None for _, _, _, a, _ in more))
+        return compose(self, other, *more)
 
     monkeypatch.setattr(Operator, "compose", counting)
     assert ring_axiom_checks(table, associativity=True).passed
-    assert 0 < len(calls) < 2 * basis_size(5)
+    assert 0 < sum(calls) < 2 * basis_size(5)
 
 
 @pytest.mark.parametrize("n", range(6, 11))

@@ -13,7 +13,9 @@ format at n = 3..6, ``verify`` (all five checks, text and json),
 ``--table`` on a cached n = 4 table with signs flipped (see
 :func:`flipped_cache`), so failing reports go through the CLI too, and
 ``product`` on a cached n = 3 table whose only entry for one product has
-coefficient 0 (see :func:`zeroed_cache`), which must be refused.  The file
+coefficient 0 (see :func:`zeroed_cache`), which must be refused.  The ring
+check with associativity at n = 6 and 7 (the certificate, built from the
+table's own recurrence) and ``table`` at n = 7 are hashed too.  The file
 ``qkflag`` was imported from goes to stderr, not into the snapshot.
 """
 
@@ -77,6 +79,9 @@ FIXED = [
     ["conjecture", "--n", "8", "--gating", "flipped"],
     ["conjecture", "--n", "8", "--gating", "literal"],
     ["product", "--n", "3", "--u", "1,2", "--v", "1,2", "--table", "{zeroed}"],
+    ["verify", "--n", "6", "--checks", "ring", "--assoc-max", "6"],
+    ["verify", "--n", "7", "--checks", "ring", "--assoc-max", "7"],
+    ["table", "--n", "7"],
 ]
 
 
