@@ -200,7 +200,9 @@ class QKClass:
     Q1^d1 Q2^d2 O_w.  A :class:`NovikovPolynomial` per class is built only
     by :meth:`coefficient` and :meth:`items`.  A classical K-class is the
     special case where every degree is (0, 0).  :meth:`ordered_terms` lists
-    the terms in the written order.
+    the terms in the written order.  No code changes a class's terms once
+    it is built, so one class object may stand for several products (the
+    h2 table shares O_u * O_v with O_v * O_u).
     """
 
     __slots__ = ("n", "_terms")

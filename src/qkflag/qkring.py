@@ -13,24 +13,36 @@ iteration
 
 Each step is written once, in ``_steps``, as a short list of parts
 s * Q1^b1 Q2^b2 * A(x): A is H1, H2, H? or the identity, and x an earlier
-value.  On operators a step is one :meth:`Operator.compose` call, which
-builds the result with one pass of the kernel :func:`qkflag.poly._combine`
-per column, so steps (c) and (d) build no intermediate operator.  On a
-single class (the h1 witness column below) it is one
-:meth:`Operator.apply` call, one kernel pass.
+value.  :func:`_recurrence` evaluates a step on a list of columns with one
+pass of the kernel :func:`qkflag.poly._combine` per column, so steps (c)
+and (d) build no intermediate value.  The build runs it on the identity's
+columns, the h1 witness column below on the single column e_{n,1}.
+
+Every M_u is a polynomial in H1 and H2, so once H1 H2 = H2 H1 and column
+e_{n,1} of every M_u is e_u, O_u * O_v = M_u M_v e = M_v M_u e = O_v * O_u.
+The build checks the first before it runs and the second on the way, and
+then evaluates each unordered product once: the step of rank r (the unit
+has rank 0, then the steps in order) evaluates only the columns v of rank
+r or more, and O_v * O_u is the same class object as O_u * O_v.
 
 Step (c) subtracts the quantum part of O_h1 * O_{2,1}; the hyperplane class
 appearing in that correction can be taken as h2 (matching the corrections
 used to seed H1, H2) or as h1 (an alternative convention).  The two choices
 agree in the classical limit but produce different tables, so
 ``build_table`` arbitrates them and records the outcome.  It builds only the
-h2 table and runs the classical-limit and commutativity oracles on it; the
-h1 outcomes follow from that build plus one witness column, the h1 recurrence
-run on e_{n,1} up to step (c): O_{1,2} + Q1 O_{n-1,1} - Q1 O_{n,2} at every
-n >= 3, so h1 never commutes; a guard raises if the witness is ever O_{1,2}.
+h2 table, which the certificate above proves commutative, and runs the
+classical-limit oracle on the products it evaluated; the h1 outcomes follow
+from that build plus one witness column, the h1 recurrence run on e_{n,1}
+up to step (c): O_{1,2} + Q1 O_{n-1,1} - Q1 O_{n,2} at every n >= 3, so h1
+never commutes; a guard raises if the witness is ever O_{1,2}.  The h1
+table, and an h2 table whose certificate fails, are evaluated in full and
+scanned for commutativity.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from itertools import repeat
 
 from ._record import Record
 from .basis import (
@@ -168,15 +180,24 @@ class _Prepared(Operator):
         return self._columns
 
 
+def _check_hyperplane(h: str) -> None:
+    if h not in ("h1", "h2"):
+        raise ValueError(f"h must be 'h1' or 'h2', got {h!r}")
+
+
 def quantum_correction(h: str, v, n: int) -> QKClass:
     """Pure-Q part of O_h * O_v for a hyperplane class h in {"h1", "h2"}.
 
     Assembled from the degree-l1, l2 and l1+l2 contributions; the classical
     part is not included.
     """
-    if h not in ("h1", "h2"):
-        raise ValueError(f"h must be 'h1' or 'h2', got {h!r}")
-    k, p = check_index(v, n)
+    _check_hyperplane(h)
+    return QKClass._trusted(n, _quantum_terms(h, check_index(v, n), n))
+
+
+def _quantum_terms(h: str, v: SchubertIndex, n: int) -> dict:
+    """:func:`quantum_correction` as a flat ``{(w, d1, d2): c}`` map, on a trusted h and v."""
+    k, p = v
     single: dict = {}  # the degree-l1 part for h1, the degree-l2 part for h2
     if h == "h1":
         deg = DEGREE_L1
@@ -196,25 +217,37 @@ def quantum_correction(h: str, v, n: int) -> QKClass:
     # the degree-(l1+l2) part appears only on the point class
     if (k, p) == (1, n):
         terms.update({(SchubertIndex(*w), *DEGREE_L1L2): c for w, c in both.items()})
-    return QKClass._trusted(n, terms)
+    return terms
 
 
 def chevalley_apply(h: str, v, n: int) -> QKClass:
-    """O_h * O_v: classical product plus quantum correction.
+    """O_h * O_v: classical product plus quantum correction."""
+    v = check_index(v, n)
+    _check_hyperplane(h)
+    return _chevalley_column(h, v, n)
+
+
+def _chevalley_column(h: str, v: SchubertIndex, n: int) -> QKClass:
+    """:func:`chevalley_apply` on a trusted h and v.
 
     The two parts share no key: the classical terms have degree (0, 0), the
     quantum ones a nonzero degree.
     """
-    hw = h1_index(n) if h == "h1" else h2_index(n)
-    v = check_index(v, n)
+    hw = SchubertIndex(n - 1, 1) if h == "h1" else SchubertIndex(n, 2)
     terms = {(w, 0, 0): c for w, c in _k_terms(hw, v, n).items() if c}
-    terms.update(quantum_correction(h, v, n)._terms)
+    terms.update(_quantum_terms(h, v, n))
     return QKClass._trusted(n, terms)
 
 
 def chevalley_operator(h: str, n: int) -> Operator:
     """Multiplication by O_h1 or O_h2 as an operator."""
-    return Operator(n, [chevalley_apply(h, v, n) for v in enumerate_basis(n)])
+    _check_hyperplane(h)
+    return _chevalley_operator(h, check_rank(n))
+
+
+def _chevalley_operator(h: str, n: int) -> Operator:
+    """:func:`chevalley_operator` on a trusted h and n: its columns over the cached basis."""
+    return Operator._trusted(n, [_chevalley_column(h, v, n) for v in basis_positions(n)])
 
 
 class MultiplicationTable(Record):
@@ -240,7 +273,7 @@ def _steps(n: int, m: dict, h1, h2, hc):
     Each stands for x_w = A x + the sum of ``more``, a short tuple of parts
     ``(s, b1, b2, B, y)``, each s * Q1^b1 Q2^b2 * B y; A is ``h1`` or
     ``h2``, B is ``hc`` (the H? of step (c)), ``h2`` or None (the identity),
-    as :meth:`Operator.compose` and :meth:`Operator.apply` take them.  The
+    as :meth:`Operator.compose` and :func:`_recurrence` take them.  The
     values x and y are earlier ones, read from ``m`` (keyed by (i, j)) when
     the step is reached.  Step (c) reads only x_{2,1} and the seed x_{n,1},
     so it runs right after (a); step (d) reads (b) and (c).
@@ -265,28 +298,87 @@ def _step_c(n: int, m: dict, h1, hc) -> tuple:
     return h1, m[2, 1], ((1, 1, 0, hc, seed), (-1, 1, 0, None, seed))
 
 
-def _recurrence(n: int, m: dict, h1: Operator, h2: Operator, variant: str):
+def _recurrence(n: int, m: dict, h1: Operator, h2: Operator, variant: str, widths=None):
     """Evaluate steps (a)-(e) of :func:`_steps`: yield (w, x_w) for every w but the unit.
 
-    ``m`` is keyed by (i, j) and holds the seed x_{n,1}: the identity
-    :class:`Operator` gives x_w = M_w, a :class:`QKClass` c gives x_w = M_w c.
-    Each step reads ``m`` when it runs, so a caller that stores each yielded
-    value in ``m`` runs the whole recurrence.  ``variant`` picks the
-    hyperplane class H? of step (c).  H1 and H2 are prepared for the kernel
-    once, and each step is one :meth:`Operator.compose` call on operators,
-    one :meth:`Operator.apply` call on classes.
+    ``m`` is keyed by (i, j) and holds the seed x_{n,1}, a list of columns
+    c_0, c_1, ...; x_w is then the list M_w c_0, M_w c_1, ...  Each step
+    reads ``m`` when it runs, so a caller that stores each yielded value in
+    ``m`` runs the whole recurrence.  ``widths`` gives the number of leading
+    columns each step evaluates, one int per step; by default all of them.
+    ``variant`` picks the hyperplane class H? of step (c).  H1 and H2 are
+    prepared for the kernel once, and a step is one
+    :func:`qkflag.poly._combine` call, one pass per column.
     """
     h1, h2 = _Prepared(h1), _Prepared(h2)
-    act = Operator.compose if isinstance(m[n, 1], Operator) else Operator.apply
-    for w, a, x, more in _steps(n, m, h1, h2, h2 if variant == "h2" else h1):
-        yield w, act(a, x, *more)
+    steps = _steps(n, m, h1, h2, h2 if variant == "h2" else h1)
+    for (w, a, x, more), width in zip(steps, repeat(len(m[n, 1])) if widths is None else widths):
+        parts = [(1, 0, 0, a._columns, x)]
+        parts += [(s, b1, b2, _IDENTITY if b is None else b._columns, y) for s, b1, b2, b, y in more]
+        yield w, _combine(n, parts, width)
 
 
-def _build_with_variant(n: int, variant: str) -> list[Operator]:
-    m: dict[tuple[int, int], Operator] = {(n, 1): Operator.identity(n)}
-    for w, op in _recurrence(n, m, chevalley_operator("h1", n), chevalley_operator("h2", n), variant):
-        m[w] = op
-    return [m[w] for w in enumerate_basis(n)]
+def _layout(n: int) -> list[SchubertIndex]:
+    """The column order of a build's values: the unit, then every other w in reverse recurrence order.
+
+    The step of rank r (the r-th that :func:`_steps` yields; the unit has
+    rank 0) evaluates the first N - r + 1 columns: the unit and every w of
+    rank r or more, a prefix of every earlier value's list.
+    """
+    # _steps only passes the values it reads on, so any placeholder will do
+    ranked = [w for w, *_ in _steps(n, defaultdict(int), None, None, None)]
+    return [unit_index(n), *(SchubertIndex(*w) for w in reversed(ranked))]
+
+
+def _commute(h1: Operator, h2: Operator) -> bool:
+    """H1 H2 = H2 H1, read off one composition: H1 H2 - H2 H1, one kernel pass per column."""
+    return not any(h1.compose(h2, (-1, 0, 0, h2, h1)).cols)
+
+
+def _values(n: int, h1, h2, variant: str, layout: list, mirror: bool) -> dict | None:
+    """{w: x_w}, the recurrence run on the identity's columns in ``layout`` order.
+
+    With ``mirror`` the steps run at widths N, N - 1, ..., 2 (see
+    :func:`_layout`), and None is returned as soon as column e_{n,1} of some
+    M_w is not e_w.
+    """
+    m = {layout[0]: [QKClass._trusted(n, {(w, 0, 0): 1}) for w in layout]}
+    for w, x in _recurrence(n, m, h1, h2, variant, range(len(layout), 1, -1) if mirror else None):
+        if mirror and x[0]._terms != {(w, 0, 0): 1}:
+            return None
+        m[w] = x
+    return m
+
+
+def _build_with_variant(n: int, variant: str) -> tuple[list[Operator], bool]:
+    """Every M_u in basis order, and True if the table is certified commutative and mirrored.
+
+    An h2 build holds the certificate of the module docstring when the
+    Chevalley operators satisfy H1 H2 = H2 H1, checked first, and column
+    e_{n,1} of every M_w is e_w, checked by the kernel passes that evaluate
+    it.  Then each unordered product is evaluated once, and O_v * O_u is the
+    same :class:`QKClass` object as O_u * O_v: sharing is safe because no
+    code changes a class's terms in place.  A step's column j reads only
+    column j of earlier values, so the columns it skips change nothing else.
+    The h1 build never holds the certificate (its witness column is not
+    O_{1,2}); it, and an h2 build whose certificate fails, is evaluated at
+    full width.
+    """
+    h1, h2 = _Prepared(_chevalley_operator("h1", n)), _Prepared(_chevalley_operator("h2", n))
+    basis, layout = list(basis_positions(n)), _layout(n)
+    mirror = variant == "h2" and _commute(h1, h2)
+    m = mirror and _values(n, h1, h2, variant, layout, True)
+    if not m:
+        mirror, m = False, _values(n, h1, h2, variant, layout, False)
+    at = {w: t for t, w in enumerate(layout)}
+    xs, place = [m[w] for w in basis], [at[w] for w in basis]
+    if not mirror:
+        return [Operator._trusted(n, [x[t] for t in place]) for x in xs], False
+    # x_u holds the columns up to u's own place in the layout, x_v the rest of row u
+    return [
+        Operator._trusted(n, [x[t] if t <= s else y[s] for y, t in zip(xs, place)])
+        for x, s in zip(xs, place)
+    ], True
 
 
 def certify_ring(table: MultiplicationTable) -> bool:
@@ -309,7 +401,7 @@ def certify_ring(table: MultiplicationTable) -> bool:
     if any(op.cols[unit] != QKClass.basis_element(u, n) for u, op in m.items()):
         return False
     h1, h2 = _Prepared(m[h1_index(n)]), _Prepared(m[h2_index(n)])
-    if h1.compose(h2) != h2.compose(h1):
+    if not _commute(h1, h2):
         return False
     for w, a, x, more in _steps(n, m, h1, h2, h2):
         if m[w] == a.compose(x, *more):
@@ -323,27 +415,41 @@ def certify_ring(table: MultiplicationTable) -> bool:
     return True
 
 
-def _classical_mismatches(n: int, ops: list[Operator]):
+def _classical_mismatches(n: int, ops: list[Operator], mirrored: bool = False):
     """Yield (u, v, w, got - want) wherever the Q -> 0 limit of O_u * O_v is off.
 
-    ``got`` (the column's constant terms) and ``want`` (:func:`qkflag.kring._k_terms`)
-    are plain {w: coeff} maps.  The formula reads only i+k, j+p and whether
-    i < j or k < p (u = (i, j), v = (k, p)), so it runs once per such class.
-    Rows come in the written order: u, v, then w, each in basis order.
+    ``want`` is the formula's {w: coeff} map, :func:`qkflag.kring._k_terms`.
+    It reads only i+k, j+p and whether i < j or k < p (u = (i, j),
+    v = (k, p)), so it runs once per such class.  Each column's constant
+    terms are compared with it in one walk over the column; the difference
+    ``got`` - ``want`` is built only for a column that fails.  A
+    ``mirrored`` table (see :func:`_build_with_variant`) is read only where v
+    is u or comes after it.  Rows come in the written order: u, v, then w,
+    each in basis order.
     """
     basis = enumerate_basis(n)
+    coords = [(i, j, i < j) for i, j in basis]
     k_terms: dict = {}
-    for u, op in zip(basis, ops):
-        for v, col in zip(basis, op.cols):
+    for a, (u, (i, j, low), op) in enumerate(zip(basis, coords, ops)):
+        start = a if mirrored else 0
+        for v, (k, p, v_low), col in zip(basis[start:], coords[start:], op.cols[start:]):
+            cls = (i + k, j + p, low or v_low)
+            want = k_terms.get(cls)
+            if want is None:
+                want = k_terms[cls] = _k_terms(u, v, n)
+            left = len(want)  # the formula's terms not met yet
+            for (w, d1, d2), c in col._terms.items():
+                if not (d1 or d2):
+                    if want.get(w) != c:
+                        break
+                    left -= 1
+            else:  # no constant term differs: equal unless a formula term is missing
+                if not left:
+                    continue
             got = col._constant_terms()
-            cls = (u.i + v.i, u.j + v.j, u.i < u.j or v.i < v.j)
-            if cls not in k_terms:
-                k_terms[cls] = _k_terms(u, v, n)
-            want = k_terms[cls]
-            if got != want:
-                for w in basis:
-                    if c := got.get(w, 0) - want.get(w, 0):
-                        yield u, v, w, c
+            for w in basis:
+                if c := got.get(w, 0) - want.get(w, 0):
+                    yield u, v, w, c
 
 
 def _noncommuting(n: int, ops: list[Operator]):
@@ -355,11 +461,16 @@ def _noncommuting(n: int, ops: list[Operator]):
                 yield u, v
 
 
-def _oracle_outcomes(n: int, ops: list[Operator]) -> dict:
-    """The classical-limit and commutativity oracles: each holds when its scan yields nothing."""
+def _oracle_outcomes(n: int, ops: list[Operator], certified: bool = False) -> dict:
+    """The classical-limit and commutativity oracles: each holds when its scan yields nothing.
+
+    A ``certified`` table (see :func:`_build_with_variant`) is commutative by
+    proof, so it is not scanned for that, and its classical scan reads each
+    unordered product once.
+    """
     return {
-        "classical_limit_ok": next(_classical_mismatches(n, ops), None) is None,
-        "commutative_ok": next(_noncommuting(n, ops), None) is None,
+        "classical_limit_ok": next(_classical_mismatches(n, ops, certified), None) is None,
+        "commutative_ok": certified or next(_noncommuting(n, ops), None) is None,
     }
 
 
@@ -371,10 +482,10 @@ def _h1_witness_column(n: int, h2_ops: list[Operator]) -> QKClass:
     """
     pos, e = basis_positions(n), unit_index(n)
     h1, h2 = h2_ops[pos[h1_index(n)]], h2_ops[pos[h2_index(n)]]
-    m = {e: QKClass.basis_element(e, n)}
+    m = {e: [QKClass.basis_element(e, n)]}
     for w, x in _recurrence(n, m, h1, h2, "h1"):
         if w == (1, 2):
-            return x
+            return x[0]
         m[w] = x
 
 
@@ -385,15 +496,17 @@ def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
     "h2" (matching the hyperplane-product corrections), "h1" (the variant
     stated alongside the iteration), or "auto" to judge both against the
     classical-limit and commutativity oracles (from the h2 build plus a
-    witness column, see the module docstring) and keep the survivor.
+    witness column, see the module docstring) and keep the survivor.  The
+    h2 table is certified commutative before and while it is built, so each
+    unordered product O_u * O_v = O_v * O_u is evaluated once, and its
+    commutativity outcome is that proof rather than a scan.
     """
     check_rank(n)
-    if step_c in ("h1", "h2"):
-        return MultiplicationTable(n, _build_with_variant(n, step_c), step_c)
-    if step_c != "auto":
+    if step_c not in ("h1", "h2", "auto"):
         raise ValueError(f"step_c must be 'h1', 'h2' or 'auto', got {step_c!r}")
-
-    ops = _build_with_variant(n, "h2")
+    ops, certified = _build_with_variant(n, "h1" if step_c == "h1" else "h2")
+    if step_c != "auto":
+        return MultiplicationTable(n, ops, step_c)
     # The h1 table differs from the h2 one by Q1 (H1 - H2) at step c, and
     # every later step multiplies that difference by operators over
     # Z[Q1,Q2], so each downstream difference is a multiple of Q1: the two
@@ -402,7 +515,7 @@ def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
     # the witness column is O_{1,2} + Q1 O_{n-1,1} - Q1 O_{n,2} instead.
     if _h1_witness_column(n, ops) == QKClass.basis_element((1, 2), n):  # pragma: no cover
         raise RuntimeError(f"the h1 witness column cannot tell the step-c variants apart at n={n}")
-    h2 = _oracle_outcomes(n, ops)
+    h2 = _oracle_outcomes(n, ops, certified)
     outcomes = {"h2": h2, "h1": {**h2, "commutative_ok": False}}
     if not all(h2.values()):  # pragma: no cover - unreachable
         raise RuntimeError(f"no step-c variant passes the oracles: {outcomes}")

@@ -154,7 +154,8 @@ def classical_consistency_check(table) -> VerificationReport:
 
     Reads the build's own scan, :func:`qkflag.qkring._classical_mismatches`:
     each w where a column's constant terms differ from the formula's terms
-    is one counterexample, with the difference as ``coeff``.
+    is one counterexample, with the difference as ``coeff``.  All N^2
+    products are scanned: a loaded table is not known to be mirrored.
     """
     n = table.n
     bad = [_row(u, v, w, 0, 0, c) for u, v, w, c in _classical_mismatches(n, table.ops)]

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from qkflag.conjecture import conjectured_product
 from qkflag.correlators import two_point
 from qkflag.errors import InvalidIndex, InvalidRank, MalformedTable, QKFlagError, RankMismatch
 from qkflag.kring import k_product
-from qkflag.poly import DEGREE_L1, NovikovPolynomial, QKClass
+from qkflag.poly import _IDENTITY, DEGREE_L1, NovikovPolynomial, QKClass
 from qkflag.qkring import (
     CHEVALLEY_DEGREES,
     Operator,
@@ -294,8 +295,9 @@ def _brute_force_outcomes(table):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_arbitration_matches_two_variant_oracle(n, tables):
-    # both variants built in full and checked by brute force, test-side
-    outcomes = {v: _brute_force_outcomes(build_table(n, v)) for v in ("h2", "h1")}
+    # both variants built in full test-side and checked by brute force; a
+    # scan of the mirrored h2 table would be vacuous for commutativity
+    outcomes = {v: _brute_force_outcomes(_pre_change_table(n, v)) for v in ("h2", "h1")}
     chosen = next(v for v in ("h2", "h1") if all(outcomes[v].values()))
     assert tables[n].arbitration == {"chosen": chosen, "outcomes": outcomes}
     assert tables[n].step_c_variant == chosen
@@ -303,14 +305,14 @@ def test_arbitration_matches_two_variant_oracle(n, tables):
 
 def _changed(n, a, b, delta):
     """The h2 operators at n with column b of M_a (basis positions) plus ``delta``."""
-    ops = qkring._build_with_variant(n, "h2")
+    ops, _ = qkring._build_with_variant(n, "h2")
     ops[a].cols[b] = ops[a].cols[b] + QKClass(n, delta)
     return ops
 
 
 def _changed_constant(n):
     """The h2 operators with one constant term of a diagonal column O_u * O_u bumped by 1."""
-    ops = qkring._build_with_variant(n, "h2")
+    ops, _ = qkring._build_with_variant(n, "h2")
     a, w = next(
         (a, w) for a, op in enumerate(ops) for w, p in op.cols[a].items() if p.constant_term()
     )
@@ -319,7 +321,7 @@ def _changed_constant(n):
 
 ORACLE_CASES = {
     **{
-        f"{v}-{n}": (lambda n=n, v=v: qkring._build_with_variant(n, v))
+        f"{v}-{n}": (lambda n=n, v=v: qkring._build_with_variant(n, v)[0])
         for n in range(3, 7)
         for v in ("h2", "h1")
     },
@@ -345,34 +347,40 @@ def test_oracle_outcomes_match_class_reference(name):
     assert failed == ({ORACLE_FAILS[name]} if name in ORACLE_FAILS else set())
 
 
-def _count_applications(monkeypatch, fn, on_operators=True):
-    """Run fn; count the operators applied by ``Operator.compose`` (or by ``Operator.apply``).
+def _kernel_counts(monkeypatch, fn):
+    """Run fn; return (columns, applications, result) over every kernel call qkring makes.
 
-    Every recurrence step on operators is one compose call, and on classes
-    one apply call: its own operator and each further part with an operator
-    other than the identity is one application (one composition when the
-    values are operators), as in the construction before the steps were
-    fused.
+    A call of width k evaluates k columns, and applies each operator of its
+    parts other than the identity to each of them: one application per
+    column for every operator applied in the construction before the steps
+    were fused.
     """
-    calls = []
-    name = "compose" if on_operators else "apply"
-    method = getattr(Operator, name)
+    counts = [0, 0]
+    combine = qkring._combine
 
-    def counting(self, x, *more):
-        calls.append(1 + sum(a is not None for _, _, _, a, _ in more))
-        return method(self, x, *more)
+    def counting(n, parts, width=1):
+        counts[0] += width
+        counts[1] += width * sum(cols is not _IDENTITY for _, _, _, cols, _ in parts)
+        return combine(n, parts, width)
 
-    monkeypatch.setattr(Operator, name, counting)
+    monkeypatch.setattr(qkring, "_combine", counting)
     result = fn()
-    monkeypatch.setattr(Operator, name, method)
-    return sum(calls), result
+    monkeypatch.setattr(qkring, "_combine", combine)
+    return *counts, result
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7])
 def test_auto_build_composes_only_the_kept_variant(n, monkeypatch):
-    auto, _ = _count_applications(monkeypatch, lambda: build_table(n))
-    kept, _ = _count_applications(monkeypatch, lambda: build_table(n, "h2"))
-    assert auto == kept > 0
+    # columns the kernel evaluates: the commutator H1 H2 - H2 H1 (N), then
+    # steps of width N, N-1, ..., 2 for h2, about half of the N - 1 steps
+    # of width N for h1
+    size = n * (n - 1)
+    auto, _, _ = _kernel_counts(monkeypatch, lambda: build_table(n))
+    kept, _, _ = _kernel_counts(monkeypatch, lambda: build_table(n, "h2"))
+    full, _, _ = _kernel_counts(monkeypatch, lambda: build_table(n, "h1"))
+    assert kept == size + size * (size + 1) // 2 - 1
+    assert auto == kept + n - 1  # plus the h1 witness column, one column per step
+    assert full == size * (size - 1)
 
 
 def test_witness_column_is_the_h1_product(tables):
@@ -393,10 +401,10 @@ def test_witness_column_stops_after_n_applications(n, monkeypatch):
     ops = [None] * len(pos)  # the witness reads only H1 and H2 of the h2 build
     ops[pos[h1_index(n)]] = chevalley_operator("h1", n)
     ops[pos[h2_index(n)]] = chevalley_operator("h2", n)
-    calls, witness = _count_applications(
-        monkeypatch, lambda: qkring._h1_witness_column(n, ops), on_operators=False
+    columns, applications, witness = _kernel_counts(
+        monkeypatch, lambda: qkring._h1_witness_column(n, ops)
     )
-    assert calls == n
+    assert (columns, applications) == (n - 1, n)
     assert witness == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1})
 
 
@@ -427,10 +435,10 @@ def test_recurrence_on_a_class_seed_gives_one_column(n, variant):
     table = build_table(n, variant)
     h1, h2 = table.matrix(h1_index(n)), table.matrix(h2_index(n))
     for v in enumerate_basis(n):
-        m = {unit_index(n): QKClass.basis_element(v, n)}
+        m = {unit_index(n): [QKClass.basis_element(v, n)]}
         for w, x in qkring._recurrence(n, m, h1, h2, variant):
             m[w] = x
-        assert m == {w: table.product(w, v) for w in enumerate_basis(n)}, v
+        assert {w: x for w, (x,) in m.items()} == {w: table.product(w, v) for w in enumerate_basis(n)}, v
 
 
 def _apply(op, col):
@@ -460,14 +468,17 @@ def _scaled_q1(a):
     return {v: {(w, d1 + 1, d2): c for (w, d1, d2), c in col.items()} for v, col in a.items()}
 
 
-def _pre_change_build(n, variant):
+def _pre_change_build(n, variant, gens=None):
     """Steps (a)-(e) as whole operators: compose, +, -, .scaled(Q1), one after another.
 
     Operators are {v: {(w, d1, d2): c}} maps in plain dict arithmetic, with
     zeros kept until the end, so nothing here runs through the kernel.
+    ``gens`` are the operators H1, H2, by default the Chevalley operators.
     """
     basis = enumerate_basis(n)
-    h1, h2 = ({v: dict(chevalley_apply(h, v, n)._terms) for v in basis} for h in ("h1", "h2"))
+    if gens is None:
+        gens = [Operator(n, [chevalley_apply(h, v, n) for v in basis]) for h in ("h1", "h2")]
+    h1, h2 = ({v: dict(col._terms) for v, col in zip(basis, op.cols)} for op in gens)
     ident = {v: {(v, 0, 0): 1} for v in basis}
     m = {(n, 1): ident}
     for k in range(n - 1, 1, -1):
@@ -486,22 +497,110 @@ def _pre_change_build(n, variant):
     return {w: {v: {key: c for key, c in col.items() if c} for v, col in op.items()} for w, op in m.items()}
 
 
+def _pre_change_table(n, variant):
+    want = _pre_change_build(n, variant)
+    basis = enumerate_basis(n)
+    ops = [Operator(n, [QKClass._trusted(n, want[w][v]) for v in basis]) for w in basis]
+    return qkring.MultiplicationTable(n, ops, variant)
+
+
+def _assert_pre_change_ops(n, ops, want):
+    for w, op in zip(enumerate_basis(n), ops):
+        assert {v: col._terms for v, col in zip(enumerate_basis(n), op.cols)} == want[w], w
+        assert all(0 not in col._terms.values() for col in op.cols)
+
+
+def _shared_pairs(ops):
+    """The pairs a < b (basis positions) whose products O_a * O_b and O_b * O_a are one object."""
+    size = len(ops)
+    return {(a, b) for a in range(size) for b in range(a + 1, size) if ops[a].cols[b] is ops[b].cols[a]}
+
+
 @pytest.mark.parametrize("variant", ["h2", "h1"])
 @pytest.mark.parametrize("n", range(3, 11))
 def test_fused_steps_equal_the_pre_change_construction(n, variant):
     want = _pre_change_build(n, variant)
     basis = enumerate_basis(n)
-    ops = qkring._build_with_variant(n, variant)
-    for w, op in zip(basis, ops):
-        assert {v: col._terms for v, col in zip(basis, op.cols)} == want[w], w
-        assert all(0 not in col._terms.values() for col in op.cols)
+    ops, mirrored = qkring._build_with_variant(n, variant)
+    _assert_pre_change_ops(n, ops, want)
+    if variant == "h2":
+        _assert_pre_change_ops(n, build_table(n).ops, want)
+    # the h2 table evaluates each unordered product once, the h1 table all of them
+    size = len(basis)
+    assert mirrored == (variant == "h2")
+    assert len(_shared_pairs(ops)) == (size * (size - 1) // 2 if mirrored else 0)
     # the class seed e_v through the same steps gives column v of every M_w
     h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
     for v in basis:
-        m = {unit_index(n): QKClass.basis_element(v, n)}
+        m = {unit_index(n): [QKClass.basis_element(v, n)]}
         for w, x in qkring._recurrence(n, m, h1, h2, variant):
-            assert x._terms == want[w][v], (w, v)
+            assert x[0]._terms == want[w][v], (w, v)
             m[w] = x
+
+
+def _with_generators(monkeypatch, h1, h2):
+    """Make the build read H1 and H2 in place of the Chevalley operators."""
+    monkeypatch.setattr(qkring, "_chevalley_operator", lambda h, n: h1 if h == "h1" else h2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_noncommuting_generators_fall_back_to_full_width_and_the_scans(n, monkeypatch):
+    # H1 plus (e_{n,2} -> Q1 e_{1,2}): no classical or unit column moves, but H1 H2 != H2 H1
+    h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
+    t = basis_positions(n)[n, 2]
+    h1.cols[t] = h1.cols[t] + QKClass(n, {(1, 2): Q1})
+    assert not qkring._commute(h1, h2)
+    _with_generators(monkeypatch, h1, h2)
+    size = n * (n - 1)
+    columns, _, (ops, mirrored) = _kernel_counts(
+        monkeypatch, lambda: qkring._build_with_variant(n, "h2")
+    )
+    assert not mirrored and not _shared_pairs(ops)
+    assert columns == size + size * (size - 1)  # the commutator, then every column
+    _assert_pre_change_ops(n, ops, _pre_change_build(n, "h2", (h1, h2)))
+    # build_table scans such a table for commutativity, and finds it fails
+    scans = []
+    noncommuting = qkring._noncommuting
+    monkeypatch.setattr(qkring, "_noncommuting", lambda n, ops: scans.append(n) or noncommuting(n, ops))
+    outcome = "{'h2': {'classical_limit_ok': True, 'commutative_ok': False}"
+    with pytest.raises(RuntimeError, match=re.escape(outcome)):
+        build_table(n)
+    assert scans == [n]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_failing_unit_column_falls_back_to_full_width(n, monkeypatch):
+    # H1 = H2 commute, but then M_{n-1,1} e_{n,1} = e_{n,2}: the first step
+    # breaks the certificate, and the build starts again at full width
+    h2 = chevalley_operator("h2", n)
+    _with_generators(monkeypatch, h2, h2)
+    size = n * (n - 1)
+    columns, _, (ops, mirrored) = _kernel_counts(
+        monkeypatch, lambda: qkring._build_with_variant(n, "h2")
+    )
+    assert not mirrored and not _shared_pairs(ops)
+    assert columns == size + size + size * (size - 1)  # commutator, first step, full build
+    _assert_pre_change_ops(n, ops, _pre_change_build(n, "h2", (h2, h2)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_h1_table_is_never_mirrored(n):
+    table = build_table(n, "h1")
+    assert table.product((1, 2), (n, 1)) != table.product((n, 1), (1, 2))
+    assert not _shared_pairs(table.ops)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_mirrored_classical_scan_reads_one_triangle(n):
+    ops, mirrored = qkring._build_with_variant(n, "h2")
+    assert mirrored
+    assert qkring._oracle_outcomes(n, ops, True) == qkring._oracle_outcomes(n, ops)
+    # a diagonal product is in the triangle: the mirrored scan sees its change
+    changed = _changed_constant(n)
+    rows = list(qkring._classical_mismatches(n, changed))
+    assert rows and list(qkring._classical_mismatches(n, changed, True)) == rows
+    want = {"classical_limit_ok": False, "commutative_ok": True}
+    assert qkring._oracle_outcomes(n, changed, True) == want
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

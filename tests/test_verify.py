@@ -126,7 +126,7 @@ def _flipped(n, u, v):
 
 
 def _built_from_noncommuting_generators(n):
-    """The recurrence run on H1 + (e_{n,2} -> e_{1,2}) and H2.
+    """The build run on H1 + (e_{n,2} -> e_{1,2}) and H2, which evaluates every product.
 
     Column (n,2) of H1 enters no unit column, so every M_u e_{n,1} = e_u and
     every recurrence step holds; only H1 H2 != H2 H1 is left to fail.
@@ -134,10 +134,11 @@ def _built_from_noncommuting_generators(n):
     h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
     t = basis_positions(n)[n, 2]
     h1.cols[t] = h1.cols[t] + QKClass.basis_element((1, 2), n)
-    m = {(n, 1): Operator.identity(n)}
-    for w, op in qkring._recurrence(n, m, h1, h2, "h2"):
-        m[w] = op
-    return MultiplicationTable(n, [m[w] for w in enumerate_basis(n)], "h2")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qkring, "_chevalley_operator", lambda h, n: h1 if h == "h1" else h2)
+        ops, mirrored = qkring._build_with_variant(n, "h2")
+    assert not mirrored
+    return MultiplicationTable(n, ops, "h2")
 
 
 ORACLE_TABLES = {
