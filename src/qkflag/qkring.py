@@ -20,10 +20,13 @@ columns, the h1 witness column below on the single column e_{n,1}.
 
 Every M_u is a polynomial in H1 and H2, so once H1 H2 = H2 H1 and column
 e_{n,1} of every M_u is e_u, O_u * O_v = M_u M_v e = M_v M_u e = O_v * O_u.
-The build checks the first before it runs and the second on the way, and
-then evaluates each unordered product once: the step of rank r (the unit
+That is the ring certificate, and :func:`_mirrored` alone decides it: it
+checks the first before the recurrence runs and the second on the way, and
+then evaluates each unordered product once.  The step of rank r (the unit
 has rank 0, then the steps in order) evaluates only the columns v of rank
-r or more, and O_v * O_u is the same class object as O_u * O_v.
+r or more, and O_v * O_u is the same class object as O_u * O_v.  The h2
+build is :func:`_mirrored` on the Chevalley operators; :func:`certify_ring`
+runs it on a table's own H1 and H2 and compares the result with the table.
 
 Step (c) subtracts the quantum part of O_h1 * O_{2,1}; the hyperplane class
 appearing in that correction can be taken as h2 (matching the corrections
@@ -36,7 +39,8 @@ from that build plus one witness column, the h1 recurrence run on e_{n,1}
 up to step (c): O_{1,2} + Q1 O_{n-1,1} - Q1 O_{n,2} at every n >= 3, so h1
 never commutes; a guard raises if the witness is ever O_{1,2}.  The h1
 table, and an h2 table whose certificate fails, are evaluated in full and
-scanned for commutativity.
+scanned for commutativity; :func:`certify_ring` never certifies an h1
+table.
 """
 
 from __future__ import annotations
@@ -128,8 +132,8 @@ class Operator(Record):
 
         A part ``(s, b1, b2, A, x)`` adds s * Q1^b1 Q2^b2 * A . x, with A an
         operator or None for the identity.  The whole sum takes one kernel
-        pass per column and builds no intermediate operator, so a recurrence
-        step on operators (see :func:`_steps`) is one call.
+        pass per column and builds no intermediate operator, so the
+        commutator H1 H2 - H2 H1 (see :func:`_commute`) is one call.
         """
         parts = ((1, 0, 0, self, other), *more)
         _check_ranks(self.n, parts, "composed with operator")
@@ -273,14 +277,15 @@ def _steps(n: int, m: dict, h1, h2, hc):
     Each stands for x_w = A x + the sum of ``more``, a short tuple of parts
     ``(s, b1, b2, B, y)``, each s * Q1^b1 Q2^b2 * B y; A is ``h1`` or
     ``h2``, B is ``hc`` (the H? of step (c)), ``h2`` or None (the identity),
-    as :meth:`Operator.compose` and :func:`_recurrence` take them.  The
-    values x and y are earlier ones, read from ``m`` (keyed by (i, j)) when
-    the step is reached.  Step (c) reads only x_{2,1} and the seed x_{n,1},
-    so it runs right after (a); step (d) reads (b) and (c).
+    as :func:`_recurrence` takes them.  The values x and y are earlier ones,
+    read from ``m`` (keyed by (i, j)) when the step is reached.  Step (c)
+    reads only x_{2,1} and the seed x_{n,1}, so it runs right after (a);
+    step (d) reads (b) and (c).
     """
     for k in range(n - 1, 1, -1):
         yield (k, 1), h1, m[k + 1, 1], ()
-    yield (1, 2), *_step_c(n, m, h1, hc)
+    seed = m[n, 1]
+    yield (1, 2), h1, m[2, 1], ((1, 1, 0, hc, seed), (-1, 1, 0, None, seed))
     for k in range(2, n + 1):
         for p in range(2, k):
             yield (k, p), h2, m[k, p - 1], ()
@@ -290,12 +295,6 @@ def _steps(n: int, m: dict, h1, h2, hc):
     for p in range(3, n + 1):
         for k in range(p - 2, 0, -1):
             yield (k, p), h1, m[k + 1, p], ()
-
-
-def _step_c(n: int, m: dict, h1, hc) -> tuple:
-    """Step (c) as (A, x, more): x_{1,2} = H1 x_{2,1} + Q1 H? x_{n,1} - Q1 x_{n,1}."""
-    seed = m[n, 1]
-    return h1, m[2, 1], ((1, 1, 0, hc, seed), (-1, 1, 0, None, seed))
 
 
 def _recurrence(n: int, m: dict, h1: Operator, h2: Operator, variant: str, widths=None):
@@ -335,84 +334,69 @@ def _commute(h1: Operator, h2: Operator) -> bool:
     return not any(h1.compose(h2, (-1, 0, 0, h2, h1)).cols)
 
 
-def _values(n: int, h1, h2, variant: str, layout: list, mirror: bool) -> dict | None:
-    """{w: x_w}, the recurrence run on the identity's columns in ``layout`` order.
+def _mirrored(h1: Operator, h2: Operator) -> list[Operator] | None:
+    """Every M_u of the h2 recurrence on H1 and H2, each unordered product evaluated once.
 
-    With ``mirror`` the steps run at widths N, N - 1, ..., 2 (see
-    :func:`_layout`), and None is returned as soon as column e_{n,1} of some
-    M_w is not e_w.
+    None unless the certificate of the module docstring holds: H1 H2 = H2 H1,
+    checked first, and column e_{n,1} of every M_w is e_w, checked by the
+    kernel pass that evaluates it.  The values are laid out by
+    :func:`_layout` and evaluated at widths N, N - 1, ..., 2; a step's column
+    j reads only column j of earlier values, so the columns it skips change
+    nothing else.  Row u then takes O_u * O_v from x_u where v is laid out
+    at or before u (v has u's rank or more), and the same :class:`QKClass`
+    object O_v * O_u from x_v elsewhere: sharing is safe because no code
+    changes a class's terms in place.
     """
+    n = h1.n
+    h1, h2 = _Prepared(h1), _Prepared(h2)
+    if not _commute(h1, h2):
+        return None
+    layout = _layout(n)
     m = {layout[0]: [QKClass._trusted(n, {(w, 0, 0): 1}) for w in layout]}
-    for w, x in _recurrence(n, m, h1, h2, variant, range(len(layout), 1, -1) if mirror else None):
-        if mirror and x[0]._terms != {(w, 0, 0): 1}:
+    for w, x in _recurrence(n, m, h1, h2, "h2", range(len(layout), 1, -1)):
+        if x[0]._terms != {(w, 0, 0): 1}:
             return None
         m[w] = x
-    return m
-
-
-def _build_with_variant(n: int, variant: str) -> tuple[list[Operator], bool]:
-    """Every M_u in basis order, and True if the table is certified commutative and mirrored.
-
-    An h2 build holds the certificate of the module docstring when the
-    Chevalley operators satisfy H1 H2 = H2 H1, checked first, and column
-    e_{n,1} of every M_w is e_w, checked by the kernel passes that evaluate
-    it.  Then each unordered product is evaluated once, and O_v * O_u is the
-    same :class:`QKClass` object as O_u * O_v: sharing is safe because no
-    code changes a class's terms in place.  A step's column j reads only
-    column j of earlier values, so the columns it skips change nothing else.
-    The h1 build never holds the certificate (its witness column is not
-    O_{1,2}); it, and an h2 build whose certificate fails, is evaluated at
-    full width.
-    """
-    h1, h2 = _Prepared(_chevalley_operator("h1", n)), _Prepared(_chevalley_operator("h2", n))
-    basis, layout = list(basis_positions(n)), _layout(n)
-    mirror = variant == "h2" and _commute(h1, h2)
-    m = mirror and _values(n, h1, h2, variant, layout, True)
-    if not m:
-        mirror, m = False, _values(n, h1, h2, variant, layout, False)
     at = {w: t for t, w in enumerate(layout)}
-    xs, place = [m[w] for w in basis], [at[w] for w in basis]
-    if not mirror:
-        return [Operator._trusted(n, [x[t] for t in place]) for x in xs], False
+    xs, place = zip(*((m[w], at[w]) for w in basis_positions(n)))
     # x_u holds the columns up to u's own place in the layout, x_v the rest of row u
     return [
         Operator._trusted(n, [x[t] if t <= s else y[s] for y, t in zip(xs, place)])
         for x, s in zip(xs, place)
-    ], True
+    ]
+
+
+def _build_with_variant(n: int, variant: str) -> tuple[list[Operator], bool]:
+    """Every M_u in basis order, and True if the table is mirrored (see :func:`_mirrored`).
+
+    The h1 build never holds the certificate (its witness column is not
+    O_{1,2}); it, and an h2 build whose certificate fails, is evaluated at
+    full width, on the identity's columns in basis order.
+    """
+    h1, h2 = _Prepared(_chevalley_operator("h1", n)), _Prepared(_chevalley_operator("h2", n))
+    if variant == "h2" and (ops := _mirrored(h1, h2)) is not None:
+        return ops, True
+    basis = list(basis_positions(n))
+    m = {unit_index(n): [QKClass._trusted(n, {(w, 0, 0): 1}) for w in basis]}
+    for w, x in _recurrence(n, m, h1, h2, variant):
+        m[w] = x
+    return [Operator._trusted(n, m[w]) for w in basis], False
 
 
 def certify_ring(table: MultiplicationTable) -> bool:
-    """True if the table's own operators prove it commutative and associative.
+    """True if the table is :func:`_mirrored` run on its own H1 = M_{n-1,1} and H2 = M_{n,2}.
 
-    Reads nothing but the table.  With H1 = M_{n-1,1} and H2 = M_{n,2} taken
-    from it, the certificate holds when M_{n,1} = Id, column (n,1) of every
-    M_u is e_u, H1 H2 = H2 H1, and every M_u equals its recurrence step
-    (a)-(e) applied to the table's earlier operators, step (c) with either
-    hyperplane class; see :func:`qkflag.verify.ring_axiom_checks` for why
-    that implies associativity.  False means only that the brute-force check
-    has to decide.
+    Reads nothing but the table.  Operators come back only when H1 H2 =
+    H2 H1 and M_u e_{n,1} = e_u for every u; each is then a polynomial in
+    H1, H2 and M_{n,1} = Id, so a table equal to them is commutative, has
+    O_{n,1} as its unit, and is associative (see
+    :func:`qkflag.verify.ring_axiom_checks`).  By induction over the steps,
+    this is the condition that every M_u of the table is its recurrence step
+    (a)-(e), step (c) with H2, applied to the table's earlier operators.
+    False means only that the brute-force check has to decide.
     """
     n = table.n
-    basis = enumerate_basis(n)
-    m = dict(zip(basis, table.ops))
-    unit = basis_positions(n)[unit_index(n)]
-    if m[unit_index(n)] != Operator.identity(n):
-        return False
-    if any(op.cols[unit] != QKClass.basis_element(u, n) for u, op in m.items()):
-        return False
-    h1, h2 = _Prepared(m[h1_index(n)]), _Prepared(m[h2_index(n)])
-    if not _commute(h1, h2):
-        return False
-    for w, a, x, more in _steps(n, m, h1, h2, h2):
-        if m[w] == a.compose(x, *more):
-            continue
-        if w != (1, 2):
-            return False
-        # step (c) may hold with H1 as H?: Q1 (H1 - Id) in place of Q1 (H2 - Id)
-        a, x, more = _step_c(n, m, h1, h1)
-        if m[w] != a.compose(x, *more):
-            return False
-    return True
+    return _mirrored(table.matrix(h1_index(n)), table.matrix(h2_index(n))) == table.ops
 
 
 def _classical_mismatches(n: int, ops: list[Operator], mirrored: bool = False):
@@ -423,7 +407,7 @@ def _classical_mismatches(n: int, ops: list[Operator], mirrored: bool = False):
     v = (k, p)), so it runs once per such class.  Each column's constant
     terms are compared with it in one walk over the column; the difference
     ``got`` - ``want`` is built only for a column that fails.  A
-    ``mirrored`` table (see :func:`_build_with_variant`) is read only where v
+    ``mirrored`` table (see :func:`_mirrored`) is read only where v
     is u or comes after it.  Rows come in the written order: u, v, then w,
     each in basis order.
     """
@@ -464,7 +448,7 @@ def _noncommuting(n: int, ops: list[Operator]):
 def _oracle_outcomes(n: int, ops: list[Operator], certified: bool = False) -> dict:
     """The classical-limit and commutativity oracles: each holds when its scan yields nothing.
 
-    A ``certified`` table (see :func:`_build_with_variant`) is commutative by
+    A ``certified`` table (see :func:`_mirrored`) is commutative by
     proof, so it is not scanned for that, and its classical scan reads each
     unordered product once.
     """

@@ -94,17 +94,19 @@ def ring_axiom_checks(table, *, associativity: bool | None = None) -> Verificati
 
     Associativity runs by default only for n <= 5; pass
     ``associativity=True`` to force it at any n.  It is first certified by
-    :func:`qkflag.qkring.certify_ring` from the table alone, with about 2N
-    operator compositions (N the basis size): M_{n,1} = Id, H1 = M_{n-1,1}
-    and H2 = M_{n,2} commute, M_u e = e_u for every u (e = e_{n,1}), and
-    every M_u is its recurrence step applied to earlier operators of the
-    table.  Then every M_u is a polynomial in H1, H2 over Z[Q1,Q2], so the
-    M_u commute pairwise.  If O_u * O_v = sum_x c_x O_x, then
-    X = sum_x c_x M_x - M_u M_v lies in that commutative algebra and
-    X e = 0, so X e_w = X M_w e = M_w X e = 0 for every w: that is
-    (O_u * O_v) * O_w = O_u * (O_v * O_w), for every triple.  Only when the
-    certificate fails are all N^2 products M_u M_v composed and compared,
-    which lists every failing triple.
+    :func:`qkflag.qkring.certify_ring` from the table alone: the table must
+    equal the mirrored h2 recurrence run on its own H1 = M_{n-1,1} and
+    H2 = M_{n,2}, which exists only when H1 H2 = H2 H1 and M_u e = e_u for
+    every u (e = e_{n,1}).  Then M_{n,1} = Id and every M_u is a polynomial
+    in H1, H2 over Z[Q1,Q2], so the M_u commute pairwise.  If
+    O_u * O_v = sum_x c_x O_x, then X = sum_x c_x M_x - M_u M_v lies in that
+    commutative algebra and X e = 0, so X e_w = X M_w e = M_w X e = 0 for
+    every w: that is (O_u * O_v) * O_w = O_u * (O_v * O_w), for every
+    triple.  A certified table has no failing row, so nothing else is
+    scanned.  Otherwise all N^2 products M_u M_v (N the basis size) are
+    composed and compared, which lists every failing triple, and the
+    commutativity and identity scans run, as they do whenever associativity
+    is not checked.
     """
     n = table.n
     basis = enumerate_basis(n)
@@ -113,16 +115,17 @@ def ring_axiom_checks(table, *, associativity: bool | None = None) -> Verificati
     ops = table.ops
 
     # rows go in axiom by axiom, in the order of the axioms' names
-    if run_assoc and not certify_ring(table):
+    certified = run_assoc and certify_ring(table)
+    if run_assoc and not certified:
         bad += _associativity_counterexamples(table, n, basis)
 
-    for u, v in _noncommuting(n, ops):
-        bad.append({"axiom": "commutativity", "u": [u.i, u.j], "v": [v.i, v.j]})
-
-    e = unit_index(n)
-    for v, col in zip(basis, ops[basis_positions(n)[e]].cols):
-        if col != QKClass.basis_element(v, n):
-            bad.append({"axiom": "identity", "u": [e.i, e.j], "v": [v.i, v.j]})
+    if not certified:
+        for u, v in _noncommuting(n, ops):
+            bad.append({"axiom": "commutativity", "u": [u.i, u.j], "v": [v.i, v.j]})
+        e = unit_index(n)
+        for v, col in zip(basis, ops[basis_positions(n)[e]].cols):
+            if col != QKClass.basis_element(v, n):
+                bad.append({"axiom": "identity", "u": [e.i, e.j], "v": [v.i, v.j]})
 
     details = {"associativity_checked": run_assoc}
     if getattr(table, "arbitration", None):

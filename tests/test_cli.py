@@ -12,6 +12,7 @@ from qkflag.poly import class_from_json
 from qkflag.qkring import build_table, qk_product
 
 GOLDEN_N3 = pathlib.Path(__file__).parent / "data" / "golden_table_n3.json"
+SNAPSHOT = pathlib.Path(__file__).parent / "data" / "cli_snapshot.tsv"
 
 
 def run_cli(capsys, *argv):
@@ -431,3 +432,18 @@ def test_command_imports_only_what_it_runs(argv, code, loads, never):
     assert loads <= modules and not modules & never, sorted(modules)
     if argv is None:
         assert modules == {"qkflag"}
+
+
+def test_cli_snapshot_matches_the_committed_one():
+    # tools/cli_snapshot.py hashes the stdout, exit code and written file of
+    # 104 fixed commands; a change that keeps the CLI's output keeps its bytes
+    tool = pathlib.Path(__file__).parents[1] / "tools" / "cli_snapshot.py"
+    src = str(pathlib.Path(qkflag.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(tool)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == SNAPSHOT.read_bytes()

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qkflag import qkring, verify
-from qkflag.basis import basis_positions, basis_size, enumerate_basis, h2_index, linear_index
+from qkflag.basis import basis_positions, enumerate_basis, h2_index, linear_index
 from qkflag.kring import k_product
 from qkflag.poly import NovikovPolynomial, QKClass
 from qkflag.qkring import (
@@ -153,11 +153,13 @@ ORACLE_TABLES = {
     "flipped-H1": lambda: _flipped(4, (3, 1), (2, 3)),
     "flipped-M12": lambda: _flipped(4, (1, 2), (3, 2)),
     "flipped-M24": lambda: _flipped(4, (2, 4), (4, 2)),
+    "flipped-unit": lambda: _flipped(4, (4, 1), (2, 3)),
     "noncommuting-4": lambda: _built_from_noncommuting_generators(4),
 }
-# h1 tables fail only the unit column (M_{1,2} e_{n,1} != e_{1,2}),
-# flipped-M12 and flipped-M24 only recurrence steps, noncommuting-4 only the
-# commutator, and flipped-H1 both of those
+# h1 tables (step (c) differs), flipped-M12, flipped-M24 and flipped-unit
+# (M_{n,1} != Id) fail only the comparison with the h2 recurrence on their
+# own H1, H2; noncommuting-4 fails the commutator and the comparison, and
+# flipped-H1 the commutator and a unit column
 CERTIFIED = {"auto-3", "auto-4", "auto-5", "golden-3", "golden-4"}
 H1_COUNTEREXAMPLES = {"h1-3": 173, "h1-4": 1439, "h1-5": 6775}
 
@@ -202,10 +204,11 @@ def test_associativity_fallback_matches_operator_sums(name):
     assert got
 
 
-def test_certified_associativity_composes_fewer_than_2n(monkeypatch):
-    # every recurrence step on operators is one Operator.compose call; its own
-    # operator and each further part with an operator is one composition
-    table = build_table(5)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_certified_associativity_composes_only_the_commutator(n, monkeypatch):
+    # the certificate's recurrence runs on the kernel; its one Operator.compose
+    # call is H1 H2 - H2 H1, two compositions
+    table = build_table(n)
     calls = []
     compose = Operator.compose
 
@@ -215,15 +218,18 @@ def test_certified_associativity_composes_fewer_than_2n(monkeypatch):
 
     monkeypatch.setattr(Operator, "compose", counting)
     assert ring_axiom_checks(table, associativity=True).passed
-    assert 0 < sum(calls) < 2 * basis_size(5)
+    assert calls == [2]
 
 
-@pytest.mark.parametrize("n", range(6, 11))
+@pytest.mark.parametrize("n", range(3, 11))
 def test_associativity_certified_without_brute_force(n, monkeypatch):
+    # the certificate proves associativity, commutativity and the unit, so no
+    # scan runs either: unit_index is read only by the identity scan
     def refuse(*args):
-        raise AssertionError("brute-force associativity entered")
+        raise AssertionError("a brute-force check or scan ran on a certified table")
 
-    monkeypatch.setattr(verify, "_associativity_counterexamples", refuse)
+    for name in ("_associativity_counterexamples", "_noncommuting", "unit_index"):
+        monkeypatch.setattr(verify, name, refuse)
     report = ring_axiom_checks(build_table(n), associativity=True)
     assert report.passed and report.details["associativity_checked"]
 

@@ -17,6 +17,9 @@ coefficient 0 (see :func:`zeroed_cache`), which must be refused.  The ring
 check with associativity at n = 6 and 7 (the certificate, built from the
 table's own recurrence) and ``table`` at n = 7 are hashed too.  The file
 ``qkflag`` was imported from goes to stderr, not into the snapshot.
+
+The output is committed as ``tests/data/cli_snapshot.tsv``, and
+``tests/test_cli.py`` compares a fresh run with it byte for byte.
 """
 
 from __future__ import annotations
