@@ -20,7 +20,9 @@ For u = (i, j), v = (k, p) every term reads only the class (i+k, j+p,
 (l(u)+l(v)) mod 2), so the formula is written once, per class, in
 :func:`_class_formula`; :func:`conjectured_product` calls it for one pair and
 :func:`compare_with_table` once per class of the table, in a dict local to
-the call, where it also counts the other gating per class.
+the call, where it also counts the other gating per class.  The class is
+symmetric in u and v, so the diff of a mirrored table reads each shared
+product once.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from ._record import Record
 from .basis import SchubertIndex, _length, basis_positions, check_index, check_rank, dim_incidence
 from .errors import DegenerateTarget, InvalidIndex
 from .poly import CurveDegree, QKClass, c1_pairing, written_order
+from .qkring import _both_ways, _is_mirrored, _triangle
 
 
 def translate(idx: int, u, v, n: int) -> SchubertIndex:
@@ -211,49 +214,63 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     column equal to the other gating has exactly those keys as rows, built
     and sorted once per class and stamped with its u and v.  Only a column
     that equals neither is compared key by key with both.
+
+    The class is symmetric in u and v, so on a mirrored table (see
+    :func:`qkflag.qkring._is_mirrored`) one verdict stands for O_u * O_v
+    and O_v * O_u, and only the products where v is u or comes after it are
+    read, in both gatings.  A failing product's rows are stored under (u, v)
+    and (v, u), and an off-diagonal product adds twice to the other
+    gating's count.
     """
     if gating not in GATINGS:
         raise ValueError(f"gating must be one of {GATINGS}, got {gating!r}")
     n = table.n
-    pos = basis_positions(n)
+    basis = list(basis_positions(n))
     order = written_order(n)
     g = GATINGS.index(gating)
-    mismatches = []
+    ops = table.ops
+    mirrored = _is_mirrored(ops)
     other_count = 0
-    lengths = {w: _length(w.i, w.j, n) for w in pos}
+    lengths = [_length(w.i, w.j, n) for w in basis]
     per_class: dict = {}
     other_rows: dict = {}  # per class: the rows of a column equal to the other gating
-    for u, op in zip(pos, table.ops):
-        for v, col in zip(pos, op.cols):
-            cls = (u.i + v.i, u.j + v.j, (lengths[u] + lengths[v]) & 1)
+    found = {}  # (a, b) -> the rows of O_u * O_v
+    for a, row in _triangle(ops, mirrored):
+        u, lu = basis[a], lengths[a]
+        for b, col in row:
+            v = basis[b]
+            cls = (u.i + v.i, u.j + v.j, (lu + lengths[b]) & 1)
             if cls not in per_class:
                 maps = _class_formula(*cls, n)
                 got, other = maps[g], maps[1 - g]
                 per_class[cls] = (got, other, len(_differing(got, other)))
             got, other, apart = per_class[cls]
             want = col._terms
+            # a shared product stands for O_u * O_v and O_v * O_u
+            times = 2 if mirrored and a != b else 1
             if want == got:
-                other_count += apart
+                other_count += times * apart
                 continue
             if want == other:
                 if cls not in other_rows:
                     other_rows[cls] = _mismatch_rows(other, got, order)
-                rows = other_rows[cls]
+                found[a, b] = other_rows[cls]
             else:
-                other_count += len(_differing(want, other))
-                rows = _mismatch_rows(want, got, order)
-            for (w, d1, d2), (in_table, conjectured) in rows:
-                mismatches.append(
-                    {
-                        "u": [u.i, u.j],
-                        "v": [v.i, v.j],
-                        "w": [w.i, w.j],
-                        "d1": d1,
-                        "d2": d2,
-                        "table": in_table,
-                        "conjecture": conjectured,
-                    }
-                )
+                other_count += times * len(_differing(want, other))
+                found[a, b] = _mismatch_rows(want, got, order)
+    mismatches = [
+        {
+            "u": [basis[a].i, basis[a].j],
+            "v": [basis[b].i, basis[b].j],
+            "w": [w.i, w.j],
+            "d1": d1,
+            "d2": d2,
+            "table": in_table,
+            "conjecture": conjectured,
+        }
+        for (a, b), rows in _both_ways(found, mirrored)
+        for (w, d1, d2), (in_table, conjectured) in rows
+    ]
     other = GATINGS[1 - g]
     details = {f"{other}_gating_mismatches": other_count}
     return DiffReport(n=n, gating=gating, mismatches=mismatches, details=details)

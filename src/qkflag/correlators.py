@@ -17,16 +17,10 @@ validate their indices; the private helpers they share run on trusted ones.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ._record import FrozenRecord
-from .basis import (
-    SchubertIndex,
-    check_index,
-    check_rank,
-    dual_index,
-    h1_index,
-    h2_index,
-    unit_index,
-)
+from .basis import SchubertIndex, check_index, check_rank, dual_index, unit_index
 from .errors import UnsupportedDegree
 from .kring import _k_terms
 from .poly import (
@@ -184,24 +178,26 @@ def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClas
         raise ValueError(f"h must be 'h1' or 'h2', got {h!r}")
     if deg not in (DEGREE_L1, DEGREE_L2, DEGREE_L1L2):
         raise UnsupportedDegree(f"quantum parts exist only at l1, l2, l1+l2, got {deg}")
-    hw = h1_index(n) if h == "h1" else h2_index(n)
     v = check_index(v, n)
-    classical = _k_terms(hw, v, n)
+    hw = SchubertIndex(n - 1, 1) if h == "h1" else SchubertIndex(n, 2)
+    classical = _k_terms(hw, v, n).items()
+    t = _two_point_target
+    if deg != DEGREE_L1L2:
+        terms = chain(
+            _three_point_row(hw, v, deg, n).items(),
+            ((t(x, deg, n), -c) for x, c in classical),
+        )
+    else:
+        l1, l2 = DEGREE_L1, DEGREE_L2
+        terms = chain(
+            _three_point_row(hw, v, DEGREE_L1L2, n).items(),
+            ((t(w, l2, n), -c) for w, c in _three_point_row(hw, v, l1, n).items()),
+            ((t(w, l1, n), -c) for w, c in _three_point_row(hw, v, l2, n).items()),
+            ((t(t(x, l1, n), l2, n), c) for x, c in classical),
+            ((t(t(x, l2, n), l1, n), c) for x, c in classical),
+            ((t(x, DEGREE_L1L2, n), -c) for x, c in classical),
+        )
     acc: dict[SchubertIndex, int] = {}
-
-    def add(row: dict[SchubertIndex, int], sign: int = 1) -> None:
-        for w, c in row.items():
-            acc[w] = acc.get(w, 0) + sign * c
-
-    if deg in (DEGREE_L1, DEGREE_L2):
-        add(_three_point_row(hw, v, deg, n))
-        add(_chain(classical, [deg], n), -1)
-        return _int_class(n, acc)
-
-    add(_three_point_row(hw, v, DEGREE_L1L2, n))
-    add(_chain(_three_point_row(hw, v, DEGREE_L1, n), [DEGREE_L2], n), -1)
-    add(_chain(_three_point_row(hw, v, DEGREE_L2, n), [DEGREE_L1], n), -1)
-    add(_chain(classical, [DEGREE_L1, DEGREE_L2], n))
-    add(_chain(classical, [DEGREE_L2, DEGREE_L1], n))
-    add(_chain(classical, [DEGREE_L1L2], n), -1)
+    for w, c in terms:
+        acc[w] = acc.get(w, 0) + c
     return _int_class(n, acc)

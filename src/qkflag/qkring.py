@@ -27,6 +27,10 @@ has rank 0, then the steps in order) evaluates only the columns v of rank
 r or more, and O_v * O_u is the same class object as O_u * O_v.  The h2
 build is :func:`_mirrored` on the Chevalley operators; :func:`certify_ring`
 runs it on a table's own H1 and H2 and compares the result with the table.
+The read side tells such a table by identity, :func:`_is_mirrored`, and its
+scans (the classical one here, the max degree, positivity and the
+conjecture diff) then read each shared product once, through
+:func:`_triangle` and :func:`_both_ways`.
 
 Step (c) subtracts the quantum part of O_h1 * O_{2,1}; the hyperplane class
 appearing in that correction can be taken as h2 (matching the corrections
@@ -399,28 +403,69 @@ def certify_ring(table: MultiplicationTable) -> bool:
     return _mirrored(table.matrix(h1_index(n)), table.matrix(h2_index(n))) == table.ops
 
 
-def _classical_mismatches(n: int, ops: list[Operator], mirrored: bool = False):
-    """Yield (u, v, w, got - want) wherever the Q -> 0 limit of O_u * O_v is off.
+def _is_mirrored(ops: list[Operator]) -> bool:
+    """True when O_v * O_u is the same class object as O_u * O_v for every u != v.
+
+    :func:`_mirrored` lays out a build so, and a scan of such a table reads
+    each shared product once, through :func:`_triangle`.  Identity is a fact
+    about the objects, not an assumption: N(N-1)/2 ``is`` tests and no
+    equality compare.  A loaded table, an h1 table, or a table with one pair
+    unshared is read in full.
+    """
+    for a, op in enumerate(ops):
+        for b in range(a + 1, len(ops)):
+            if op.cols[b] is not ops[b].cols[a]:
+                return False
+    return True
+
+
+def _triangle(ops: list[Operator], mirrored: bool):
+    """Yield (a, row) for each basis position a of u; row yields (b, O_u * O_v).
+
+    Every b, or only b >= a if ``mirrored``.
+    """
+    for a, op in enumerate(ops):
+        start = a if mirrored else 0
+        yield a, enumerate(op.cols[start:], start)
+
+
+def _both_ways(found: dict, mirrored: bool) -> list:
+    """The items of ``found``, keyed by (a, b), sorted by key: the rows of a scan in basis order.
+
+    A scan of a ``mirrored`` table stores a failing product only under
+    (a, b) with a <= b; its value then also stands for (b, a), so it must
+    read only what is symmetric in u and v.
+    """
+    if mirrored:
+        found.update({(b, a): x for (a, b), x in found.items() if a != b})
+    return sorted(found.items())
+
+
+def _classical_mismatches(n: int, ops: list[Operator], mirrored: bool = False) -> list:
+    """(u, v, w, got - want) wherever the Q -> 0 limit of O_u * O_v is off.
 
     ``want`` is the formula's {w: coeff} map, :func:`qkflag.kring._k_terms`.
-    It reads only i+k, j+p and whether i < j or k < p (u = (i, j),
-    v = (k, p)), so it runs once per such class.  Each column's constant
-    terms are compared with it in one walk over the column; the difference
-    ``got`` - ``want`` is built only for a column that fails.  A
-    ``mirrored`` table (see :func:`_mirrored`) is read only where v
-    is u or comes after it.  Rows come in the written order: u, v, then w,
-    each in basis order.
+    It reads only the class (i+k, j+p, i<j or k<p) of u = (i, j),
+    v = (k, p), which is symmetric in u and v, so it runs once per class,
+    and on a ``mirrored`` table (see :func:`_is_mirrored`) one verdict
+    stands for O_u * O_v and O_v * O_u: only the products where v is u or
+    comes after it are read.  Each column's constant terms are compared
+    with ``want`` in one walk over the column; the difference ``got`` -
+    ``want`` is built only for a column that fails.  Rows come in the
+    written order: u, v, then w, each in basis order.
     """
     basis = enumerate_basis(n)
     coords = [(i, j, i < j) for i, j in basis]
     k_terms: dict = {}
-    for a, (u, (i, j, low), op) in enumerate(zip(basis, coords, ops)):
-        start = a if mirrored else 0
-        for v, (k, p, v_low), col in zip(basis[start:], coords[start:], op.cols[start:]):
+    found = {}  # (a, b) -> [(w, got - want)]
+    for a, row in _triangle(ops, mirrored):
+        i, j, low = coords[a]
+        for b, col in row:
+            k, p, v_low = coords[b]
             cls = (i + k, j + p, low or v_low)
             want = k_terms.get(cls)
             if want is None:
-                want = k_terms[cls] = _k_terms(u, v, n)
+                want = k_terms[cls] = _k_terms(basis[a], basis[b], n)
             left = len(want)  # the formula's terms not met yet
             for (w, d1, d2), c in col._terms.items():
                 if not (d1 or d2):
@@ -431,17 +476,22 @@ def _classical_mismatches(n: int, ops: list[Operator], mirrored: bool = False):
                 if not left:
                     continue
             got = col._constant_terms()
-            for w in basis:
-                if c := got.get(w, 0) - want.get(w, 0):
-                    yield u, v, w, c
+            found[a, b] = [(w, c) for w in basis if (c := got.get(w, 0) - want.get(w, 0))]
+    return [
+        (basis[a], basis[b], w, c) for (a, b), diff in _both_ways(found, mirrored) for w, c in diff
+    ]
 
 
 def _noncommuting(n: int, ops: list[Operator]):
-    """Yield each (u, v), u before v in basis order, with O_u * O_v != O_v * O_u."""
+    """Yield each (u, v), u before v in basis order, with O_u * O_v != O_v * O_u.
+
+    Two products that are one object are equal without a compare.
+    """
     basis = enumerate_basis(n)
     for a, u in enumerate(basis):
         for b, v in enumerate(basis[a + 1 :], a + 1):
-            if ops[a].cols[b] != ops[b].cols[a]:
+            x, y = ops[a].cols[b], ops[b].cols[a]
+            if x is not y and x != y:
                 yield u, v
 
 
@@ -453,7 +503,7 @@ def _oracle_outcomes(n: int, ops: list[Operator], certified: bool = False) -> di
     unordered product once.
     """
     return {
-        "classical_limit_ok": next(_classical_mismatches(n, ops, certified), None) is None,
+        "classical_limit_ok": not _classical_mismatches(n, ops, certified),
         "commutative_ok": certified or next(_noncommuting(n, ops), None) is None,
     }
 
@@ -516,7 +566,9 @@ def qk_product(u, v, n: int, table: MultiplicationTable) -> QKClass:
 def degree_bound_check(table: MultiplicationTable):
     """Check the hyperplane operators stay within Q-support {1, Q1, Q2, Q1Q2}.
 
-    Also reports the maximal (d1, d2) over the whole table.
+    Also reports the maximal (d1, d2) over the whole table.  A maximum does
+    not depend on the order of u and v, so on a mirrored table (see
+    :func:`_is_mirrored`) it reads each shared product once.
     """
     from .verify import VerificationReport
 
@@ -532,7 +584,12 @@ def degree_bound_check(table: MultiplicationTable):
                 )
     # one pass over the flat terms; every degree is at least (0, 0)
     max_deg = max(
-        ((d1, d2) for op in table.ops for col in op.cols for _, d1, d2 in col._terms),
+        (
+            (d1, d2)
+            for _, row in _triangle(table.ops, _is_mirrored(table.ops))
+            for _, col in row
+            for _, d1, d2 in col._terms
+        ),
         default=(0, 0),
     )
     return VerificationReport(

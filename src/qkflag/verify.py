@@ -2,10 +2,15 @@
 
 Every check returns a :class:`VerificationReport` with a deterministic
 counterexample list, so two runs over the same table serialize
-byte-identically.  Rows come out in basis-then-degree order by construction:
-each scan walks u, v (and w) in basis order, and the terms of one column in
-:func:`qkflag.poly.written_order`; no report sorts its rows afterwards.  Ring
-rows come axiom by axiom: associativity, commutativity, identity.
+byte-identically.  Rows come out in basis-then-degree order: u, v (and w)
+in basis order, and the terms of one column in
+:func:`qkflag.poly.written_order`.  On a mirrored table, where O_v * O_u is
+the same object as O_u * O_v (:func:`qkflag.qkring._is_mirrored`), the
+positivity and classical scans read only the products where v is u or comes
+after it; a failing product's rows are stored under (u, v) and (v, u), and
+:func:`qkflag.qkring._both_ways` emits the failing products in (u, v)
+order.  Ring rows come axiom by axiom: associativity, commutativity,
+identity.
 """
 
 from __future__ import annotations
@@ -25,9 +30,12 @@ from .basis import (
 from .poly import QKClass, c1_pairing, written_order
 from .qkring import (
     Operator,
+    _both_ways,
     _classical_mismatches,
+    _is_mirrored,
     _noncommuting,
     _Prepared,
+    _triangle,
     certify_ring,
     chevalley_apply,
 )
@@ -68,24 +76,33 @@ def positivity_check(table) -> VerificationReport:
 
     (-1)^(codim w - codim u - codim v + (d1+d2)(n-1)) * N_{u,v}^{w,(d1,d2)} >= 0.
 
-    Columns are scanned unsorted; a failing column's rows are put in the written order.
+    The rule reads u and v only through codim u + codim v, which is
+    symmetric in them, so on a mirrored table (see
+    :func:`qkflag.qkring._is_mirrored`) one verdict stands for O_u * O_v
+    and O_v * O_u, and only the products where v is u or comes after it are
+    read.  Columns are scanned unsorted, and a passing column allocates
+    nothing: the list of a column's wrong terms is made at its first one,
+    and put in the written order when the rows are emitted.
     """
     n = table.n
     basis = enumerate_basis(n)
     codims = {w: dim_incidence(n) - _length(w.i, w.j, n) for w in basis}
-    order = written_order(n)
-    bad = []
-    for u, op in zip(basis, table.ops):
-        for v, col in zip(basis, op.cols):
-            shift = codims[u] + codims[v]
-            wrong = []
+    at = [codims[u] for u in basis]  # by basis position
+    mirrored = _is_mirrored(table.ops)
+    found = {}  # (a, b) -> the wrong terms of O_u * O_v
+    for a, row in _triangle(table.ops, mirrored):
+        for b, col in row:
+            shift = at[a] + at[b]
             for (w, d1, d2), c in col._terms.items():
                 # a wrong sign: c > 0 where the exponent is odd, c < 0 where it is even
                 if (codims[w] - shift + c1_pairing((d1, d2), n)) % 2 == (c > 0):
-                    wrong.append(((w, d1, d2), c))
-            if wrong:
-                for (w, d1, d2), c in sorted(wrong, key=order):
-                    bad.append({**_row(u, v, w, d1, d2, c), "expected_sign": "-" if c > 0 else "+"})
+                    found.setdefault((a, b), []).append(((w, d1, d2), c))
+    order = written_order(n)
+    bad = [
+        {**_row(basis[a], basis[b], w, d1, d2, c), "expected_sign": "-" if c > 0 else "+"}
+        for (a, b), terms in _both_ways(found, mirrored)
+        for (w, d1, d2), c in sorted(terms, key=order)
+    ]
     return VerificationReport("positivity", n, not bad, bad)
 
 
@@ -157,11 +174,14 @@ def classical_consistency_check(table) -> VerificationReport:
 
     Reads the build's own scan, :func:`qkflag.qkring._classical_mismatches`:
     each w where a column's constant terms differ from the formula's terms
-    is one counterexample, with the difference as ``coeff``.  All N^2
-    products are scanned: a loaded table is not known to be mirrored.
+    is one counterexample, with the difference as ``coeff``.  On a mirrored
+    table (:func:`qkflag.qkring._is_mirrored`: the shared products are one
+    object) the scan reads only the products where v is u or comes after
+    it; any other table, a loaded one included, is scanned in full.
     """
     n = table.n
-    bad = [_row(u, v, w, 0, 0, c) for u, v, w, c in _classical_mismatches(n, table.ops)]
+    ops = table.ops
+    bad = [_row(u, v, w, 0, 0, c) for u, v, w, c in _classical_mismatches(n, ops, _is_mirrored(ops))]
     details = {}
     if getattr(table, "arbitration", None):
         details["step_c_arbitration"] = table.arbitration

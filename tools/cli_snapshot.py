@@ -15,7 +15,8 @@ format at n = 3..6, ``verify`` (all five checks, text and json),
 ``product`` on a cached n = 3 table whose only entry for one product has
 coefficient 0 (see :func:`zeroed_cache`), which must be refused.  The ring
 check with associativity at n = 6 and 7 (the certificate, built from the
-table's own recurrence) and ``table`` at n = 7 are hashed too.  The file
+table's own recurrence), ``table`` at n = 7 and the positivity, classical and
+degree checks at n = 7 and 8 in json are hashed too.  The file
 ``qkflag`` was imported from goes to stderr, not into the snapshot.
 
 The output is committed as ``tests/data/cli_snapshot.tsv``, and
@@ -85,6 +86,8 @@ FIXED = [
     ["verify", "--n", "6", "--checks", "ring", "--assoc-max", "6"],
     ["verify", "--n", "7", "--checks", "ring", "--assoc-max", "7"],
     ["table", "--n", "7"],
+    ["verify", "--n", "7", "--checks", "positivity,classical,degree", "--format", "json"],
+    ["verify", "--n", "8", "--checks", "positivity,classical,degree", "--format", "json"],
 ]
 
 
