@@ -8,6 +8,11 @@ matrices and serialized output:
     t(i, j) = (i-1)(n-1) + j       if j < i,
 
 shifted down by one so indices run over 0 .. n(n-1)-1.
+
+Hot paths read the one index of a pair (i, j) from the intern table
+``_index``, which makes it on the first lookup.  The table does not depend
+on n and grows only with the pairs touched.  Equality is the contract: no
+code relies on two equal indices being the same object.
 """
 
 from __future__ import annotations
@@ -27,6 +32,17 @@ class SchubertIndex(NamedTuple):
         return f"O_{self.i},{self.j}"
 
 
+class _Interned(dict):
+    """(i, j) -> the one :class:`SchubertIndex` of that pair, made on its first lookup."""
+
+    def __missing__(self, key):
+        w = self[key] = SchubertIndex(*key)
+        return w
+
+
+_index = _Interned()
+
+
 def check_rank(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 3:
         raise InvalidRank(f"ambient dimension must be an integer >= 3, got {n!r}")
@@ -40,7 +56,7 @@ def check_index(w, n: int) -> SchubertIndex:
         raise InvalidIndex(f"Schubert index components must be integers, got ({i!r},{j!r})")
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise InvalidIndex(f"({i},{j}) is not a valid Schubert index for n={n}")
-    return SchubertIndex(i, j)
+    return _index[i, j]
 
 
 def basis_size(n: int) -> int:
@@ -71,18 +87,18 @@ def from_linear(t: int, n: int) -> SchubertIndex:
     j = k - (i - 1) * (n - 1)
     if j >= i:
         j += 1
-    return SchubertIndex(i, j)
+    return _index[i, j]
 
 
 def enumerate_basis(n: int) -> list[SchubertIndex]:
-    """All n(n-1) Schubert indices, in linear order."""
-    return [from_linear(t, n) for t in range(basis_size(n))]
+    """All n(n-1) Schubert indices, in linear order, as a fresh list."""
+    return list(basis_positions(check_rank(n)))
 
 
 @lru_cache(maxsize=None)
 def basis_positions(n: int) -> Mapping[SchubertIndex, int]:
     """Read-only map from every index for this n to its basis position."""
-    return MappingProxyType({w: t for t, w in enumerate(enumerate_basis(n))})
+    return MappingProxyType({from_linear(t, n): t for t in range(basis_size(n))})
 
 
 def length(w, n: int) -> int:

@@ -30,9 +30,9 @@ from __future__ import annotations
 import json
 
 from ._record import Record
-from .basis import SchubertIndex, _length, basis_positions, check_index, check_rank, dim_incidence
+from .basis import SchubertIndex, _index, _length, basis_positions, check_index, check_rank
 from .errors import DegenerateTarget, InvalidIndex
-from .poly import CurveDegree, QKClass, c1_pairing, written_order
+from .poly import CurveDegree, QKClass, written_order
 from .qkring import _both_ways, _is_mirrored, _triangle
 
 
@@ -100,9 +100,10 @@ def _delta(u, v, w, n: int) -> int:
 def _parity_gate(luv: int, w, d1: int, d2: int, n: int) -> int:
     """The parity rule of Delta: 1 when codim(w) - codim(u) - codim(v) + c1(d) is even.
 
-    ``luv`` is l(u) + l(v), or just its parity; codim = dim - length.
+    ``luv`` is l(u) + l(v), or just its parity; codim = dim - length, with
+    dim = 2n - 3 and c1(d) = (d1 + d2)(n - 1) on a trusted n.
     """
-    e = luv - _length(*w, n) - dim_incidence(n) + c1_pairing((d1, d2), n)
+    e = luv - _length(*w, n) - (2 * n - 3) + (d1 + d2) * (n - 1)
     return 1 if e % 2 == 0 else 0
 
 
@@ -121,7 +122,7 @@ def _class_formula(a: int, b: int, parity: int, n: int) -> tuple[dict, dict]:
     terms = []  # (w, d1, d2) of t_0..t_3, None where degenerate
     for di, dj in _SHIFTS:
         s, t = (a - di) % n + 1, (b - dj) % n + 1
-        terms.append(None if s == t else (SchubertIndex(s, t), 1 - (a - s) // n, (b - t) // n))
+        terms.append(None if s == t else (_index[s, t], 1 - (a - s) // n, (b - t) // n))
     t0, t1 = terms[0], terms[1]
     base = {t0: 1} if t0 and _parity_gate(parity, *t0, n) else {}
     if t1 is None:  # a degenerate t1 zeroes the whole gated group

@@ -11,16 +11,17 @@ At each supported degree O_u pairs to 1 with exactly one I_w, and at each
 quantum degree O_{u1}, O_{u2} pair to 1 with at most one I_w.  The
 reconstruction of quantum Chevalley terms therefore takes one target per
 two-point factor and per three-point row, and never scans the basis.  The
-duality is applied to that target once, not to every w.  Public functions
-validate their indices; the private helpers they share run on trusted ones.
+duality is applied to that target once, not to every w.  Targets are read
+from the intern table ``qkflag.basis._index``.  The reconstruction adds each
+signed target straight into the one flat ``(w, 0, 0)`` map that its class
+wraps, and drops a key whose sum reaches zero.  Public functions validate
+their indices; the private helpers they share run on trusted ones.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
 from ._record import FrozenRecord
-from .basis import SchubertIndex, check_index, check_rank, dual_index, unit_index
+from .basis import SchubertIndex, _index, check_index, check_rank, dual_index
 from .errors import UnsupportedDegree
 from .kring import _k_terms
 from .poly import (
@@ -29,7 +30,6 @@ from .poly import (
     DEGREE_L2,
     CurveDegree,
     QKClass,
-    _int_class,
 )
 
 
@@ -55,11 +55,11 @@ def _two_point_target(u: SchubertIndex, deg: CurveDegree, n: int) -> SchubertInd
     """The one w with <O_u, I_w> = 1 at ``deg``, for a trusted index u."""
     i, j = u
     if deg == DEGREE_L1:
-        return SchubertIndex(n, j) if j < n else SchubertIndex(n - 1, n)
+        return _index[n, j] if j < n else _index[n - 1, n]
     if deg == DEGREE_L2:
-        return SchubertIndex(i, 1) if i > 1 else SchubertIndex(1, 2)
+        return _index[i, 1] if i > 1 else _index[1, 2]
     if deg == DEGREE_L1L2:
-        return SchubertIndex(n, 1)
+        return _index[n, 1]
     raise UnsupportedDegree(f"no two-point closed form at degree {deg}")
 
 
@@ -108,18 +108,18 @@ def _three_point_target(u1, u2, deg: CurveDegree, n: int) -> SchubertIndex | Non
     (i1, j1), (i2, j2) = u1, u2
     for dual in (False, True):
         if (d1, d2) == (1, 1) or (d1 >= 2 and d2 >= 2):
-            w = unit_index(n)
+            w = _index[n, 1]
         elif d1 == 1 and d2 >= 2:
-            w = SchubertIndex(min(n, i1 + i2), 1)
+            w = _index[min(n, i1 + i2), 1]
         elif (d1, d2) == (0, 1) and j1 + j2 <= n + 2:
             s = i1 + i2 - n
-            w = None if s < 1 else SchubertIndex(1, 2) if s == 1 else SchubertIndex(s, 1)
+            w = None if s < 1 else _index[1, 2] if s == 1 else _index[s, 1]
         else:
             # the duality: (i, j) -> (n-j+1, n-i+1) on both inputs, (d1, d2) -> (d2, d1)
             (i1, j1), (i2, j2) = (n - j1 + 1, n - i1 + 1), (n - j2 + 1, n - i2 + 1)
             d1, d2 = d2, d1
             continue
-        return SchubertIndex(n - w.j + 1, n - w.i + 1) if dual and w else w
+        return _index[n - w.j + 1, n - w.i + 1] if dual and w else w
     raise UnsupportedDegree(f"no three-point closed form at degree {deg} (n={n})")
 
 
@@ -179,25 +179,30 @@ def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClas
     if deg not in (DEGREE_L1, DEGREE_L2, DEGREE_L1L2):
         raise UnsupportedDegree(f"quantum parts exist only at l1, l2, l1+l2, got {deg}")
     v = check_index(v, n)
-    hw = SchubertIndex(n - 1, 1) if h == "h1" else SchubertIndex(n, 2)
+    hw = _index[n - 1, 1] if h == "h1" else _index[n, 2]
     classical = _k_terms(hw, v, n).items()
-    t = _two_point_target
+    t, row = _two_point_target, _three_point_target
+    acc: dict[tuple[SchubertIndex, int, int], int] = {}
+
+    def add(w, c):
+        if w:  # None: a three-point row with no target
+            key = (w, 0, 0)
+            c += acc.pop(key, 0)
+            if c:
+                acc[key] = c
+
     if deg != DEGREE_L1L2:
-        terms = chain(
-            _three_point_row(hw, v, deg, n).items(),
-            ((t(x, deg, n), -c) for x, c in classical),
-        )
+        add(row(hw, v, deg, n), 1)
+        for x, c in classical:
+            add(t(x, deg, n), -c)
     else:
         l1, l2 = DEGREE_L1, DEGREE_L2
-        terms = chain(
-            _three_point_row(hw, v, DEGREE_L1L2, n).items(),
-            ((t(w, l2, n), -c) for w, c in _three_point_row(hw, v, l1, n).items()),
-            ((t(w, l1, n), -c) for w, c in _three_point_row(hw, v, l2, n).items()),
-            ((t(t(x, l1, n), l2, n), c) for x, c in classical),
-            ((t(t(x, l2, n), l1, n), c) for x, c in classical),
-            ((t(x, DEGREE_L1L2, n), -c) for x, c in classical),
-        )
-    acc: dict[SchubertIndex, int] = {}
-    for w, c in terms:
-        acc[w] = acc.get(w, 0) + c
-    return _int_class(n, acc)
+        w, w1, w2 = row(hw, v, DEGREE_L1L2, n), row(hw, v, l1, n), row(hw, v, l2, n)
+        add(w, 1)
+        add(w1 and t(w1, l2, n), -1)
+        add(w2 and t(w2, l1, n), -1)
+        for x, c in classical:
+            add(t(t(x, l1, n), l2, n), c)
+            add(t(t(x, l2, n), l1, n), c)
+            add(t(x, DEGREE_L1L2, n), -c)
+    return QKClass._trusted(n, acc)

@@ -12,7 +12,7 @@ names the zero class and is dropped.  The two-case K-product:
 
 from __future__ import annotations
 
-from .basis import SchubertIndex, check_index, check_rank, unit_index
+from .basis import SchubertIndex, _index, check_index, check_rank, unit_index
 from .errors import RankMismatch
 from .poly import _IDENTITY, QKClass, _combine, _int_class
 
@@ -22,7 +22,7 @@ def _kept(n: int, terms: tuple[tuple[int, int, int], ...]) -> dict[SchubertIndex
     kept: dict[SchubertIndex, int] = {}
     for a, b, c in terms:
         if 0 < a <= n and 0 < b <= n and a != b:
-            w = SchubertIndex(a, b)
+            w = _index[a, b]
             kept[w] = kept.get(w, 0) + c
     return kept
 

@@ -1,8 +1,11 @@
 import pytest
 
+from qkflag import basis
 from qkflag.basis import (
     SchubertIndex,
+    basis_positions,
     basis_size,
+    check_index,
     codim,
     dim_incidence,
     dual_index,
@@ -15,7 +18,9 @@ from qkflag.basis import (
     point_index,
     unit_index,
 )
+from qkflag.correlators import three_point_incidence, two_point
 from qkflag.errors import InvalidIndex, InvalidRank
+from qkflag.poly import DEGREE_L1, DEGREE_L1L2
 
 
 def test_enumerate_basis_n3_order():
@@ -98,3 +103,33 @@ def test_dual_special_classes(n):
 
 def test_schubert_index_label():
     assert SchubertIndex(2, 1).label() == "O_2,1"
+
+
+def test_enumerate_basis_is_a_fresh_list_in_linear_order():
+    n = 5
+    first = enumerate_basis(n)
+    assert first == [from_linear(t, n) for t in range(basis_size(n))]
+    first.clear()
+    assert enumerate_basis(n) == list(basis_positions(n)) != []
+    assert enumerate_basis(n) is not enumerate_basis(n)
+
+
+def test_intern_table_grows_only_with_the_indices_touched():
+    # no per-n grid: validating and evaluating at n = 10**6 adds a few entries
+    n = 10**6
+    before = len(basis._index)
+    check_index((n - 1, 2), n)
+    assert two_point((n - 1, 2), (n, 2), DEGREE_L1, n) == 1
+    assert three_point_incidence((n - 1, 1), (2, n), (n, 1), DEGREE_L1L2, n) == 1
+    assert len(basis._index) - before <= 5
+
+
+@pytest.mark.parametrize(
+    "get", [lambda: check_index((3, 1), 4), lambda: from_linear(6, 4), lambda: enumerate_basis(4)[6]]
+)
+def test_interned_indices_are_plain_schubert_indices(get):
+    w = get()
+    assert get() is w
+    assert w == SchubertIndex(3, 1) == (3, 1)
+    assert type(w) is SchubertIndex
+    assert repr(w) == "SchubertIndex(i=3, j=1)"
