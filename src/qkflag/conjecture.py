@@ -210,11 +210,14 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     of u = (i, j), v = (k, p), which is all it reads, by
     :func:`_class_formula`, in a dict local to the call.  The other gating
     is handled per class too: each class keeps ``apart``, the number of keys
-    where its two gatings differ.  A column equal to the requested gating
-    adds ``apart`` to the other gating's count with no per-key work.  A
-    column equal to the other gating has exactly those keys as rows, built
-    and sorted once per class and stamped with its u and v.  Only a column
-    that equals neither is compared key by key with both.
+    where its two gatings differ.  That is the difference of the two maps'
+    sizes: one gating's map is the other's plus the keys of t1..t3, and
+    :func:`_class_formula` gives no two terms the same key.  A column equal
+    to the requested gating adds ``apart`` to the other gating's count with
+    no per-key work.  A column equal to the other gating has exactly those
+    keys as rows, built and sorted once per class and stamped with its u
+    and v.  Only a column that equals neither is compared key by key with
+    both.
 
     The class is symmetric in u and v, so on a mirrored table (see
     :func:`qkflag.qkring._is_mirrored`) one verdict stands for O_u * O_v
@@ -244,7 +247,7 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
             if cls not in per_class:
                 maps = _class_formula(*cls, n)
                 got, other = maps[g], maps[1 - g]
-                per_class[cls] = (got, other, len(_differing(got, other)))
+                per_class[cls] = (got, other, abs(len(got) - len(other)))
             got, other, apart = per_class[cls]
             want = col._terms
             # a shared product stands for O_u * O_v and O_v * O_u

@@ -159,12 +159,6 @@ def symmetry_transform(q: CorrelatorQuery, n: int) -> CorrelatorQuery:
     )
 
 
-def _three_point_row(h_idx, v, deg: CurveDegree, n: int) -> dict[SchubertIndex, int]:
-    """{w: <O_h, O_v, I_w>} over the nonzero w at a quantum degree: the target alone."""
-    w = _three_point_target(h_idx, v, deg, n)
-    return {w: 1} if w else {}
-
-
 def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClass:
     """Reconstruct the degree-``deg`` part of O_h * O_v from correlators.
 

@@ -17,11 +17,16 @@ from .errors import RankMismatch
 from .poly import _IDENTITY, QKClass, _combine, _int_class
 
 
+def _in_range(a: int, b: int, n: int) -> bool:
+    """The range rule: (a, b) names a basis class, not the zero class."""
+    return 0 < a <= n and 0 < b <= n and a != b
+
+
 def _kept(n: int, terms: tuple[tuple[int, int, int], ...]) -> dict[SchubertIndex, int]:
     """Sum (a, b, coeff) triples into {w: coeff}, dropping out-of-range pairs."""
     kept: dict[SchubertIndex, int] = {}
     for a, b, c in terms:
-        if 0 < a <= n and 0 < b <= n and a != b:
+        if _in_range(a, b, n):
             w = _index[a, b]
             kept[w] = kept.get(w, 0) + c
     return kept
@@ -30,13 +35,16 @@ def _kept(n: int, terms: tuple[tuple[int, int, int], ...]) -> dict[SchubertIndex
 def _k_terms(u, v, n: int) -> dict[SchubertIndex, int]:
     """:func:`k_product` as a plain {w: coeff} map, on trusted indices.
 
-    With a = i+k-n and b = j+p-1, the module docstring's first case is a > b.
+    With a = i+k-n and b = j+p-1, the module docstring's first case is
+    a > b.  That case is one term, returned as ``{O_{a,b}: 1}``, or ``{}``
+    where (a, b) names the zero class; only the three-term case sums
+    through :func:`_kept`.
     """
     k, p = u
     i, j = v
     a, b = i + k - n, j + p - 1
     if a > b or i < j or k < p:
-        return _kept(n, ((a, b, 1),))
+        return {_index[a, b]: 1} if _in_range(a, b, n) else {}
     return _kept(n, ((a - 1, b, 1), (a, b + 1, 1), (a - 1, b + 1, -1)))
 
 

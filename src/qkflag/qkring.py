@@ -55,6 +55,7 @@ from itertools import repeat
 from ._record import Record
 from .basis import (
     SchubertIndex,
+    _index,
     basis_positions,
     basis_size,
     check_index,
@@ -193,6 +194,11 @@ def _check_hyperplane(h: str) -> None:
         raise ValueError(f"h must be 'h1' or 'h2', got {h!r}")
 
 
+def _hyperplane(h: str, n: int) -> SchubertIndex:
+    """The index of O_h on a trusted h: (n-1, 1) for h1, (n, 2) for h2."""
+    return _index[n - 1, 1] if h == "h1" else _index[n, 2]
+
+
 def quantum_correction(h: str, v, n: int) -> QKClass:
     """Pure-Q part of O_h * O_v for a hyperplane class h in {"h1", "h2"}.
 
@@ -213,18 +219,17 @@ def _quantum_terms(h: str, v: SchubertIndex, n: int) -> dict:
             single = {(n - 1, n) if p == n else (n, p): 1}
         elif (k, p) == (2, 1):
             single = {(n, 1): 1, (n, 2): -1}
-        both = {(n, 1): 1, (n - 1, 1): -1}
     else:
         deg = DEGREE_L2
         if p == n:
             single = {(1, 2) if k == 1 else (k, 1): 1}
         elif (k, p) == (n, n - 1):
             single = {(n, 1): 1, (n - 1, 1): -1}
-        both = {(n, 1): 1, (n, 2): -1}
-    terms = {(SchubertIndex(*w), *deg): c for w, c in single.items()}
-    # the degree-(l1+l2) part appears only on the point class
+    terms = {(_index[w], *deg): c for w, c in single.items()}
+    # the degree-(l1+l2) part, O_{n,1} - O_h, appears only on the point class
     if (k, p) == (1, n):
-        terms.update({(SchubertIndex(*w), *DEGREE_L1L2): c for w, c in both.items()})
+        terms[(_index[n, 1], *DEGREE_L1L2)] = 1
+        terms[(_hyperplane(h, n), *DEGREE_L1L2)] = -1
     return terms
 
 
@@ -241,8 +246,7 @@ def _chevalley_column(h: str, v: SchubertIndex, n: int) -> QKClass:
     The two parts share no key: the classical terms have degree (0, 0), the
     quantum ones a nonzero degree.
     """
-    hw = SchubertIndex(n - 1, 1) if h == "h1" else SchubertIndex(n, 2)
-    terms = {(w, 0, 0): c for w, c in _k_terms(hw, v, n).items() if c}
+    terms = {(w, 0, 0): c for w, c in _k_terms(_hyperplane(h, n), v, n).items() if c}
     terms.update(_quantum_terms(h, v, n))
     return QKClass._trusted(n, terms)
 

@@ -27,17 +27,17 @@ from .basis import (
     h2_index,
     unit_index,
 )
-from .poly import QKClass, c1_pairing, written_order
+from .poly import written_order
 from .qkring import (
     Operator,
     _both_ways,
+    _chevalley_column,
     _classical_mismatches,
     _is_mirrored,
     _noncommuting,
     _Prepared,
     _triangle,
     certify_ring,
-    chevalley_apply,
 )
 
 
@@ -82,7 +82,9 @@ def positivity_check(table) -> VerificationReport:
     and O_v * O_u, and only the products where v is u or comes after it are
     read.  Columns are scanned unsorted, and a passing column allocates
     nothing: the list of a column's wrong terms is made at its first one,
-    and put in the written order when the rows are emitted.
+    and put in the written order when the rows are emitted.  The
+    c1-pairing (d1 + d2)(n - 1) of each term's degree is computed inline
+    (:func:`qkflag.poly.c1_pairing` states it).
     """
     n = table.n
     basis = enumerate_basis(n)
@@ -95,7 +97,7 @@ def positivity_check(table) -> VerificationReport:
             shift = at[a] + at[b]
             for (w, d1, d2), c in col._terms.items():
                 # a wrong sign: c > 0 where the exponent is odd, c < 0 where it is even
-                if (codims[w] - shift + c1_pairing((d1, d2), n)) % 2 == (c > 0):
+                if (codims[w] - shift + (d1 + d2) * (n - 1)) % 2 == (c > 0):
                     found.setdefault((a, b), []).append(((w, d1, d2), c))
     order = written_order(n)
     bad = [
@@ -123,7 +125,9 @@ def ring_axiom_checks(table, *, associativity: bool | None = None) -> Verificati
     scanned.  Otherwise all N^2 products M_u M_v (N the basis size) are
     composed and compared, which lists every failing triple, and the
     commutativity and identity scans run, as they do whenever associativity
-    is not checked.
+    is not checked.  The identity scan compares each column O_e * O_v with
+    the flat map ``{(v, 0, 0): 1}`` of e_v, and its n with the table's,
+    since an :class:`~qkflag.qkring.Operator` does not check its columns' n.
     """
     n = table.n
     basis = enumerate_basis(n)
@@ -141,7 +145,7 @@ def ring_axiom_checks(table, *, associativity: bool | None = None) -> Verificati
             bad.append({"axiom": "commutativity", "u": [u.i, u.j], "v": [v.i, v.j]})
         e = unit_index(n)
         for v, col in zip(basis, ops[basis_positions(n)[e]].cols):
-            if col != QKClass.basis_element(v, n):
+            if col.n != n or col._terms != {(v, 0, 0): 1}:
                 bad.append({"axiom": "identity", "u": [e.i, e.j], "v": [v.i, v.j]})
 
     details = {"associativity_checked": run_assoc}
@@ -189,13 +193,17 @@ def classical_consistency_check(table) -> VerificationReport:
 
 
 def chevalley_consistency_check(table) -> VerificationReport:
-    """Table rows for h1, h2 equal the classical+correction operator columnwise."""
+    """Table rows for h1, h2 equal the classical+correction operator columnwise.
+
+    Each v comes from the basis, so the column is the trusted
+    :func:`qkflag.qkring._chevalley_column`, with no validation per call.
+    """
     n = table.n
     basis = enumerate_basis(n)
     bad = []
     for h, hw in (("h1", h1_index(n)), ("h2", h2_index(n))):
         for v, col in zip(basis, table.ops[basis_positions(n)[hw]].cols):
-            if col != chevalley_apply(h, v, n):
+            if col != _chevalley_column(h, v, n):
                 bad.append({"h": h, "v": [v.i, v.j]})
     details = {"step_c_variant": getattr(table, "step_c_variant", "?")}
     if getattr(table, "arbitration", None):

@@ -5,6 +5,8 @@ from qkflag.basis import codim, enumerate_basis, h1_index, length, linear_index,
 from qkflag.conjecture import (
     GATINGS,
     DiffReport,
+    _class_formula,
+    _differing,
     _formula_terms,
     compare_with_table,
     conjectured_product,
@@ -237,6 +239,16 @@ def test_formula_terms_depend_only_on_class(n):
         for v in enumerate_basis(n):
             terms = _formula_terms(u, v, n)
             assert seen.setdefault(_class(u, v, n), terms) == terms, (u, v)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_gatings_differ_by_their_size_difference(n):
+    # compare_with_table counts the keys where the two gatings of a class
+    # differ as the difference of the two maps' sizes
+    basis = enumerate_basis(n)
+    for cls in {_class(u, v, n) for u in basis for v in basis}:
+        flipped, literal = _class_formula(*cls, n)
+        assert abs(len(flipped) - len(literal)) == len(_differing(flipped, literal)), cls
 
 
 @pytest.mark.parametrize("n", range(3, 9))

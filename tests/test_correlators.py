@@ -3,7 +3,7 @@ import pytest
 from qkflag.basis import SchubertIndex, dual_index, enumerate_basis, h1_index, h2_index, unit_index
 from qkflag.correlators import (
     CorrelatorQuery,
-    _three_point_row,
+    _three_point_target,
     _two_point_target,
     correlator_value,
     quantum_part_from_correlators,
@@ -107,15 +107,16 @@ def test_three_point_incidence_unsupported():
 
 
 def test_three_point_row_unsupported():
-    # the trusted row raises where the public call does
+    # the trusted target of a three-point row raises where the public call does
     with pytest.raises(UnsupportedDegree):
-        _three_point_row((1, 4), (2, 4), DEGREE_L2, 4)
+        _three_point_target((1, 4), (2, 4), DEGREE_L2, 4)
     with pytest.raises(UnsupportedDegree):
-        _three_point_row((2, 1), (3, 1), (0, 2), 4)
+        _three_point_target((2, 1), (3, 1), (0, 2), 4)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_three_point_row_matches_public_correlator(n):
+    """The row {w: <O_h, O_v, I_w>} is the one target alone, and empty where it is None."""
     for h in (h1_index(n), h2_index(n)):
         for v in enumerate_basis(n):
             for deg in (DEGREE_L1, DEGREE_L2, DEGREE_L1L2):
@@ -124,7 +125,8 @@ def test_three_point_row_matches_public_correlator(n):
                     for w in enumerate_basis(n)
                     if (c := three_point_incidence(h, v, w, deg, n))
                 }
-                assert _three_point_row(h, v, deg, n) == want
+                target = _three_point_target(h, v, deg, n)
+                assert want == ({} if target is None else {target: 1})
 
 
 def _reference_direct(u1, u2, w, deg, n):

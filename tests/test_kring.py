@@ -2,9 +2,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from qkflag.basis import codim, enumerate_basis, unit_index
+from qkflag.basis import SchubertIndex, codim, enumerate_basis, unit_index
 from qkflag.errors import InvalidIndex
-from qkflag.kring import _k_terms, chow_product, k_class_product, k_product, k_unit
+from qkflag.kring import _in_range, _k_terms, chow_product, k_class_product, k_product, k_unit
 from qkflag.poly import QKClass
 
 
@@ -34,6 +34,37 @@ def test_out_of_range_terms_dropped():
 def test_invalid_index_rejected():
     with pytest.raises(InvalidIndex):
         k_product((1, 1), (2, 3), 4)
+
+
+def _docstring_k_terms(u, v, n):
+    """The module docstring's two-case rule, transcribed literally."""
+    k, p = u
+    i, j = v
+    if i + k - n >= j + p or i < j or k < p:
+        mechanical = [(i + k - n, j + p - 1, 1)]
+    else:
+        mechanical = [(i + k - n - 1, j + p - 1, 1), (i + k - n, j + p, 1), (i + k - n - 1, j + p, -1)]
+    out = {}
+    for a, b, c in mechanical:
+        if not (a < 1 or b > n or a == b):
+            out[SchubertIndex(a, b)] = out.get(SchubertIndex(a, b), 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_k_terms_match_the_docstring_rule(n):
+    basis = enumerate_basis(n)
+    for u in basis:
+        for v in basis:
+            assert _k_terms(u, v, n) == _docstring_k_terms(u, v, n), (u, v)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_range_rule_drops_the_zero_class(n):
+    # no product of valid indices meets a = b, so the rule is pinned directly
+    assert _in_range(1, n, n) and _in_range(n, 1, n) and _in_range(1, 2, n)
+    for a, b in ((0, 2), (2, 0), (n + 1, 1), (1, n + 1), (1, 1), (2, 2), (n, n)):
+        assert not _in_range(a, b, n), (a, b)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

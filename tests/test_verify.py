@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qkflag import qkring, verify
-from qkflag.basis import basis_positions, enumerate_basis, h2_index, linear_index
+from qkflag.basis import basis_positions, enumerate_basis, h2_index, linear_index, unit_index
 from qkflag.kring import k_product
 from qkflag.poly import NovikovPolynomial, QKClass
 from qkflag.qkring import (
@@ -232,6 +232,24 @@ def test_associativity_certified_without_brute_force(n, monkeypatch):
         monkeypatch.setattr(verify, name, refuse)
     report = ring_axiom_checks(build_table(n), associativity=True)
     assert report.passed and report.details["associativity_checked"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_identity_scan_reports_a_wrong_unit_column(n):
+    # O_e * O_v must be e_v itself: a Q-shift, a coefficient 2 or a class of
+    # another n is reported, and the built column is not
+    table = build_table(n)
+    e, v = basis_positions(n)[unit_index(n)], enumerate_basis(n)[1]
+    assert ring_axiom_checks(table, associativity=False).passed
+    for wrong in (
+        QKClass._trusted(n, {(v, 1, 0): 1}),
+        QKClass._trusted(n, {(v, 0, 0): 2}),
+        QKClass._trusted(n + 1, {(v, 0, 0): 1}),
+    ):
+        ops = list(table.ops)
+        ops[e] = Operator._trusted(n, [wrong if b == 1 else c for b, c in enumerate(ops[e].cols)])
+        rows = ring_axiom_checks(MultiplicationTable(n, ops, "h2"), associativity=False).counterexamples
+        assert [r["v"] for r in rows if r["axiom"] == "identity"] == [[v.i, v.j]], wrong
 
 
 @pytest.mark.parametrize(
