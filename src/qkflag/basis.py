@@ -144,3 +144,13 @@ def h2_index(n: int) -> SchubertIndex:
     """(n, 2): second codimension-one class."""
     check_rank(n)
     return SchubertIndex(n, 2)
+
+
+def _check_hyperplane(h: str) -> None:
+    if h not in ("h1", "h2"):
+        raise ValueError(f"h must be 'h1' or 'h2', got {h!r}")
+
+
+def _hyperplane(h: str, n: int) -> SchubertIndex:
+    """The index of O_h on a trusted h: (n-1, 1) for h1, (n, 2) for h2."""
+    return _index[n - 1, 1] if h == "h1" else _index[n, 2]

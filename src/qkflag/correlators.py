@@ -21,7 +21,9 @@ their indices; the private helpers they share run on trusted ones.
 from __future__ import annotations
 
 from ._record import FrozenRecord
-from .basis import SchubertIndex, _index, check_index, check_rank, dual_index
+from .basis import (
+    SchubertIndex, _check_hyperplane, _hyperplane, _index, check_index, check_rank, dual_index
+)
 from .errors import UnsupportedDegree
 from .kring import _k_terms
 from .poly import (
@@ -168,12 +170,11 @@ def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClas
     target and each two-point factor maps a class to its single target, so
     no step scans the basis.  Returns the Q-stripped coefficient class.
     """
-    if h not in ("h1", "h2"):
-        raise ValueError(f"h must be 'h1' or 'h2', got {h!r}")
+    _check_hyperplane(h)
     if deg not in (DEGREE_L1, DEGREE_L2, DEGREE_L1L2):
         raise UnsupportedDegree(f"quantum parts exist only at l1, l2, l1+l2, got {deg}")
     v = check_index(v, n)
-    hw = _index[n - 1, 1] if h == "h1" else _index[n, 2]
+    hw = _hyperplane(h, n)
     classical = _k_terms(hw, v, n).items()
     t, row = _two_point_target, _three_point_target
     acc: dict[tuple[SchubertIndex, int, int], int] = {}

@@ -8,12 +8,13 @@ flat map over (class, degree) pairs, not a map of polynomials; see
 (basis position of w, then (d1, d2)): the JSON and CSV writers and every
 verification and conjecture report list terms in it.
 
-Public constructors validate their input.  All arithmetic on classes,
-polynomials and operators runs through one kernel, :func:`_combine`.  It
-evaluates a short list of parts ``s * Q1^b1 Q2^b2 * A(x)``, with one
-accumulate loop per column: A is an operator's columns prepared as flat
-term tuples, or :data:`_IDENTITY`.  It wraps each result without
-re-validation.
+Public constructors validate their input.  All arithmetic on classes and
+polynomials, and operator application and composition, runs through one
+kernel, :func:`_combine`.  Its part tuple ``(s, b1, b2, A, x)``, for
+``s * Q1^b1 Q2^b2 * A(x)``, is the only part format in the package: A is an
+operator's columns prepared as flat term tuples, or :data:`_IDENTITY`.  One
+accumulate loop per column evaluates a short list of parts and wraps each
+result without re-validation.
 """
 
 from __future__ import annotations
@@ -249,25 +250,19 @@ class QKClass:
             rows.setdefault(w, {})[d1, d2] = c
         return [(w, NovikovPolynomial._trusted(p)) for w, p in rows.items()]
 
-    def _check_same_rank(self, other: "QKClass") -> None:
-        if self.n != other.n:
-            raise RankMismatch(f"mixing classes for n={self.n} and n={other.n}")
-
     def __add__(self, other: "QKClass") -> "QKClass":
-        self._check_same_rank(other)
-        return _combine(self.n, ((1, 0, 0, _IDENTITY, (self,)), (1, 0, 0, _IDENTITY, (other,))))[0]
+        return self._plus(other, 1)
 
     def __sub__(self, other: "QKClass") -> "QKClass":
-        self._check_same_rank(other)
-        return _combine(self.n, ((1, 0, 0, _IDENTITY, (self,)), (-1, 0, 0, _IDENTITY, (other,))))[0]
+        return self._plus(other, -1)
+
+    def _plus(self, other: "QKClass", sign: int) -> "QKClass":
+        if self.n != other.n:
+            raise RankMismatch(f"mixing classes for n={self.n} and n={other.n}")
+        return _combine(self.n, ((1, 0, 0, _IDENTITY, (self,)), (sign, 0, 0, _IDENTITY, (other,))))[0]
 
     def __neg__(self) -> "QKClass":
         return _combine(self.n, ((-1, 0, 0, _IDENTITY, (self,)),))[0]
-
-    def scaled(self, factor) -> "QKClass":
-        """Multiply every coefficient by an integer or Novikov polynomial."""
-        factor = _as_poly(factor)._terms.items()
-        return _combine(self.n, [(cb, b1, b2, _IDENTITY, (self,)) for (b1, b2), cb in factor])[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QKClass):
@@ -283,10 +278,6 @@ class QKClass:
     def classical_limit(self) -> "QKClass":
         """Keep the Q-degree (0,0) part of every coefficient."""
         return self.degree_part(DEGREE_ZERO)
-
-    def _constant_terms(self) -> dict[SchubertIndex, int]:
-        """:meth:`classical_limit` as a plain {w: coeff} map; no class is built."""
-        return {w: c for (w, d1, d2), c in self._terms.items() if not (d1 or d2)}
 
     def degree_part(self, deg: CurveDegree) -> "QKClass":
         """The classical coefficient class of Q^deg."""

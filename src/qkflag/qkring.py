@@ -11,12 +11,14 @@ iteration
     (d) M_{p,p+1} = H1 . M_{p+1,p} + H2 . M_{p-1,p} - M_{p-1,p}  for 2 <= p < n
     (e) M_{k,p} = H1 . M_{k+1,p}                           for k < p, k != p-1
 
-Each step is written once, in ``_steps``, as a short list of parts
-s * Q1^b1 Q2^b2 * A(x): A is H1, H2, H? or the identity, and x an earlier
-value.  :func:`_recurrence` evaluates a step on a list of columns with one
-pass of the kernel :func:`qkflag.poly._combine` per column, so steps (c)
-and (d) build no intermediate value.  The build runs it on the identity's
-columns, the h1 witness column below on the single column e_{n,1}.
+Each step is written once, in ``_steps``, as parts s * Q1^b1 Q2^b2 * A(x)
+in the one part format, that of the kernel :func:`qkflag.poly._combine`: A
+is H1, H2, H? or the identity, and x an earlier value.  :func:`_recurrence`
+evaluates a step with one kernel pass per column, so no step builds an
+intermediate value.  The build runs it on the identity's columns, the h1
+witness column below on e_{n,1} alone.  An :class:`Operator` is a column
+list whose only arithmetic is ``apply`` to one class and ``compose`` with
+one operator.
 
 Every M_u is a polynomial in H1 and H2, so once H1 H2 = H2 H1 and column
 e_{n,1} of every M_u is e_u, O_u * O_v = M_u M_v e = M_v M_u e = O_v * O_u.
@@ -55,6 +57,8 @@ from itertools import repeat
 from ._record import Record
 from .basis import (
     SchubertIndex,
+    _check_hyperplane,
+    _hyperplane,
     _index,
     basis_positions,
     basis_size,
@@ -75,7 +79,6 @@ from .poly import (
     CurveDegree,
     QKClass,
     _IDENTITY,
-    _as_poly,
     _combine,
     _json_groups,
     _poly_terms,
@@ -91,6 +94,9 @@ class Operator(Record):
 
     def __init__(self, n: int, cols: list[QKClass]):
         check_rank(n)
+        for col in cols:
+            if col.n != n:
+                raise RankMismatch(f"operator for n={n} given a column for n={col.n}")
         if len(cols) != basis_size(n):
             raise ValueError(f"expected {basis_size(n)} columns, got {len(cols)}")
         self.n = n
@@ -120,83 +126,21 @@ class Operator(Record):
         ws = pos if keys is None else (w for w, _, _ in keys)
         return {w: tuple(cols[pos[w]]._terms.items()) for w in ws}
 
-    def apply(self, c: QKClass, *more) -> QKClass:
-        """self c, plus the parts in ``more``: :meth:`compose` with classes for values.
+    def apply(self, c: QKClass) -> QKClass:
+        """self c, one kernel pass; only the columns c reads are prepared."""
+        if c.n != self.n:
+            raise RankMismatch(f"operator for n={self.n} applied to class for n={c.n}")
+        return _combine(self.n, [(1, 0, 0, self._term_columns(c._terms), (c,))])[0]
 
-        Of each operator, only the columns its class reads are prepared.
-        """
-        parts = ((1, 0, 0, self, c), *more)
-        _check_ranks(self.n, parts, "applied to class")
-        return _combine(self.n, [
-            (s, b1, b2, _IDENTITY if a is None else a._term_columns(x._terms), (x,))
-            for s, b1, b2, a, x in parts
-        ])[0]
-
-    def compose(self, other: "Operator", *more) -> "Operator":
-        """self . other (apply other first), plus the parts in ``more``.
-
-        A part ``(s, b1, b2, A, x)`` adds s * Q1^b1 Q2^b2 * A . x, with A an
-        operator or None for the identity.  The whole sum takes one kernel
-        pass per column and builds no intermediate operator, so the
-        commutator H1 H2 - H2 H1 (see :func:`_commute`) is one call.
-        """
-        parts = ((1, 0, 0, self, other), *more)
-        _check_ranks(self.n, parts, "composed with operator")
-        return self._sum([
-            (s, b1, b2, _IDENTITY if a is None else a._term_columns(), x.cols)
-            for s, b1, b2, a, x in parts
-        ])
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "Operator", sign: int) -> "Operator":
+    def compose(self, other: "Operator") -> "Operator":
+        """self . other (apply other first), one kernel pass per column of other."""
         if other.n != self.n:
-            raise RankMismatch(f"mixing operators for n={self.n} and n={other.n}")
-        return self._sum([(1, 0, 0, _IDENTITY, self.cols), (sign, 0, 0, _IDENTITY, other.cols)])
-
-    def scaled(self, factor) -> "Operator":
-        factor = _as_poly(factor)._terms.items()
-        return self._sum([(cb, b1, b2, _IDENTITY, self.cols) for (b1, b2), cb in factor])
-
-    def _sum(self, parts) -> "Operator":
-        """The operator whose columns :func:`qkflag.poly._combine` gives for ``parts``."""
-        return Operator._trusted(self.n, _combine(self.n, parts, len(self.cols)))
+            raise RankMismatch(f"operator for n={self.n} composed with operator for n={other.n}")
+        parts = [(1, 0, 0, self._term_columns(), other.cols)]
+        return Operator._trusted(self.n, _combine(self.n, parts, len(other.cols)))
 
     def degree_support(self) -> set[CurveDegree]:
         return set().union(*(col.degree_support() for col in self.cols))
-
-
-def _check_ranks(n: int, parts, verb: str) -> None:
-    """RankMismatch unless the operator A (None skipped) and the value x of every part are for ``n``."""
-    for _, _, _, a, x in parts:
-        if x.n != n or a is not None and a.n != n:
-            raise RankMismatch(f"operator for n={n} {verb} for n={a.n if x.n == n else x.n}")
-
-
-class _Prepared(Operator):
-    """An operator whose kernel columns are prepared once: H1 or H2 over every step of a run."""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, op: Operator):
-        self.n, self.cols, self._columns = op.n, op.cols, op._term_columns()
-
-    def _term_columns(self, keys=None) -> dict:
-        return self._columns
-
-
-def _check_hyperplane(h: str) -> None:
-    if h not in ("h1", "h2"):
-        raise ValueError(f"h must be 'h1' or 'h2', got {h!r}")
-
-
-def _hyperplane(h: str, n: int) -> SchubertIndex:
-    """The index of O_h on a trusted h: (n-1, 1) for h1, (n, 2) for h2."""
-    return _index[n - 1, 1] if h == "h1" else _index[n, 2]
 
 
 def quantum_correction(h: str, v, n: int) -> QKClass:
@@ -280,29 +224,29 @@ class MultiplicationTable(Record):
 
 
 def _steps(n: int, m: dict, h1, h2, hc):
-    """Steps (a), (c), (b), (d), (e) in that order: yield (w, A, x, more) for every w but the unit.
+    """Steps (a), (c), (b), (d), (e) in that order: yield (w, parts) for every w but the unit.
 
-    Each stands for x_w = A x + the sum of ``more``, a short tuple of parts
-    ``(s, b1, b2, B, y)``, each s * Q1^b1 Q2^b2 * B y; A is ``h1`` or
-    ``h2``, B is ``hc`` (the H? of step (c)), ``h2`` or None (the identity),
-    as :func:`_recurrence` takes them.  The values x and y are earlier ones,
-    read from ``m`` (keyed by (i, j)) when the step is reached.  Step (c)
-    reads only x_{2,1} and the seed x_{n,1}, so it runs right after (a);
-    step (d) reads (b) and (c).
+    x_w is the sum of ``parts``, given in the kernel's own format (see
+    :func:`qkflag.poly._combine`): ``(s, b1, b2, A, x)`` stands for
+    s * Q1^b1 Q2^b2 * A x.  A is ``h1``, ``h2``, ``hc`` (the H? of step (c))
+    or :data:`~qkflag.poly._IDENTITY`, each a kernel column map, and x is an
+    earlier value, read from ``m`` (keyed by (i, j)) when the step is
+    reached.  Step (c) reads only x_{2,1} and the seed x_{n,1}, so it runs
+    right after (a); step (d) reads (b) and (c).
     """
     for k in range(n - 1, 1, -1):
-        yield (k, 1), h1, m[k + 1, 1], ()
+        yield (k, 1), [(1, 0, 0, h1, m[k + 1, 1])]
     seed = m[n, 1]
-    yield (1, 2), h1, m[2, 1], ((1, 1, 0, hc, seed), (-1, 1, 0, None, seed))
+    yield (1, 2), [(1, 0, 0, h1, m[2, 1]), (1, 1, 0, hc, seed), (-1, 1, 0, _IDENTITY, seed)]
     for k in range(2, n + 1):
         for p in range(2, k):
-            yield (k, p), h2, m[k, p - 1], ()
+            yield (k, p), [(1, 0, 0, h2, m[k, p - 1])]
     for p in range(2, n):
         y = m[p - 1, p]
-        yield (p, p + 1), h1, m[p + 1, p], ((1, 0, 0, h2, y), (-1, 0, 0, None, y))
+        yield (p, p + 1), [(1, 0, 0, h1, m[p + 1, p]), (1, 0, 0, h2, y), (-1, 0, 0, _IDENTITY, y)]
     for p in range(3, n + 1):
         for k in range(p - 2, 0, -1):
-            yield (k, p), h1, m[k + 1, p], ()
+            yield (k, p), [(1, 0, 0, h1, m[k + 1, p])]
 
 
 def _recurrence(n: int, m: dict, h1: Operator, h2: Operator, variant: str, widths=None):
@@ -314,14 +258,12 @@ def _recurrence(n: int, m: dict, h1: Operator, h2: Operator, variant: str, width
     ``m`` runs the whole recurrence.  ``widths`` gives the number of leading
     columns each step evaluates, one int per step; by default all of them.
     ``variant`` picks the hyperplane class H? of step (c).  H1 and H2 are
-    prepared for the kernel once, and a step is one
+    prepared for the kernel once, as plain column maps, and a step is one
     :func:`qkflag.poly._combine` call, one pass per column.
     """
-    h1, h2 = _Prepared(h1), _Prepared(h2)
+    h1, h2 = h1._term_columns(), h2._term_columns()
     steps = _steps(n, m, h1, h2, h2 if variant == "h2" else h1)
-    for (w, a, x, more), width in zip(steps, repeat(len(m[n, 1])) if widths is None else widths):
-        parts = [(1, 0, 0, a._columns, x)]
-        parts += [(s, b1, b2, _IDENTITY if b is None else b._columns, y) for s, b1, b2, b, y in more]
+    for (w, parts), width in zip(steps, repeat(len(m[n, 1])) if widths is None else widths):
         yield w, _combine(n, parts, width)
 
 
@@ -333,13 +275,13 @@ def _layout(n: int) -> list[SchubertIndex]:
     rank r or more, a prefix of every earlier value's list.
     """
     # _steps only passes the values it reads on, so any placeholder will do
-    ranked = [w for w, *_ in _steps(n, defaultdict(int), None, None, None)]
+    ranked = [w for w, _ in _steps(n, defaultdict(int), None, None, None)]
     return [unit_index(n), *(SchubertIndex(*w) for w in reversed(ranked))]
 
 
 def _commute(h1: Operator, h2: Operator) -> bool:
-    """H1 H2 = H2 H1, read off one composition: H1 H2 - H2 H1, one kernel pass per column."""
-    return not any(h1.compose(h2, (-1, 0, 0, h2, h1)).cols)
+    """H1 H2 = H2 H1: two compositions, one kernel pass per column each."""
+    return h1.compose(h2) == h2.compose(h1)
 
 
 def _mirrored(h1: Operator, h2: Operator) -> list[Operator] | None:
@@ -356,7 +298,6 @@ def _mirrored(h1: Operator, h2: Operator) -> list[Operator] | None:
     changes a class's terms in place.
     """
     n = h1.n
-    h1, h2 = _Prepared(h1), _Prepared(h2)
     if not _commute(h1, h2):
         return None
     layout = _layout(n)
@@ -381,7 +322,7 @@ def _build_with_variant(n: int, variant: str) -> tuple[list[Operator], bool]:
     O_{1,2}); it, and an h2 build whose certificate fails, is evaluated at
     full width, on the identity's columns in basis order.
     """
-    h1, h2 = _Prepared(_chevalley_operator("h1", n)), _Prepared(_chevalley_operator("h2", n))
+    h1, h2 = _chevalley_operator("h1", n), _chevalley_operator("h2", n)
     if variant == "h2" and (ops := _mirrored(h1, h2)) is not None:
         return ops, True
     basis = list(basis_positions(n))
@@ -479,7 +420,7 @@ def _classical_mismatches(n: int, ops: list[Operator], mirrored: bool = False) -
             else:  # no constant term differs: equal unless a formula term is missing
                 if not left:
                     continue
-            got = col._constant_terms()
+            got = {w: c for (w, d1, d2), c in col._terms.items() if not (d1 or d2)}
             found[a, b] = [(w, c) for w in basis if (c := got.get(w, 0) - want.get(w, 0))]
     return [
         (basis[a], basis[b], w, c) for (a, b), diff in _both_ways(found, mirrored) for w, c in diff

@@ -27,7 +27,7 @@ from .basis import (
     h2_index,
     unit_index,
 )
-from .poly import written_order
+from .poly import _combine, written_order
 from .qkring import (
     Operator,
     _both_ways,
@@ -35,7 +35,6 @@ from .qkring import (
     _classical_mismatches,
     _is_mirrored,
     _noncommuting,
-    _Prepared,
     _triangle,
     certify_ring,
 )
@@ -127,7 +126,7 @@ def ring_axiom_checks(table, *, associativity: bool | None = None) -> Verificati
     commutativity and identity scans run, as they do whenever associativity
     is not checked.  The identity scan compares each column O_e * O_v with
     the flat map ``{(v, 0, 0): 1}`` of e_v, and its n with the table's,
-    since an :class:`~qkflag.qkring.Operator` does not check its columns' n.
+    since a table's operators are wrapped without checking their columns' n.
     """
     n = table.n
     basis = enumerate_basis(n)
@@ -159,17 +158,17 @@ def _associativity_counterexamples(table, n: int, basis) -> list[dict]:
 
     Column by column: M_u (M_v e_w) against R_w (O_u * O_v), where R_w sends
     e_x to O_x * O_w (column w of every M_x).  Each M_u and R_w is prepared
-    for the kernel once, and no operator sum is built.
+    as a kernel column map once, and one kernel pass per triple evaluates
+    the difference of the two sides.
     """
-    right = [
-        _Prepared(Operator._trusted(n, [op.cols[c] for op in table.ops])) for c in range(len(basis))
-    ]
+    left = [op._term_columns() for op in table.ops]
+    right = [Operator._trusted(n, row)._term_columns() for row in zip(*(op.cols for op in table.ops))]
     return [
         {"axiom": "associativity", "u": [u.i, u.j], "v": [v.i, v.j], "w": [w.i, w.j]}
-        for mu, u in zip(map(_Prepared, table.ops), basis)
-        for mv, v, uv in zip(table.ops, basis, mu.cols)
+        for mu, u, row in zip(left, basis, table.ops)
+        for mv, v, uv in zip(table.ops, basis, row.cols)
         for vw, rw, w in zip(mv.cols, right, basis)
-        if mu.apply(vw) != rw.apply(uv)
+        if _combine(n, [(1, 0, 0, mu, (vw,)), (-1, 0, 0, rw, (uv,))])[0]
     ]
 
 

@@ -77,7 +77,7 @@ RECORDS = [
         Operator,
         ["n", "cols"],
         lambda: Operator.identity(3),
-        lambda: Operator.identity(3) + Operator.identity(3),
+        lambda: Operator(3, [col + col for col in Operator.identity(3).cols]),
         False,
     ),
     (

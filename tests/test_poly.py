@@ -159,13 +159,13 @@ def test_str_rendering_matches_sign_major_order():
 
 
 @settings(max_examples=50, deadline=None)
-@given(small_polys(), small_polys(), small_polys())
-def test_class_arithmetic_leaves_operands_unchanged(a, b, f):
+@given(small_polys(), small_polys())
+def test_class_arithmetic_leaves_operands_unchanged(a, b):
     x = QKClass(3, {(1, 2): a, (3, 1): b})
     y = QKClass(3, {(1, 2): b, (2, 3): a})
-    before = (class_to_json(x), class_to_json(y), poly_to_json(f))
-    results = [x + y, x - y, -x, x.scaled(f), y.scaled(3)]
-    assert (class_to_json(x), class_to_json(y), poly_to_json(f)) == before
+    before = (class_to_json(x), class_to_json(y))
+    results = [x + y, x - y, -x]
+    assert (class_to_json(x), class_to_json(y)) == before
     for r in results:
         # the accumulated results keep the canonical form of validated input
         assert r == QKClass(3, dict(r.items()))

@@ -25,6 +25,8 @@ from qkflag.verify import (
     ring_axiom_checks,
 )
 
+from .test_qkring import _add, _compose
+
 
 @pytest.fixture(scope="module")
 def tables():
@@ -176,19 +178,29 @@ def test_certified_ring_report_matches_brute_force(name, monkeypatch):
 
 
 def _operator_sum_counterexamples(table, n, basis):
-    """The brute force composed whole: M_u . M_v against the operator sum of c_x M_x."""
+    """The brute force composed whole: M_u . M_v against the operator sum of c_x M_x.
+
+    Operators are {v: {(w, d1, d2): c}} maps in the plain dict arithmetic of
+    tests/test_qkring.py, so nothing here runs through the kernel.
+    """
+    ops = {u: {v: col._terms for v, col in zip(basis, op.cols)} for u, op in zip(basis, table.ops)}
+
+    def nonzero(col):
+        return {key: c for key, c in col.items() if c}
+
     bad = []
     for u in basis:
-        mu = table.matrix(u)
         for v in basis:
-            lhs = mu.compose(table.matrix(v))
-            rhs = None
-            for x, p in table.product(u, v).items():
-                scaled = table.matrix(x).scaled(p)
-                rhs = scaled if rhs is None else rhs + scaled
+            lhs = _compose(ops[u], ops[v])
+            rhs = {w: {} for w in basis}
+            for (x, d1, d2), c in table.product(u, v)._terms.items():
+                scaled = {
+                    w: {(y, e1 + d1, e2 + d2): k * c for (y, e1, e2), k in col.items()}
+                    for w, col in ops[x].items()
+                }
+                rhs = _add(rhs, scaled)
             for w in basis:
-                right = rhs.column(w) if rhs is not None else QKClass.zero(n)
-                if lhs.column(w) != right:
+                if nonzero(lhs[w]) != nonzero(rhs[w]):
                     bad.append(
                         {"axiom": "associativity", "u": [u.i, u.j], "v": [v.i, v.j], "w": [w.i, w.j]}
                     )
@@ -206,19 +218,19 @@ def test_associativity_fallback_matches_operator_sums(name):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_certified_associativity_composes_only_the_commutator(n, monkeypatch):
-    # the certificate's recurrence runs on the kernel; its one Operator.compose
-    # call is H1 H2 - H2 H1, two compositions
+    # the certificate's recurrence runs on the kernel; its only Operator.compose
+    # calls are H1 H2 and H2 H1, one composition each
     table = build_table(n)
     calls = []
     compose = Operator.compose
 
-    def counting(self, other, *more):
-        calls.append(1 + sum(a is not None for _, _, _, a, _ in more))
-        return compose(self, other, *more)
+    def counting(self, other):
+        calls.append(1)
+        return compose(self, other)
 
     monkeypatch.setattr(Operator, "compose", counting)
     assert ring_axiom_checks(table, associativity=True).passed
-    assert calls == [2]
+    assert calls == [1, 1]
 
 
 @pytest.mark.parametrize("n", range(3, 11))
