@@ -72,9 +72,12 @@ def dim_incidence(n: int) -> int:
 
 def linear_index(w, n: int) -> int:
     """0-based position of O_{i,j} in the basis order."""
-    i, j = check_index(w, n)
-    t = (i - 1) * (n - 1) + (j - 1 if j > i else j)
-    return t - 1
+    return _position(*check_index(w, n), n)
+
+
+def _position(i: int, j: int, n: int) -> int:
+    """:func:`linear_index` of a trusted pair (i, j), with no basis built."""
+    return (i - 1) * (n - 1) + (j - 2 if j > i else j - 1)
 
 
 def from_linear(t: int, n: int) -> SchubertIndex:
@@ -99,6 +102,12 @@ def enumerate_basis(n: int) -> list[SchubertIndex]:
 def basis_positions(n: int) -> Mapping[SchubertIndex, int]:
     """Read-only map from every index for this n to its basis position."""
     return MappingProxyType({from_linear(t, n): t for t in range(basis_size(n))})
+
+
+@lru_cache(maxsize=None)
+def _basis(n: int) -> tuple[SchubertIndex, ...]:
+    """The indices of :func:`basis_positions`, in basis order, for a trusted n."""
+    return tuple(basis_positions(n))
 
 
 def length(w, n: int) -> int:

@@ -30,9 +30,9 @@ from __future__ import annotations
 import json
 
 from ._record import Record
-from .basis import SchubertIndex, _index, _length, basis_positions, check_index, check_rank
+from .basis import SchubertIndex, _length, _position, basis_positions, check_index, check_rank
 from .errors import DegenerateTarget, InvalidIndex
-from .poly import CurveDegree, QKClass, written_order
+from .poly import _D1, _POS, CurveDegree, QKClass, _decode
 from .qkring import _both_ways, _is_mirrored, _triangle
 
 
@@ -115,23 +115,25 @@ def _class_formula(a: int, b: int, parity: int, n: int) -> tuple[dict, dict]:
 
     The class is a = i + k, b = j + p and parity = (l(u) + l(v)) mod 2; the
     formula reads nothing else.  Returns the flipped and the literal product
-    (the order of :data:`GATINGS`), each a flat map ``(w, d1, d2) -> coeff``,
-    the layout of :class:`~qkflag.poly.QKClass`.  The four translates are
-    pairwise distinct, so no two terms share a key and none cancels.
+    (the order of :data:`GATINGS`), each a flat map ``code -> coeff`` over
+    the term codes of :mod:`qkflag.poly`, the layout of
+    :class:`~qkflag.poly.QKClass`.  The four translates are pairwise
+    distinct, so no two terms share a key and none cancels.
     """
-    terms = []  # (w, d1, d2) of t_0..t_3, None where degenerate
+    terms = []  # (code, (w, d1, d2)) of t_0..t_3, None where degenerate
     for di, dj in _SHIFTS:
         s, t = (a - di) % n + 1, (b - dj) % n + 1
-        terms.append(None if s == t else (_index[s, t], 1 - (a - s) // n, (b - t) // n))
+        d1, d2 = 1 - (a - s) // n, (b - t) // n
+        terms.append(None if s == t else (_position(s, t, n) << _POS | d1 << _D1 | d2, ((s, t), d1, d2)))
     t0, t1 = terms[0], terms[1]
-    base = {t0: 1} if t0 and _parity_gate(parity, *t0, n) else {}
+    base = {t0[0]: 1} if t0 and _parity_gate(parity, *t0[1], n) else {}
     if t1 is None:  # a degenerate t1 zeroes the whole gated group
         return base, base
     full = dict(base)
-    for key, sign in zip(terms[1:], (1, 1, -1)):
-        if key:
-            full[key] = sign
-    return (full, base) if _parity_gate(parity, *t1, n) else (base, full)
+    for term, sign in zip(terms[1:], (1, 1, -1)):
+        if term:
+            full[term[0]] = sign
+    return (full, base) if _parity_gate(parity, *t1[1], n) else (base, full)
 
 
 def _formula_terms(u, v, n: int) -> tuple[dict, dict]:
@@ -194,9 +196,12 @@ def _differing(x: dict, y: dict) -> list:
     return [t for t in x.keys() | y.keys() if x.get(t, 0) != y.get(t, 0)]
 
 
-def _mismatch_rows(want: dict, got: dict, order) -> list:
-    """Sorted by ``order``: ``((w, d1, d2), (table, conjecture))`` wherever ``want`` and ``got`` differ."""
-    return sorted(((t, (want.get(t, 0), got.get(t, 0))) for t in _differing(want, got)), key=order)
+def _mismatch_rows(want: dict, got: dict, basis) -> list:
+    """``((w, d1, d2), (table, conjecture))`` wherever two flat maps of codes differ, in code order.
+
+    ``basis`` lists the indices in basis order, to decode the codes.
+    """
+    return [(_decode(t, basis), (want.get(t, 0), got.get(t, 0))) for t in sorted(_differing(want, got))]
 
 
 def compare_with_table(table, gating: str = "flipped") -> DiffReport:
@@ -230,25 +235,27 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
         raise ValueError(f"gating must be one of {GATINGS}, got {gating!r}")
     n = table.n
     basis = list(basis_positions(n))
-    order = written_order(n)
     g = GATINGS.index(gating)
     ops = table.ops
     mirrored = _is_mirrored(ops)
     other_count = 0
     lengths = [_length(w.i, w.j, n) for w in basis]
+    # the class as one int: 2((i + k)(2n + 1) + j + p) + parity
+    keys = [2 * (i * (2 * n + 1) + j) + (lw & 1) for (i, j), lw in zip(basis, lengths)]
     per_class: dict = {}
     other_rows: dict = {}  # per class: the rows of a column equal to the other gating
     found = {}  # (a, b) -> the rows of O_u * O_v
     for a, row in _triangle(ops, mirrored):
-        u, lu = basis[a], lengths[a]
+        ka = keys[a]
         for b, col in row:
-            v = basis[b]
-            cls = (u.i + v.i, u.j + v.j, (lu + lengths[b]) & 1)
-            if cls not in per_class:
-                maps = _class_formula(*cls, n)
+            cls = ka + keys[b] - 2 * (ka & keys[b] & 1)  # two parity bits of 1 add to 0
+            entry = per_class.get(cls)
+            if entry is None:
+                (i, j), (k, p) = basis[a], basis[b]
+                maps = _class_formula(i + k, j + p, (lengths[a] + lengths[b]) & 1, n)
                 got, other = maps[g], maps[1 - g]
-                per_class[cls] = (got, other, abs(len(got) - len(other)))
-            got, other, apart = per_class[cls]
+                entry = per_class[cls] = (got, other, abs(len(got) - len(other)))
+            got, other, apart = entry
             want = col._terms
             # a shared product stands for O_u * O_v and O_v * O_u
             times = 2 if mirrored and a != b else 1
@@ -257,11 +264,11 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
                 continue
             if want == other:
                 if cls not in other_rows:
-                    other_rows[cls] = _mismatch_rows(other, got, order)
+                    other_rows[cls] = _mismatch_rows(other, got, basis)
                 found[a, b] = other_rows[cls]
             else:
                 other_count += times * len(_differing(want, other))
-                found[a, b] = _mismatch_rows(want, got, order)
+                found[a, b] = _mismatch_rows(want, got, basis)
     mismatches = [
         {
             "u": [basis[a].i, basis[a].j],

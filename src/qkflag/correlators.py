@@ -13,26 +13,23 @@ reconstruction of quantum Chevalley terms therefore takes one target per
 two-point factor and per three-point row, and never scans the basis.  The
 duality is applied to that target once, not to every w.  Targets are read
 from the intern table ``qkflag.basis._index``.  The reconstruction adds each
-signed target straight into the one flat ``(w, 0, 0)`` map that its class
-wraps, and drops a key whose sum reaches zero.  Public functions validate
-their indices; the private helpers they share run on trusted ones.
+signed target straight into the one flat map that its class wraps, keyed by
+the code of w's constant term, ``p << 24`` for w at basis position p (see
+:mod:`qkflag.poly`), and drops a key whose sum reaches zero.  Public
+functions validate their indices; the private helpers they share run on
+trusted ones.
 """
 
 from __future__ import annotations
 
 from ._record import FrozenRecord
 from .basis import (
-    SchubertIndex, _check_hyperplane, _hyperplane, _index, check_index, check_rank, dual_index
+    SchubertIndex, _check_hyperplane, _hyperplane, _index, basis_positions, check_index, check_rank,
+    dual_index,
 )
 from .errors import UnsupportedDegree
 from .kring import _k_terms
-from .poly import (
-    DEGREE_L1,
-    DEGREE_L1L2,
-    DEGREE_L2,
-    CurveDegree,
-    QKClass,
-)
+from .poly import _POS, DEGREE_L1, DEGREE_L1L2, DEGREE_L2, CurveDegree, QKClass
 
 
 class CorrelatorQuery(FrozenRecord):
@@ -177,11 +174,12 @@ def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClas
     hw = _hyperplane(h, n)
     classical = _k_terms(hw, v, n).items()
     t, row = _two_point_target, _three_point_target
-    acc: dict[tuple[SchubertIndex, int, int], int] = {}
+    pos = basis_positions(n)
+    acc: dict[int, int] = {}
 
     def add(w, c):
         if w:  # None: a three-point row with no target
-            key = (w, 0, 0)
+            key = pos[w] << _POS
             c += acc.pop(key, 0)
             if c:
                 acc[key] = c

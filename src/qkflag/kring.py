@@ -63,8 +63,8 @@ def k_class_product(a: QKClass, b: QKClass, n: int) -> QKClass:
         raise RankMismatch(f"classes built for n={a.n}/{b.n}, expected {n}")
     return _combine(n, [
         (ca * cb, a1 + b1, a2 + b2, _IDENTITY, (k_product(u, v, n),))
-        for (u, a1, a2), ca in a._terms.items()
-        for (v, b1, b2), cb in b._terms.items()
+        for (u, a1, a2), ca in a.ordered_terms()
+        for (v, b1, b2), cb in b.ordered_terms()
     ])[0]
 
 

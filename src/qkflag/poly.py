@@ -8,12 +8,27 @@ flat map over (class, degree) pairs, not a map of polynomials; see
 (basis position of w, then (d1, d2)): the JSON and CSV writers and every
 verification and conjecture report list terms in it.
 
-Public constructors validate their input.  All arithmetic on classes and
-polynomials, and operator application and composition, runs through one
-kernel, :func:`_combine`.  Its part tuple ``(s, b1, b2, A, x)``, for
-``s * Q1^b1 Q2^b2 * A(x)``, is the only part format in the package: A is an
-operator's columns prepared as flat term tuples, or :data:`_IDENTITY`.  One
-accumulate loop per column evaluates a short list of parts and wraps each
+**Term layout.**  The term Q1^d1 Q2^d2 O_w of a class for n is keyed by one
+int, its code ``p << 24 | d1 << 12 | d2``, where p is w's basis position
+for n (:func:`_encode`, :func:`_decode`).  Int order on codes is the written
+order.  Every degree of a class is below ``DEGREE_LIMIT`` = 2^11, checked
+where classes come from outside: the :class:`QKClass` constructor,
+:meth:`QKClass.basis_element`, :func:`class_from_json` and the cached table
+loader.  Adding a degree shift ``b1 << 12 | b2`` to a code then shifts the
+degree field by field: after one kernel pass a field holds at most
+2047 + 2047 + 1 = 4095 < 2^12 (an input degree, a column's degree and a
+step's shift), so it cannot carry into the next field.  The kernel refuses a degree of
+2^11 or more instead of wrapping it: one OR over every code a call makes
+has bit 11 or bit 23 set.  :class:`NovikovPolynomial` keeps plain, unbounded
+``(d1, d2)`` keys.
+
+Public constructors validate their input: coefficients and degrees must be
+exact ints, not bools.  All arithmetic on classes, and operator application
+and composition, runs through one kernel, :func:`_combine`.  Its part tuple
+``(s, b1, b2, A, x)``, for ``s * Q1^b1 Q2^b2 * A(x)``, is the only part
+format in the package: A is an operator's columns prepared as flat term
+tuples indexed by basis position, or :data:`_IDENTITY`.  One accumulate loop
+evaluates a short list of parts over a list of columns and wraps each
 result without re-validation.
 """
 
@@ -22,7 +37,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
-from .basis import SchubertIndex, basis_positions, check_index, check_rank
+from .basis import SchubertIndex, _basis, _position, basis_positions, check_index, check_rank
 from .errors import RankMismatch
 
 CurveDegree = tuple[int, int]
@@ -31,6 +46,31 @@ DEGREE_ZERO: CurveDegree = (0, 0)
 DEGREE_L1: CurveDegree = (1, 0)
 DEGREE_L2: CurveDegree = (0, 1)
 DEGREE_L1L2: CurveDegree = (1, 1)
+
+# The code of a term, ``p << _POS | d1 << _D1 | d2``: see the module docstring.
+_POS = 24
+_D1 = 12
+_FIELD = (1 << _D1) - 1  # code >> _D1 & _FIELD is d1, code & _FIELD is d2
+_DEGREES = (1 << _POS) - 1  # code & _DEGREES is the packed degree d1 << _D1 | d2
+DEGREE_LIMIT = 1 << 11  # every degree of a class is below it
+_CARRY = DEGREE_LIMIT << _D1 | DEGREE_LIMIT  # set in a code whose degree reached the limit
+
+
+def _encode(p: int, d1: int, d2: int) -> int:
+    """The code of Q1^d1 Q2^d2 O_w for w at basis position p; ValueError unless 0 <= d1, d2 < 2^11."""
+    if not (0 <= d1 < DEGREE_LIMIT and 0 <= d2 < DEGREE_LIMIT):
+        raise ValueError(f"curve degree ({d1},{d2}) is out of range: degrees must be below {DEGREE_LIMIT}")
+    return p << _POS | d1 << _D1 | d2
+
+
+def _decode(code: int, basis) -> tuple[SchubertIndex, int, int]:
+    """(w, d1, d2) of a code; ``basis`` lists the indices of the class's n in basis order."""
+    return basis[code >> _POS], code >> _D1 & _FIELD, code & _FIELD
+
+
+def _degree(code: int) -> CurveDegree:
+    """(d1, d2) of a code, or of its degree field ``code & _DEGREES``."""
+    return code >> _D1 & _FIELD, code & _FIELD
 
 
 def c1_pairing(deg: CurveDegree, n: int) -> int:
@@ -106,7 +146,7 @@ class NovikovPolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, (int, NovikovPolynomial)):
             return NotImplemented
-        return self._terms == _as_poly(other)._terms
+        return self._terms == _as_poly(int(other) if isinstance(other, int) else other)._terms
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._terms.items())))
@@ -122,24 +162,20 @@ class NovikovPolynomial:
 
 
 def _poly_sum(parts) -> NovikovPolynomial:
-    """``sum s * Q1^b1 Q2^b2 * p`` over ``(s, b1, b2, p)`` parts, through the one kernel.
-
-    Each p enters :func:`_combine` as a class whose terms all sit under one
-    placeholder index, 0.
-    """
-    flat = [
-        (s, b1, b2, _IDENTITY, (QKClass._trusted(0, {(0, *d): c for d, c in p._terms.items()}),))
-        for s, b1, b2, p in parts
-    ]
-    (total,) = _combine(0, flat)
-    return NovikovPolynomial._trusted({(d1, d2): c for (_, d1, d2), c in total._terms.items()})
+    """``sum s * Q1^b1 Q2^b2 * p`` over ``(s, b1, b2, p)`` parts: one accumulate loop, zeros dropped once."""
+    acc: dict[CurveDegree, int] = {}
+    for s, b1, b2, p in parts:
+        for (d1, d2), c in p._terms.items():
+            key = (d1 + b1, d2 + b2)
+            acc[key] = acc.get(key, 0) + s * c
+    return NovikovPolynomial._trusted({d: c for d, c in acc.items() if c})
 
 
 def _as_poly(x) -> NovikovPolynomial:
     if isinstance(x, NovikovPolynomial):
         return x
-    if isinstance(x, int):
-        return NovikovPolynomial({DEGREE_ZERO: x})
+    if type(x) is int:  # not a bool
+        return NovikovPolynomial._trusted({DEGREE_ZERO: x} if x else {})
     raise TypeError(f"cannot coerce {type(x).__name__} to NovikovPolynomial")
 
 
@@ -170,8 +206,6 @@ def _poly_terms(items: Iterable[Mapping]) -> dict[CurveDegree, int]:
     terms: dict[CurveDegree, int] = {}
     for t in items:
         d1, d2, c = t["d1"], t["d2"], t["coeff"]
-        if not all(type(x) is int for x in (d1, d2, c)):
-            raise ValueError(f"polynomial term {t!r} must hold integers")
         if (d1, d2) in terms:
             raise ValueError(f"polynomial repeats the degree ({d1},{d2})")
         terms[d1, d2] = c
@@ -179,8 +213,14 @@ def _poly_terms(items: Iterable[Mapping]) -> dict[CurveDegree, int]:
 
 
 def _nonnegative(terms: dict[CurveDegree, int]) -> dict[CurveDegree, int]:
-    """``terms`` without zero coefficients; ValueError on a negative degree."""
-    for d1, d2 in terms:
+    """``terms`` without zero coefficients.
+
+    ValueError unless every degree and coefficient is an int (not a bool)
+    and every degree is nonnegative.
+    """
+    for (d1, d2), c in terms.items():
+        if type(d1) is not int or type(d2) is not int or type(c) is not int:
+            raise ValueError(f"polynomial term Q1^{d1!r} Q2^{d2!r} with coefficient {c!r} must hold integers")
         if d1 < 0 or d2 < 0:
             raise ValueError(f"negative curve degree ({d1},{d2})")
     return {d: c for d, c in terms.items() if c}
@@ -195,15 +235,16 @@ def written_order(n: int):
 class QKClass:
     """An element of the small quantum K-ring for a fixed n.
 
-    Stored as one flat map ``{(w, d1, d2): c}``: ``w`` a
-    :class:`~qkflag.basis.SchubertIndex` valid for n, ``(d1, d2)`` a
-    nonnegative curve degree, ``c`` a nonzero int, the coefficient of
-    Q1^d1 Q2^d2 O_w.  A :class:`NovikovPolynomial` per class is built only
-    by :meth:`coefficient` and :meth:`items`.  A classical K-class is the
+    Stored as one flat map ``{code: c}``: the code (see the module
+    docstring) names the term Q1^d1 Q2^d2 O_w, ``w`` a
+    :class:`~qkflag.basis.SchubertIndex` valid for n and ``(d1, d2)`` a
+    nonnegative curve degree below 2^11, and ``c`` is its nonzero int
+    coefficient.  A :class:`NovikovPolynomial` per class is built only by
+    :meth:`coefficient` and :meth:`items`.  A classical K-class is the
     special case where every degree is (0, 0).  :meth:`ordered_terms` lists
-    the terms in the written order.  No code changes a class's terms once
-    it is built, so one class object may stand for several products (the
-    h2 table shares O_u * O_v with O_v * O_u).
+    the terms, decoded, in the written order.  No code changes a class's
+    terms once it is built, so one class object may stand for several
+    products (the h2 table shares O_u * O_v with O_v * O_u).
     """
 
     __slots__ = ("n", "_terms")
@@ -211,11 +252,11 @@ class QKClass:
     def __init__(self, n: int, terms: Mapping | None = None):
         self.n = check_rank(n)
         polys = {check_index(w, n): _as_poly(p) for w, p in (terms or {}).items()}
-        self._terms = {(w, d1, d2): c for w, p in polys.items() for (d1, d2), c in p._terms.items()}
+        self._terms = {_encode(_position(*w, n), *d): c for w, p in polys.items() for d, c in p._terms.items()}
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[tuple[SchubertIndex, int, int], int]) -> "QKClass":
-        """Wrap a flat map that is already clean: valid indices for n, no zero coefficient."""
+    def _trusted(cls, n: int, terms: dict[int, int]) -> "QKClass":
+        """Wrap a flat map that is already clean: codes of valid terms for n, no zero coefficient."""
         c = object.__new__(cls)
         c.n = n
         c._terms = terms
@@ -234,14 +275,17 @@ class QKClass:
         return not self._terms
 
     def coefficient(self, w) -> NovikovPolynomial:
-        """The polynomial coefficient of O_w: a filter over the flat terms, no sort."""
-        w = SchubertIndex(*w)
-        terms = self._terms.items()
-        return NovikovPolynomial._trusted({(d1, d2): c for (x, d1, d2), c in terms if x == w})
+        """The polynomial coefficient of O_w: a filter over the flat terms, no sort.
+
+        InvalidIndex unless w is a valid index for the class's n.
+        """
+        p = _position(*check_index(w, self.n), self.n)
+        return NovikovPolynomial._trusted({_degree(k): c for k, c in self._terms.items() if k >> _POS == p})
 
     def ordered_terms(self) -> list[tuple[tuple[SchubertIndex, int, int], int]]:
         """Flat ((w, d1, d2), c) terms in the written order, :func:`written_order`."""
-        return sorted(self._terms.items(), key=written_order(self.n))
+        basis = _basis(self.n)  # each code decoded inline, as _decode does
+        return [((basis[k >> _POS], k >> _D1 & _FIELD, k & _FIELD), c) for k, c in sorted(self._terms.items())]
 
     def items(self) -> list[tuple[SchubertIndex, NovikovPolynomial]]:
         """(class, polynomial) pairs in basis order: :meth:`ordered_terms` grouped by class."""
@@ -281,12 +325,11 @@ class QKClass:
 
     def degree_part(self, deg: CurveDegree) -> "QKClass":
         """The classical coefficient class of Q^deg."""
-        return QKClass._trusted(
-            self.n, {(w, 0, 0): c for (w, d1, d2), c in self._terms.items() if (d1, d2) == deg}
-        )
+        terms = self._terms.items()
+        return QKClass._trusted(self.n, {k >> _POS << _POS: c for k, c in terms if _degree(k) == deg})
 
     def degree_support(self) -> set[CurveDegree]:
-        return {(d1, d2) for _, d1, d2 in self._terms}
+        return {_degree(k) for k in self._terms}
 
     def __repr__(self) -> str:
         return f"QKClass(n={self.n}, {dict(self.items())!r})"
@@ -297,10 +340,9 @@ class QKClass:
 
     def sorted_monomials(self) -> list[tuple[SchubertIndex, CurveDegree, int]]:
         """Flat (class, degree, coeff) triples: degree asc, positives first, basis order."""
-        flat = [(w, (d1, d2), c) for (w, d1, d2), c in self._terms.items()]
-        pos = basis_positions(self.n)
-        flat.sort(key=lambda t: (t[1], 0 if t[2] > 0 else 1, pos[t[0]]))
-        return flat
+        terms = sorted(self._terms.items(), key=lambda t: (t[0] & _DEGREES, t[1] < 0, t[0]))
+        basis = _basis(self.n)
+        return [(basis[k >> _POS], _degree(k), c) for k, c in terms]
 
 
 def _product_word(*factors: str) -> str:
@@ -317,16 +359,16 @@ def _signed_sum(terms: list[tuple[int, str]]) -> str:
 
 
 class _Identity(dict):
-    """The identity's columns for the kernel: e_w, as one flat term, for every index w.
+    """The identity's columns for the kernel: e_w, as one term, for every basis position p of w.
 
-    A column is made on its first lookup and kept, so later lookups of w
-    are plain dict reads; it depends on w alone, so every caller may share it.
+    A column is made on its first lookup and kept, so later lookups of p
+    are plain dict reads; it depends on p alone, so every caller may share it.
     """
 
     __slots__ = ()
 
-    def __missing__(self, w: SchubertIndex) -> tuple:
-        col = self[w] = (((w, 0, 0), 1),)
+    def __missing__(self, p: int) -> tuple:
+        col = self[p] = ((p << _POS, 1),)
         return col
 
 
@@ -338,39 +380,56 @@ def _combine(n: int, parts, width: int = 1) -> list[QKClass]:
 
     Each part ``(s, b1, b2, cols, xs)`` names an int ``s``, a shift (b1, b2),
     an operator A and a value x given by its columns: ``xs[j]`` is column j
-    of x, a class for ``n``.  ``cols`` maps every index w to A e_w as a tuple
-    of flat ``((w', e1, e2), c)`` terms; :data:`_IDENTITY` is the identity.
-    One loop per column walks the terms of every ``xs[j]`` and adds the
-    terms of A they select, shifted and scaled, into one flat map; zeros are
-    dropped once, at the end.  Nothing is re-validated.
+    of x, a class for ``n``.  ``cols[p]`` is A e_w, for w at basis position
+    p, as a tuple of ``(code, c)`` terms; :data:`_IDENTITY` is the identity.
+    Part by part, one loop walks the terms of each ``xs[j]``, reads A's
+    column at each code's position, and adds its terms, shifted by one int
+    add and scaled, into column j's flat map; zeros are dropped once, at
+    the end.  A shift plus the degrees it meets stays below 2^12 per field
+    (see the module docstring); ValueError is raised if any term the call
+    makes reaches degree 2^11, even one that cancels.  Nothing else is
+    re-validated.
     """
-    out = []
-    for j in range(width):
-        acc: dict[tuple[SchubertIndex, int, int], int] = {}
-        for s, b1, b2, cols, xs in parts:
-            for (w, a1, a2), c in xs[j]._terms.items():
+    accs = [{} for _ in range(width)]
+    seen = 0  # the OR of every code the pass makes
+    pos, degrees = _POS, _DEGREES
+    for s, b1, b2, cols, xs in parts:
+        b = b1 << _D1 | b2
+        for acc, x in zip(accs, xs):
+            get = acc.get
+            for code, c in x._terms.items():
                 c *= s
-                a1 += b1
-                a2 += b2
-                for (x, e1, e2), k in cols[w]:
-                    key = (x, a1 + e1, a2 + e2)
-                    acc[key] = acc.get(key, 0) + c * k
+                shift = (code & degrees) + b
+                for key, k in cols[code >> pos]:
+                    key += shift
+                    seen |= key
+                    acc[key] = get(key, 0) + c * k
+    out = []
+    new = object.__new__
+    for acc in accs:
         if 0 in acc.values():
             acc = {key: c for key, c in acc.items() if c}
-        out.append(QKClass._trusted(n, acc))
+        x = new(QKClass)  # QKClass._trusted, inlined
+        x.n = n
+        x._terms = acc
+        out.append(x)
+    if seen & _CARRY:
+        raise ValueError(f"a curve degree reached {DEGREE_LIMIT}: degrees must be below {DEGREE_LIMIT}")
     return out
 
 
 def _int_class(n: int, coeffs: dict[SchubertIndex, int]) -> QKClass:
     """A classical class from valid indices and integer coefficients, zeros dropped."""
-    return QKClass._trusted(n, {(w, 0, 0): c for w, c in coeffs.items() if c})
+    return QKClass._trusted(n, {_position(*w, n) << _POS: c for w, c in coeffs.items() if c})
 
 
 def _json_groups(c: QKClass) -> list[dict]:
-    """``[{"w": [i, j], "poly": [...]}, ...]``: :meth:`QKClass.ordered_terms` grouped by class."""
+    """``[{"w": [i, j], "poly": [...]}, ...]``: the codes in int order, the written order, grouped by class."""
+    basis = _basis(c.n)
+    groups = groupby(sorted(c._terms.items()), key=lambda term: term[0] >> _POS)
     return [
-        {"w": [w.i, w.j], "poly": [{"d1": d1, "d2": d2, "coeff": k} for (_, d1, d2), k in terms]}
-        for w, terms in groupby(c.ordered_terms(), key=lambda term: term[0][0])
+        {"w": list(basis[p]), "poly": [{"d1": k >> _D1 & _FIELD, "d2": k & _FIELD, "coeff": v} for k, v in terms]}
+        for p, terms in groups
     ]
 
 

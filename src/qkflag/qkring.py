@@ -56,32 +56,14 @@ from itertools import repeat
 
 from ._record import Record
 from .basis import (
-    SchubertIndex,
-    _check_hyperplane,
-    _hyperplane,
-    _index,
-    basis_positions,
-    basis_size,
-    check_index,
-    check_rank,
-    enumerate_basis,
-    h1_index,
-    h2_index,
-    linear_index,
-    unit_index,
+    SchubertIndex, _check_hyperplane, _hyperplane, _position, basis_positions, basis_size, check_index,
+    check_rank, enumerate_basis, h1_index, h2_index, linear_index, unit_index,
 )
 from .errors import MalformedTable, RankMismatch
 from .kring import _k_terms
 from .poly import (
-    DEGREE_L1,
-    DEGREE_L1L2,
-    DEGREE_L2,
-    CurveDegree,
-    QKClass,
-    _IDENTITY,
-    _combine,
-    _json_groups,
-    _poly_terms,
+    DEGREE_L1, DEGREE_L1L2, DEGREE_L2, CurveDegree, QKClass, _DEGREES, _IDENTITY, _POS, _combine,
+    _degree, _encode, _json_groups, _poly_terms,
 )
 
 CHEVALLEY_DEGREES: frozenset[CurveDegree] = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
@@ -117,14 +99,16 @@ class Operator(Record):
     def column(self, v) -> QKClass:
         return self.cols[linear_index(v, self.n)]
 
-    def _term_columns(self, keys=None) -> dict:
-        """``{w: column w as a tuple of flat ((w', d1, d2), c) terms}``: what the kernel reads for A.
+    def _term_columns(self, codes=None):
+        """Column p as a tuple of ``(code, c)`` terms, indexed by basis position p: what the kernel reads for A.
 
-        For every w, or for the w of each flat key (w, d1, d2) in ``keys``.
+        A list of every column, or a dict of the columns at the positions
+        of the term codes in ``codes``.
         """
-        pos, cols = basis_positions(self.n), self.cols
-        ws = pos if keys is None else (w for w, _, _ in keys)
-        return {w: tuple(cols[pos[w]]._terms.items()) for w in ws}
+        cols = self.cols
+        if codes is None:
+            return [tuple(col._terms.items()) for col in cols]
+        return {p: tuple(cols[p]._terms.items()) for p in {code >> _POS for code in codes}}
 
     def apply(self, c: QKClass) -> QKClass:
         """self c, one kernel pass; only the columns c reads are prepared."""
@@ -154,7 +138,7 @@ def quantum_correction(h: str, v, n: int) -> QKClass:
 
 
 def _quantum_terms(h: str, v: SchubertIndex, n: int) -> dict:
-    """:func:`quantum_correction` as a flat ``{(w, d1, d2): c}`` map, on a trusted h and v."""
+    """:func:`quantum_correction` as a flat ``{code: c}`` map, on a trusted h and v."""
     k, p = v
     single: dict = {}  # the degree-l1 part for h1, the degree-l2 part for h2
     if h == "h1":
@@ -169,11 +153,11 @@ def _quantum_terms(h: str, v: SchubertIndex, n: int) -> dict:
             single = {(1, 2) if k == 1 else (k, 1): 1}
         elif (k, p) == (n, n - 1):
             single = {(n, 1): 1, (n - 1, 1): -1}
-    terms = {(_index[w], *deg): c for w, c in single.items()}
+    terms = {_encode(_position(i, j, n), *deg): c for (i, j), c in single.items()}
     # the degree-(l1+l2) part, O_{n,1} - O_h, appears only on the point class
     if (k, p) == (1, n):
-        terms[(_index[n, 1], *DEGREE_L1L2)] = 1
-        terms[(_hyperplane(h, n), *DEGREE_L1L2)] = -1
+        terms[_encode(_position(n, 1, n), *DEGREE_L1L2)] = 1
+        terms[_encode(_position(*_hyperplane(h, n), n), *DEGREE_L1L2)] = -1
     return terms
 
 
@@ -190,7 +174,7 @@ def _chevalley_column(h: str, v: SchubertIndex, n: int) -> QKClass:
     The two parts share no key: the classical terms have degree (0, 0), the
     quantum ones a nonzero degree.
     """
-    terms = {(w, 0, 0): c for w, c in _k_terms(_hyperplane(h, n), v, n).items() if c}
+    terms = {_position(i, j, n) << _POS: c for (i, j), c in _k_terms(_hyperplane(h, n), v, n).items() if c}
     terms.update(_quantum_terms(h, v, n))
     return QKClass._trusted(n, terms)
 
@@ -300,10 +284,10 @@ def _mirrored(h1: Operator, h2: Operator) -> list[Operator] | None:
     n = h1.n
     if not _commute(h1, h2):
         return None
-    layout = _layout(n)
-    m = {layout[0]: [QKClass._trusted(n, {(w, 0, 0): 1}) for w in layout]}
+    layout, pos = _layout(n), basis_positions(n)
+    m = {layout[0]: [QKClass._trusted(n, {pos[w] << _POS: 1}) for w in layout]}
     for w, x in _recurrence(n, m, h1, h2, "h2", range(len(layout), 1, -1)):
-        if x[0]._terms != {(w, 0, 0): 1}:
+        if x[0]._terms != {pos[w] << _POS: 1}:
             return None
         m[w] = x
     at = {w: t for t, w in enumerate(layout)}
@@ -326,7 +310,7 @@ def _build_with_variant(n: int, variant: str) -> tuple[list[Operator], bool]:
     if variant == "h2" and (ops := _mirrored(h1, h2)) is not None:
         return ops, True
     basis = list(basis_positions(n))
-    m = {unit_index(n): [QKClass._trusted(n, {(w, 0, 0): 1}) for w in basis]}
+    m = {unit_index(n): [QKClass._trusted(n, {t << _POS: 1}) for t in range(len(basis))]}
     for w, x in _recurrence(n, m, h1, h2, variant):
         m[w] = x
     return [Operator._trusted(n, m[w]) for w in basis], False
@@ -394,33 +378,37 @@ def _classical_mismatches(n: int, ops: list[Operator], mirrored: bool = False) -
     v = (k, p), which is symmetric in u and v, so it runs once per class,
     and on a ``mirrored`` table (see :func:`_is_mirrored`) one verdict
     stands for O_u * O_v and O_v * O_u: only the products where v is u or
-    comes after it are read.  Each column's constant terms are compared
-    with ``want`` in one walk over the column; the difference ``got`` -
-    ``want`` is built only for a column that fails.  Rows come in the
-    written order: u, v, then w, each in basis order.
+    comes after it are read.  Each column's constant terms, the codes (see
+    :mod:`qkflag.poly`) with no degree bits, are compared with ``want`` in
+    one walk over the column, each w read off its code's basis position;
+    the difference ``got`` - ``want`` is built only for a column that
+    fails.  Rows come in the written order: u, v, then w, each in basis
+    order.
     """
     basis = enumerate_basis(n)
-    coords = [(i, j, i < j) for i, j in basis]
+    # the class as one int: 2((i + k)(2n + 1) + j + p) + (i < j or k < p)
+    coords = [2 * (i * (2 * n + 1) + j) for i, j in basis]
+    low = [i < j for i, j in basis]
+    pos, degrees = _POS, _DEGREES
     k_terms: dict = {}
     found = {}  # (a, b) -> [(w, got - want)]
     for a, row in _triangle(ops, mirrored):
-        i, j, low = coords[a]
+        ca, la = coords[a], low[a]
         for b, col in row:
-            k, p, v_low = coords[b]
-            cls = (i + k, j + p, low or v_low)
+            cls = ca + coords[b] + (la or low[b])
             want = k_terms.get(cls)
             if want is None:
                 want = k_terms[cls] = _k_terms(basis[a], basis[b], n)
             left = len(want)  # the formula's terms not met yet
-            for (w, d1, d2), c in col._terms.items():
-                if not (d1 or d2):
-                    if want.get(w) != c:
+            for code, c in col._terms.items():
+                if not code & degrees:
+                    if want.get(basis[code >> pos]) != c:
                         break
                     left -= 1
             else:  # no constant term differs: equal unless a formula term is missing
                 if not left:
                     continue
-            got = {w: c for (w, d1, d2), c in col._terms.items() if not (d1 or d2)}
+            got = {basis[code >> pos]: c for code, c in col._terms.items() if not code & degrees}
             found[a, b] = [(w, c) for w in basis if (c := got.get(w, 0) - want.get(w, 0))]
     return [
         (basis[a], basis[b], w, c) for (a, b), diff in _both_ways(found, mirrored) for w, c in diff
@@ -527,22 +515,23 @@ def degree_bound_check(table: MultiplicationTable):
                 counterexamples.append(
                     {"h": h, "v": [v.i, v.j], "d1": deg[0], "d2": deg[1]}
                 )
-    # one pass over the flat terms; every degree is at least (0, 0)
-    max_deg = max(
+    # one pass over the codes: their degree fields d1 << 12 | d2 order as (d1, d2) do
+    top = max(
         (
-            (d1, d2)
+            code & _DEGREES
             for _, row in _triangle(table.ops, _is_mirrored(table.ops))
             for _, col in row
-            for _, d1, d2 in col._terms
+            for code in col._terms
         ),
-        default=(0, 0),
+        default=0,
     )
+    d1, d2 = _degree(top)
     return VerificationReport(
         check="degree",
         n=n,
         passed=not counterexamples,
         counterexamples=counterexamples,
-        details={"max_degree": {"d1": max_deg[0], "d2": max_deg[1]}},
+        details={"max_degree": {"d1": d1, "d2": d2}},
     )
 
 
@@ -565,7 +554,8 @@ def table_from_json(obj) -> MultiplicationTable:
 
     Raises :class:`MalformedTable` unless ``obj`` is an object with an int
     ``n`` and an ``entries`` list, every index is a pair of ints (not bools)
-    valid for n, no (u, v, w) repeats, and every product O_u * O_v has an
+    valid for n, every degree is below 2^11 (see :mod:`qkflag.poly`), no
+    (u, v, w) repeats, and every product O_u * O_v has an
     entry; zero coefficients are dropped first, so a product whose entries
     are all 0 has none.  A list shorter than the N^2 products (N = n(n-1))
     is refused before the basis is built, so a large ``n`` allocates nothing.
@@ -582,7 +572,7 @@ def table_from_json(obj) -> MultiplicationTable:
     products = basis_size(n) ** 2
     if len(entries) < products:
         raise MalformedTable(f"cached table has {len(entries)} entries for {products} products")
-    basis = enumerate_basis(n)
+    basis, pos = enumerate_basis(n), basis_positions(n)
     cols: dict[tuple, dict] = {(u, v): {} for u in basis for v in basis}  # flat maps
     seen = set()
     valid: dict = {}  # every index pair that passed check_index, keyed by itself
@@ -599,15 +589,14 @@ def table_from_json(obj) -> MultiplicationTable:
     for k, e in enumerate(entries):
         try:
             u, v, w = index(e["u"]), index(e["v"]), index(e["w"])
-            terms = _poly_terms(e["poly"])
+            p = pos[w]
+            terms = [(_encode(p, d1, d2), c) for (d1, d2), c in _poly_terms(e["poly"]).items()]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedTable(f"cached table entry {k} is malformed: {exc!r}") from None
         if (u, v, w) in seen:
             raise MalformedTable(f"cached table repeats {u.label()} * {v.label()} at {w.label()}")
         seen.add((u, v, w))
-        col = cols[u, v]
-        for (d1, d2), c in terms.items():
-            col[w, d1, d2] = c
+        cols[u, v].update(terms)
     for (u, v), col in cols.items():
         if not col:
             raise MalformedTable(f"cached table has no entry for {u.label()} * {v.label()}")

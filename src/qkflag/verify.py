@@ -27,7 +27,7 @@ from .basis import (
     h2_index,
     unit_index,
 )
-from .poly import _combine, written_order
+from .poly import _D1, _POS, _combine, _decode
 from .qkring import (
     Operator,
     _both_ways,
@@ -79,30 +79,33 @@ def positivity_check(table) -> VerificationReport:
     symmetric in them, so on a mirrored table (see
     :func:`qkflag.qkring._is_mirrored`) one verdict stands for O_u * O_v
     and O_v * O_u, and only the products where v is u or comes after it are
-    read.  Columns are scanned unsorted, and a passing column allocates
-    nothing: the list of a column's wrong terms is made at its first one,
-    and put in the written order when the rows are emitted.  The
-    c1-pairing (d1 + d2)(n - 1) of each term's degree is computed inline
-    (:func:`qkflag.poly.c1_pairing` states it).
+    read.  Columns are scanned unsorted, by term code (see
+    :mod:`qkflag.poly`), and a passing column allocates nothing: the list
+    of a column's wrong terms is made at its first one, and sorted by code,
+    which is the written order, when the rows are emitted.  Only the
+    exponent's parity is read, off the code with bit operations: the
+    c1-pairing (d1 + d2)(n - 1) of a term's degree
+    (:func:`qkflag.poly.c1_pairing` states it) is odd exactly when n is even
+    and d1 + d2 is odd.
     """
     n = table.n
     basis = enumerate_basis(n)
-    codims = {w: dim_incidence(n) - _length(w.i, w.j, n) for w in basis}
-    at = [codims[u] for u in basis]  # by basis position
+    at = [dim_incidence(n) - _length(w.i, w.j, n) for w in basis]  # codim by basis position
     mirrored = _is_mirrored(table.ops)
+    # mod 2, (d1 + d2)(n - 1) is the low bit of d1 ^ d2 for an even n and 0 for an odd one
+    pos, d1, even = _POS, _D1, (n - 1) & 1
     found = {}  # (a, b) -> the wrong terms of O_u * O_v
     for a, row in _triangle(table.ops, mirrored):
         for b, col in row:
             shift = at[a] + at[b]
-            for (w, d1, d2), c in col._terms.items():
+            for code, c in col._terms.items():
                 # a wrong sign: c > 0 where the exponent is odd, c < 0 where it is even
-                if (codims[w] - shift + (d1 + d2) * (n - 1)) % 2 == (c > 0):
-                    found.setdefault((a, b), []).append(((w, d1, d2), c))
-    order = written_order(n)
+                if (at[code >> pos] + shift + ((code >> d1 ^ code) & even)) & 1 == (c > 0):
+                    found.setdefault((a, b), []).append((code, c))
     bad = [
-        {**_row(basis[a], basis[b], w, d1, d2, c), "expected_sign": "-" if c > 0 else "+"}
+        {**_row(basis[a], basis[b], *_decode(code, basis), c), "expected_sign": "-" if c > 0 else "+"}
         for (a, b), terms in _both_ways(found, mirrored)
-        for (w, d1, d2), c in sorted(terms, key=order)
+        for code, c in sorted(terms)
     ]
     return VerificationReport("positivity", n, not bad, bad)
 
@@ -125,7 +128,8 @@ def ring_axiom_checks(table, *, associativity: bool | None = None) -> Verificati
     composed and compared, which lists every failing triple, and the
     commutativity and identity scans run, as they do whenever associativity
     is not checked.  The identity scan compares each column O_e * O_v with
-    the flat map ``{(v, 0, 0): 1}`` of e_v, and its n with the table's,
+    the flat map ``{p << 24: 1}`` of e_v (p the basis position of v, see
+    :mod:`qkflag.poly`), and its n with the table's,
     since a table's operators are wrapped without checking their columns' n.
     """
     n = table.n
@@ -143,8 +147,8 @@ def ring_axiom_checks(table, *, associativity: bool | None = None) -> Verificati
         for u, v in _noncommuting(n, ops):
             bad.append({"axiom": "commutativity", "u": [u.i, u.j], "v": [v.i, v.j]})
         e = unit_index(n)
-        for v, col in zip(basis, ops[basis_positions(n)[e]].cols):
-            if col.n != n or col._terms != {(v, 0, 0): 1}:
+        for p, (v, col) in enumerate(zip(basis, ops[basis_positions(n)[e]].cols)):
+            if col.n != n or col._terms != {p << _POS: 1}:
                 bad.append({"axiom": "identity", "u": [e.i, e.j], "v": [v.i, v.j]})
 
     details = {"associativity_checked": run_assoc}

@@ -222,7 +222,7 @@ def _dense_combine(n, terms):
 def test_combine_matches_dense_reference(inputs):
     n, terms = inputs
     result = _combined(n, terms)
-    assert result._terms == {key: c for key, c in _dense_combine(n, terms).items() if c}
+    assert dict(result.ordered_terms()) == {key: c for key, c in _dense_combine(n, terms).items() if c}
     # canonical: no zero coefficient is stored
     assert 0 not in result._terms.values()
     assert result == QKClass(n, dict(result.items()))
@@ -232,7 +232,7 @@ def test_combine_drops_rows_that_cancel():
     a = QKClass(4, {(1, 2): ONE + Q1, (4, 1): Q2})
     o12 = QKClass(4, {(1, 2): ONE})
     result = _combined(4, [(a, 1, 0, 1), (o12, 1, 0, -1), (a, 1, 0, -1), (a, 1, 0, 1)])
-    assert result._terms == {((1, 2), 2, 0): 1, ((4, 1), 1, 1): 1}
+    assert dict(result.ordered_terms()) == {((1, 2), 2, 0): 1, ((4, 1), 1, 1): 1}
     assert _combined(4, [(a, 1, 0, 1), (a, 1, 0, -1)])._terms == {}
     assert _combined(4, [(a, 0, 0, 0)])._terms == {}
 

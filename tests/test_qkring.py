@@ -10,7 +10,7 @@ from qkflag.conjecture import conjectured_product
 from qkflag.correlators import two_point
 from qkflag.errors import InvalidIndex, InvalidRank, MalformedTable, QKFlagError, RankMismatch
 from qkflag.kring import k_product
-from qkflag.poly import _IDENTITY, DEGREE_L1, NovikovPolynomial, QKClass
+from qkflag.poly import _IDENTITY, DEGREE_L1, NovikovPolynomial, QKClass, _encode
 from qkflag.qkring import (
     CHEVALLEY_DEGREES,
     Operator,
@@ -460,6 +460,17 @@ def _compose(a, b):
     return {v: _apply(a, col) for v, col in b.items()}
 
 
+def _flat(c):
+    """A class's terms as a plain {(w, d1, d2): coeff} map, read through ordered_terms."""
+    return dict(c.ordered_terms())
+
+
+def _from_flat(n, flat):
+    """The class of a {(w, d1, d2): coeff} map with no zero coefficient, keyed by term codes."""
+    pos = basis_positions(n)
+    return QKClass._trusted(n, {_encode(pos[w], d1, d2): c for (w, d1, d2), c in flat.items()})
+
+
 def _add(a, b, sign=1):
     out = {}
     for v in a:
@@ -484,7 +495,7 @@ def _pre_change_build(n, variant, gens=None):
     basis = enumerate_basis(n)
     if gens is None:
         gens = [Operator(n, [chevalley_apply(h, v, n) for v in basis]) for h in ("h1", "h2")]
-    h1, h2 = ({v: dict(col._terms) for v, col in zip(basis, op.cols)} for op in gens)
+    h1, h2 = ({v: _flat(col) for v, col in zip(basis, op.cols)} for op in gens)
     ident = {v: {(v, 0, 0): 1} for v in basis}
     m = {(n, 1): ident}
     for k in range(n - 1, 1, -1):
@@ -506,13 +517,13 @@ def _pre_change_build(n, variant, gens=None):
 def _pre_change_table(n, variant):
     want = _pre_change_build(n, variant)
     basis = enumerate_basis(n)
-    ops = [Operator(n, [QKClass._trusted(n, want[w][v]) for v in basis]) for w in basis]
+    ops = [Operator(n, [_from_flat(n, want[w][v]) for v in basis]) for w in basis]
     return qkring.MultiplicationTable(n, ops, variant)
 
 
 def _assert_pre_change_ops(n, ops, want):
     for w, op in zip(enumerate_basis(n), ops):
-        assert {v: col._terms for v, col in zip(enumerate_basis(n), op.cols)} == want[w], w
+        assert {v: _flat(col) for v, col in zip(enumerate_basis(n), op.cols)} == want[w], w
         assert all(0 not in col._terms.values() for col in op.cols)
 
 
@@ -540,7 +551,7 @@ def test_fused_steps_equal_the_pre_change_construction(n, variant):
     for v in basis:
         m = {unit_index(n): [QKClass.basis_element(v, n)]}
         for w, x in qkring._recurrence(n, m, h1, h2, variant):
-            assert x[0]._terms == want[w][v], (w, v)
+            assert _flat(x[0]) == want[w][v], (w, v)
             m[w] = x
 
 
@@ -614,10 +625,10 @@ def test_apply_and_compose_match_plain_dict_arithmetic(n, tables):
     # apply prepares only the columns its class reads; compose prepares all
     basis = enumerate_basis(n)
     h1 = chevalley_operator("h1", n)
-    ref = {v: dict(col._terms) for v, col in zip(basis, h1.cols)}
+    ref = {v: _flat(col) for v, col in zip(basis, h1.cols)}
     for op in tables[n].ops:
-        want = _compose(ref, {v: col._terms for v, col in zip(basis, op.cols)})
-        assert [col._terms for col in h1.compose(op).cols] == [
+        want = _compose(ref, {v: _flat(col) for v, col in zip(basis, op.cols)})
+        assert [_flat(col) for col in h1.compose(op).cols] == [
             {key: c for key, c in want[v].items() if c} for v in basis
         ]
         assert [h1.apply(col) for col in op.cols] == h1.compose(op).cols

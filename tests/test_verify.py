@@ -25,7 +25,7 @@ from qkflag.verify import (
     ring_axiom_checks,
 )
 
-from .test_qkring import _add, _compose
+from .test_qkring import _add, _compose, _flat
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +183,7 @@ def _operator_sum_counterexamples(table, n, basis):
     Operators are {v: {(w, d1, d2): c}} maps in the plain dict arithmetic of
     tests/test_qkring.py, so nothing here runs through the kernel.
     """
-    ops = {u: {v: col._terms for v, col in zip(basis, op.cols)} for u, op in zip(basis, table.ops)}
+    ops = {u: {v: _flat(col) for v, col in zip(basis, op.cols)} for u, op in zip(basis, table.ops)}
 
     def nonzero(col):
         return {key: c for key, c in col.items() if c}
@@ -193,7 +193,7 @@ def _operator_sum_counterexamples(table, n, basis):
         for v in basis:
             lhs = _compose(ops[u], ops[v])
             rhs = {w: {} for w in basis}
-            for (x, d1, d2), c in table.product(u, v)._terms.items():
+            for (x, d1, d2), c in table.product(u, v).ordered_terms():
                 scaled = {
                     w: {(y, e1 + d1, e2 + d2): k * c for (y, e1, e2), k in col.items()}
                     for w, col in ops[x].items()
@@ -254,9 +254,9 @@ def test_identity_scan_reports_a_wrong_unit_column(n):
     e, v = basis_positions(n)[unit_index(n)], enumerate_basis(n)[1]
     assert ring_axiom_checks(table, associativity=False).passed
     for wrong in (
-        QKClass._trusted(n, {(v, 1, 0): 1}),
-        QKClass._trusted(n, {(v, 0, 0): 2}),
-        QKClass._trusted(n + 1, {(v, 0, 0): 1}),
+        QKClass(n, {v: NovikovPolynomial.monomial((1, 0))}),
+        QKClass(n, {v: 2}),
+        QKClass(n + 1, {v: 1}),
     ):
         ops = list(table.ops)
         ops[e] = Operator._trusted(n, [wrong if b == 1 else c for b, c in enumerate(ops[e].cols)])
