@@ -9,17 +9,21 @@ matrices and serialized output:
 
 shifted down by one so indices run over 0 .. n(n-1)-1.
 
-Hot paths read the one index of a pair (i, j) from the intern table
-``_index``, which makes it on the first lookup.  The table does not depend
-on n and grows only with the pairs touched.  Equality is the contract: no
-code relies on two equal indices being the same object.
+Two tables hold indices.  Each is an ``_OnDemand`` map, which fills an
+entry on its first lookup, so neither grows beyond what is touched and no
+code builds an eager per-n grid.  The intern table ``_index`` maps a pair
+(i, j) to its one index; it does not depend on n.  The per-n table
+``_basis(n)`` maps a basis position p to the index there, by
+:func:`from_linear`'s arithmetic.  The reverse map, from an index to its
+position, is arithmetic alone: :func:`linear_index`, or ``_position`` on a
+trusted pair.  Equality is the contract: no code relies on two equal
+indices being the same object.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .errors import InvalidIndex, InvalidRank
 
@@ -32,15 +36,20 @@ class SchubertIndex(NamedTuple):
         return f"O_{self.i},{self.j}"
 
 
-class _Interned(dict):
-    """(i, j) -> the one :class:`SchubertIndex` of that pair, made on its first lookup."""
+class _OnDemand(dict):
+    """A map whose value at a key is ``make(key)``, made on the key's first lookup and kept."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
 
     def __missing__(self, key):
-        w = self[key] = SchubertIndex(*key)
-        return w
+        value = self[key] = self.make(key)
+        return value
 
 
-_index = _Interned()
+_index = _OnDemand(SchubertIndex._make)  # (i, j) -> the one index of that pair
 
 
 def check_rank(n: int) -> int:
@@ -95,19 +104,14 @@ def from_linear(t: int, n: int) -> SchubertIndex:
 
 def enumerate_basis(n: int) -> list[SchubertIndex]:
     """All n(n-1) Schubert indices, in linear order, as a fresh list."""
-    return list(basis_positions(check_rank(n)))
+    basis = _basis(check_rank(n))
+    return [basis[p] for p in range(n * (n - 1))]
 
 
 @lru_cache(maxsize=None)
-def basis_positions(n: int) -> Mapping[SchubertIndex, int]:
-    """Read-only map from every index for this n to its basis position."""
-    return MappingProxyType({from_linear(t, n): t for t in range(basis_size(n))})
-
-
-@lru_cache(maxsize=None)
-def _basis(n: int) -> tuple[SchubertIndex, ...]:
-    """The indices of :func:`basis_positions`, in basis order, for a trusted n."""
-    return tuple(basis_positions(n))
+def _basis(n: int) -> _OnDemand:
+    """The one position table of n: ``_basis(n)[p]`` is the index at basis position p."""
+    return _OnDemand(partial(from_linear, n=n))
 
 
 def length(w, n: int) -> int:

@@ -30,25 +30,21 @@ from __future__ import annotations
 import json
 
 from ._record import Record
-from .basis import SchubertIndex, _length, _position, basis_positions, check_index, check_rank
+from .basis import SchubertIndex, _length, _position, check_index, check_rank, enumerate_basis
 from .errors import DegenerateTarget, InvalidIndex
 from .poly import _D1, _POS, CurveDegree, QKClass, _decode
 from .qkring import _both_ways, _is_mirrored, _triangle
-
-
-def translate(idx: int, u, v, n: int) -> SchubertIndex:
-    """Translation maps t_0..t_3; a result with equal components is degenerate."""
-    if idx not in (0, 1, 2, 3):
-        raise ValueError(f"translation index must be 0..3, got {idx}")
-    return _translate(idx, check_index(u, n), check_index(v, n), n)
 
 
 # (di, dj) of t_0..t_3: t_idx(u, v) = ((i+k-di) mod n + 1, (j+p-dj) mod n + 1)
 _SHIFTS = ((1, 2), (2, 2), (1, 1), (2, 1))
 
 
-def _translate(idx: int, u, v, n: int) -> SchubertIndex:
-    (i, j), (k, p) = u, v
+def translate(idx: int, u, v, n: int) -> SchubertIndex:
+    """Translation maps t_0..t_3; a result with equal components is degenerate."""
+    if idx not in (0, 1, 2, 3):
+        raise ValueError(f"translation index must be 0..3, got {idx}")
+    (i, j), (k, p) = check_index(u, n), check_index(v, n)
     di, dj = _SHIFTS[idx]
     return SchubertIndex((i + k - di) % n + 1, (j + p - dj) % n + 1)
 
@@ -89,11 +85,7 @@ def delta(u, v, w, n: int) -> int:
     if is_degenerate(w):
         raise DegenerateTarget(f"delta undefined at degenerate target {tuple(w)}")
     w = check_index(w, n)
-    return _delta(check_index(u, n), check_index(v, n), w, n)
-
-
-def _delta(u, v, w, n: int) -> int:
-    """:func:`delta` on trusted indices and a nondegenerate w."""
+    u, v = check_index(u, n), check_index(v, n)
     return _parity_gate(_length(*u, n) + _length(*v, n), w, *_degree_vector(u, v, w, n), n)
 
 
@@ -234,7 +226,7 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     if gating not in GATINGS:
         raise ValueError(f"gating must be one of {GATINGS}, got {gating!r}")
     n = table.n
-    basis = list(basis_positions(n))
+    basis = enumerate_basis(n)
     g = GATINGS.index(gating)
     ops = table.ops
     mirrored = _is_mirrored(ops)

@@ -12,24 +12,19 @@ quantum degree O_{u1}, O_{u2} pair to 1 with at most one I_w.  The
 reconstruction of quantum Chevalley terms therefore takes one target per
 two-point factor and per three-point row, and never scans the basis.  The
 duality is applied to that target once, not to every w.  Targets are read
-from the intern table ``qkflag.basis._index``.  The reconstruction adds each
-signed target straight into the one flat map that its class wraps, keyed by
-the code of w's constant term, ``p << 24`` for w at basis position p (see
-:mod:`qkflag.poly`), and drops a key whose sum reaches zero.  Public
-functions validate their indices; the private helpers they share run on
-trusted ones.
+from the intern table ``qkflag.basis._index``.  The reconstruction sums the
+signed targets into one ``{w: c}`` map and makes its class once, with
+:func:`qkflag.poly._int_class`, which drops the zeros.  Public functions
+validate their indices; the private helpers they share run on trusted ones.
 """
 
 from __future__ import annotations
 
 from ._record import FrozenRecord
-from .basis import (
-    SchubertIndex, _check_hyperplane, _hyperplane, _index, basis_positions, check_index, check_rank,
-    dual_index,
-)
+from .basis import SchubertIndex, _check_hyperplane, _hyperplane, _index, check_index, check_rank, dual_index
 from .errors import UnsupportedDegree
 from .kring import _k_terms
-from .poly import _POS, DEGREE_L1, DEGREE_L1L2, DEGREE_L2, CurveDegree, QKClass
+from .poly import DEGREE_L1, DEGREE_L1L2, DEGREE_L2, CurveDegree, QKClass, _int_class
 
 
 class CorrelatorQuery(FrozenRecord):
@@ -174,15 +169,11 @@ def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClas
     hw = _hyperplane(h, n)
     classical = _k_terms(hw, v, n).items()
     t, row = _two_point_target, _three_point_target
-    pos = basis_positions(n)
-    acc: dict[int, int] = {}
+    acc: dict[SchubertIndex, int] = {}
 
     def add(w, c):
         if w:  # None: a three-point row with no target
-            key = pos[w] << _POS
-            c += acc.pop(key, 0)
-            if c:
-                acc[key] = c
+            acc[w] = acc.get(w, 0) + c
 
     if deg != DEGREE_L1L2:
         add(row(hw, v, deg, n), 1)
@@ -198,4 +189,4 @@ def quantum_part_from_correlators(h: str, v, deg: CurveDegree, n: int) -> QKClas
             add(t(t(x, l1, n), l2, n), c)
             add(t(t(x, l2, n), l1, n), c)
             add(t(x, DEGREE_L1L2, n), -c)
-    return QKClass._trusted(n, acc)
+    return _int_class(n, acc)

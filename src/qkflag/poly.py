@@ -4,17 +4,17 @@ Coefficients are Python ints, so arithmetic is arbitrary precision.  Both
 containers keep a canonical form: zero coefficients are never stored, and
 iteration order is fixed so serialized output is bit-stable.  A class is one
 flat map over (class, degree) pairs, not a map of polynomials; see
-:class:`QKClass`.  Its terms have one written order, :func:`written_order`
-(basis position of w, then (d1, d2)): the JSON and CSV writers and every
-verification and conjecture report list terms in it.
+:class:`QKClass`.  Its terms have one written order (basis position of w,
+then (d1, d2)): the JSON and CSV writers and every verification and
+conjecture report list terms in it.
 
 **Term layout.**  The term Q1^d1 Q2^d2 O_w of a class for n is keyed by one
 int, its code ``p << 24 | d1 << 12 | d2``, where p is w's basis position
-for n (:func:`_encode`, :func:`_decode`).  Int order on codes is the written
-order.  Every degree of a class is below ``DEGREE_LIMIT`` = 2^11, checked
-where classes come from outside: the :class:`QKClass` constructor,
-:meth:`QKClass.basis_element`, :func:`class_from_json` and the cached table
-loader.  Adding a degree shift ``b1 << 12 | b2`` to a code then shifts the
+for n (:func:`_encode`, :func:`_decode`).  Code order is the written order:
+sorting the codes as ints sorts the terms.  Every degree of a class is
+below ``DEGREE_LIMIT`` = 2^11, checked where classes come from outside: the
+:class:`QKClass` constructor, :meth:`QKClass.basis_element`,
+:func:`class_from_json` and the cached table loader.  Adding a degree shift ``b1 << 12 | b2`` to a code then shifts the
 degree field by field: after one kernel pass a field holds at most
 2047 + 2047 + 1 = 4095 < 2^12 (an input degree, a column's degree and a
 step's shift), so it cannot carry into the next field.  The kernel refuses a degree of
@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
-from .basis import SchubertIndex, _basis, _position, basis_positions, check_index, check_rank
+from .basis import SchubertIndex, _basis, _position, check_index, check_rank
 from .errors import RankMismatch
 
 CurveDegree = tuple[int, int]
@@ -64,7 +64,7 @@ def _encode(p: int, d1: int, d2: int) -> int:
 
 
 def _decode(code: int, basis) -> tuple[SchubertIndex, int, int]:
-    """(w, d1, d2) of a code; ``basis`` lists the indices of the class's n in basis order."""
+    """(w, d1, d2) of a code; ``basis[p]`` is the index at basis position p of the class's n."""
     return basis[code >> _POS], code >> _D1 & _FIELD, code & _FIELD
 
 
@@ -226,12 +226,6 @@ def _nonnegative(terms: dict[CurveDegree, int]) -> dict[CurveDegree, int]:
     return {d: c for d, c in terms.items() if c}
 
 
-def written_order(n: int):
-    """Sort key of a flat term ``((w, d1, d2), value)``: basis position of w, then (d1, d2)."""
-    pos = basis_positions(n)
-    return lambda term: (pos[term[0][0]], term[0][1], term[0][2])
-
-
 class QKClass:
     """An element of the small quantum K-ring for a fixed n.
 
@@ -283,7 +277,7 @@ class QKClass:
         return NovikovPolynomial._trusted({_degree(k): c for k, c in self._terms.items() if k >> _POS == p})
 
     def ordered_terms(self) -> list[tuple[tuple[SchubertIndex, int, int], int]]:
-        """Flat ((w, d1, d2), c) terms in the written order, :func:`written_order`."""
+        """Flat ((w, d1, d2), c) terms in the written order: code order."""
         basis = _basis(self.n)  # each code decoded inline, as _decode does
         return [((basis[k >> _POS], k >> _D1 & _FIELD, k & _FIELD), c) for k, c in sorted(self._terms.items())]
 

@@ -17,8 +17,7 @@ is H1, H2, H? or the identity, and x an earlier value.  :func:`_recurrence`
 evaluates a step with one kernel pass per column, so no step builds an
 intermediate value.  The build runs it on the identity's columns, the h1
 witness column below on e_{n,1} alone.  An :class:`Operator` is a column
-list whose only arithmetic is ``apply`` to one class and ``compose`` with
-one operator.
+list whose only arithmetic is ``compose`` with one operator.
 
 Every M_u is a polynomial in H1 and H2, so once H1 H2 = H2 H1 and column
 e_{n,1} of every M_u is e_u, O_u * O_v = M_u M_v e = M_v M_u e = O_v * O_u.
@@ -56,8 +55,8 @@ from itertools import repeat
 
 from ._record import Record
 from .basis import (
-    SchubertIndex, _check_hyperplane, _hyperplane, _position, basis_positions, basis_size, check_index,
-    check_rank, enumerate_basis, h1_index, h2_index, linear_index, unit_index,
+    SchubertIndex, _check_hyperplane, _hyperplane, _position, basis_size, check_index, check_rank,
+    enumerate_basis, h1_index, h2_index, linear_index, unit_index,
 )
 from .errors import MalformedTable, RankMismatch
 from .kring import _k_terms
@@ -99,22 +98,9 @@ class Operator(Record):
     def column(self, v) -> QKClass:
         return self.cols[linear_index(v, self.n)]
 
-    def _term_columns(self, codes=None):
-        """Column p as a tuple of ``(code, c)`` terms, indexed by basis position p: what the kernel reads for A.
-
-        A list of every column, or a dict of the columns at the positions
-        of the term codes in ``codes``.
-        """
-        cols = self.cols
-        if codes is None:
-            return [tuple(col._terms.items()) for col in cols]
-        return {p: tuple(cols[p]._terms.items()) for p in {code >> _POS for code in codes}}
-
-    def apply(self, c: QKClass) -> QKClass:
-        """self c, one kernel pass; only the columns c reads are prepared."""
-        if c.n != self.n:
-            raise RankMismatch(f"operator for n={self.n} applied to class for n={c.n}")
-        return _combine(self.n, [(1, 0, 0, self._term_columns(c._terms), (c,))])[0]
+    def _term_columns(self) -> list[tuple]:
+        """Column p as a tuple of ``(code, c)`` terms, indexed by basis position p: what the kernel reads for A."""
+        return [tuple(col._terms.items()) for col in self.cols]
 
     def compose(self, other: "Operator") -> "Operator":
         """self . other (apply other first), one kernel pass per column of other."""
@@ -186,8 +172,8 @@ def chevalley_operator(h: str, n: int) -> Operator:
 
 
 def _chevalley_operator(h: str, n: int) -> Operator:
-    """:func:`chevalley_operator` on a trusted h and n: its columns over the cached basis."""
-    return Operator._trusted(n, [_chevalley_column(h, v, n) for v in basis_positions(n)])
+    """:func:`chevalley_operator` on a trusted h and n: its columns in basis order."""
+    return Operator._trusted(n, [_chevalley_column(h, v, n) for v in enumerate_basis(n)])
 
 
 class MultiplicationTable(Record):
@@ -284,14 +270,14 @@ def _mirrored(h1: Operator, h2: Operator) -> list[Operator] | None:
     n = h1.n
     if not _commute(h1, h2):
         return None
-    layout, pos = _layout(n), basis_positions(n)
-    m = {layout[0]: [QKClass._trusted(n, {pos[w] << _POS: 1}) for w in layout]}
+    layout = _layout(n)
+    m = {layout[0]: [QKClass._trusted(n, {_position(*w, n) << _POS: 1}) for w in layout]}
     for w, x in _recurrence(n, m, h1, h2, "h2", range(len(layout), 1, -1)):
-        if x[0]._terms != {pos[w] << _POS: 1}:
+        if x[0]._terms != {_position(*w, n) << _POS: 1}:
             return None
         m[w] = x
     at = {w: t for t, w in enumerate(layout)}
-    xs, place = zip(*((m[w], at[w]) for w in basis_positions(n)))
+    xs, place = zip(*((m[w], at[w]) for w in enumerate_basis(n)))
     # x_u holds the columns up to u's own place in the layout, x_v the rest of row u
     return [
         Operator._trusted(n, [x[t] if t <= s else y[s] for y, t in zip(xs, place)])
@@ -309,7 +295,7 @@ def _build_with_variant(n: int, variant: str) -> tuple[list[Operator], bool]:
     h1, h2 = _chevalley_operator("h1", n), _chevalley_operator("h2", n)
     if variant == "h2" and (ops := _mirrored(h1, h2)) is not None:
         return ops, True
-    basis = list(basis_positions(n))
+    basis = enumerate_basis(n)
     m = {unit_index(n): [QKClass._trusted(n, {t << _POS: 1}) for t in range(len(basis))]}
     for w, x in _recurrence(n, m, h1, h2, variant):
         m[w] = x
@@ -447,8 +433,8 @@ def _h1_witness_column(n: int, h2_ops: list[Operator]) -> QKClass:
     Steps (a) and (b) do not depend on step c, so H1 = M_{n-1,1} and
     H2 = M_{n,2} are read from the h2 build.  It stops after n applications.
     """
-    pos, e = basis_positions(n), unit_index(n)
-    h1, h2 = h2_ops[pos[h1_index(n)]], h2_ops[pos[h2_index(n)]]
+    e = unit_index(n)
+    h1, h2 = (h2_ops[_position(*_hyperplane(h, n), n)] for h in ("h1", "h2"))
     m = {e: [QKClass.basis_element(e, n)]}
     for w, x in _recurrence(n, m, h1, h2, "h1"):
         if w == (1, 2):
@@ -509,7 +495,7 @@ def degree_bound_check(table: MultiplicationTable):
     basis = enumerate_basis(n)
     counterexamples = []
     for h, hw in (("h1", h1_index(n)), ("h2", h2_index(n))):
-        for v, col in zip(basis, table.ops[basis_positions(n)[hw]].cols):
+        for v, col in zip(basis, table.matrix(hw).cols):
             bad = col.degree_support() - CHEVALLEY_DEGREES
             for deg in sorted(bad):
                 counterexamples.append(
@@ -559,9 +545,9 @@ def table_from_json(obj) -> MultiplicationTable:
     entry; zero coefficients are dropped first, so a product whose entries
     are all 0 has none.  A list shorter than the N^2 products (N = n(n-1))
     is refused before the basis is built, so a large ``n`` allocates nothing.
-    Each distinct index pair is checked once.  Each entry's terms go
-    straight into its column's flat map, and the checked columns are
-    wrapped without being validated again.
+    Each distinct index pair is checked, and its basis position computed,
+    once.  Each entry's terms go straight into its column's flat map, and
+    the checked columns are wrapped without being validated again.
     """
     if not isinstance(obj, dict) or type(obj.get("n")) is not int:
         raise MalformedTable("cached table must be a JSON object with an integer 'n'")
@@ -572,24 +558,23 @@ def table_from_json(obj) -> MultiplicationTable:
     products = basis_size(n) ** 2
     if len(entries) < products:
         raise MalformedTable(f"cached table has {len(entries)} entries for {products} products")
-    basis, pos = enumerate_basis(n), basis_positions(n)
+    basis = enumerate_basis(n)
     cols: dict[tuple, dict] = {(u, v): {} for u in basis for v in basis}  # flat maps
     seen = set()
-    valid: dict = {}  # every index pair that passed check_index, keyed by itself
+    valid: dict = {}  # every index pair that passed check_index -> (its index, its basis position)
 
-    def index(x) -> SchubertIndex:
+    def index(x) -> tuple[SchubertIndex, int]:
         # (1.0, 2) and (True, 2) are equal to (1, 2), so only exact ints may hit
         i, j = x
         if type(i) is int and type(j) is int and (i, j) in valid:
             return valid[i, j]
         w = check_index(x, n)
-        valid[w] = w
-        return w
+        valid[w] = w, _position(*w, n)
+        return valid[w]
 
     for k, e in enumerate(entries):
         try:
-            u, v, w = index(e["u"]), index(e["v"]), index(e["w"])
-            p = pos[w]
+            (u, _), (v, _), (w, p) = index(e["u"]), index(e["v"]), index(e["w"])
             terms = [(_encode(p, d1, d2), c) for (d1, d2), c in _poly_terms(e["poly"]).items()]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedTable(f"cached table entry {k} is malformed: {exc!r}") from None

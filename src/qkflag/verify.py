@@ -3,11 +3,12 @@
 Every check returns a :class:`VerificationReport` with a deterministic
 counterexample list, so two runs over the same table serialize
 byte-identically.  Rows come out in basis-then-degree order: u, v (and w)
-in basis order, and the terms of one column in
-:func:`qkflag.poly.written_order`.  On a mirrored table, where O_v * O_u is
-the same object as O_u * O_v (:func:`qkflag.qkring._is_mirrored`), the
-positivity and classical scans read only the products where v is u or comes
-after it; a failing product's rows are stored under (u, v) and (v, u), and
+in basis order, and the terms of one column in code order, which is the
+written order (see :mod:`qkflag.poly`).  On a mirrored table, where
+O_v * O_u is the same object as O_u * O_v
+(:func:`qkflag.qkring._is_mirrored`), the positivity and classical scans
+read only the products where v is u or comes after it; a failing product's
+rows are stored under (u, v) and (v, u), and
 :func:`qkflag.qkring._both_ways` emits the failing products in (u, v)
 order.  Ring rows come axiom by axiom: associativity, commutativity,
 identity.
@@ -18,15 +19,7 @@ from __future__ import annotations
 import json
 
 from ._record import Record
-from .basis import (
-    _length,
-    basis_positions,
-    dim_incidence,
-    enumerate_basis,
-    h1_index,
-    h2_index,
-    unit_index,
-)
+from .basis import _length, dim_incidence, enumerate_basis, h1_index, h2_index, unit_index
 from .poly import _D1, _POS, _combine, _decode
 from .qkring import (
     Operator,
@@ -147,7 +140,7 @@ def ring_axiom_checks(table, *, associativity: bool | None = None) -> Verificati
         for u, v in _noncommuting(n, ops):
             bad.append({"axiom": "commutativity", "u": [u.i, u.j], "v": [v.i, v.j]})
         e = unit_index(n)
-        for p, (v, col) in enumerate(zip(basis, ops[basis_positions(n)[e]].cols)):
+        for p, (v, col) in enumerate(zip(basis, table.matrix(e).cols)):
             if col.n != n or col._terms != {p << _POS: 1}:
                 bad.append({"axiom": "identity", "u": [e.i, e.j], "v": [v.i, v.j]})
 
@@ -205,7 +198,7 @@ def chevalley_consistency_check(table) -> VerificationReport:
     basis = enumerate_basis(n)
     bad = []
     for h, hw in (("h1", h1_index(n)), ("h2", h2_index(n))):
-        for v, col in zip(basis, table.ops[basis_positions(n)[hw]].cols):
+        for v, col in zip(basis, table.matrix(hw).cols):
             if col != _chevalley_column(h, v, n):
                 bad.append({"h": h, "v": [v.i, v.j]})
     details = {"step_c_variant": getattr(table, "step_c_variant", "?")}

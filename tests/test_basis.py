@@ -1,9 +1,8 @@
 import pytest
 
-from qkflag import basis
+from qkflag import basis, cli
 from qkflag.basis import (
     SchubertIndex,
-    basis_positions,
     basis_size,
     check_index,
     codim,
@@ -18,9 +17,11 @@ from qkflag.basis import (
     point_index,
     unit_index,
 )
-from qkflag.correlators import three_point_incidence, two_point
+from qkflag.correlators import quantum_part_from_correlators, three_point_incidence, two_point
 from qkflag.errors import InvalidIndex, InvalidRank
-from qkflag.poly import DEGREE_L1, DEGREE_L1L2
+from qkflag.kring import k_product
+from qkflag.poly import DEGREE_L1, DEGREE_L1L2, DEGREE_L2, class_to_json
+from qkflag.qkring import chevalley_apply
 
 
 def test_enumerate_basis_n3_order():
@@ -107,10 +108,11 @@ def test_schubert_index_label():
 
 def test_enumerate_basis_is_a_fresh_list_in_linear_order():
     n = 5
+    want = [from_linear(t, n) for t in range(basis_size(n))]
     first = enumerate_basis(n)
-    assert first == [from_linear(t, n) for t in range(basis_size(n))]
+    assert first == want
     first.clear()
-    assert enumerate_basis(n) == list(basis_positions(n)) != []
+    assert enumerate_basis(n) == want != []
     assert enumerate_basis(n) is not enumerate_basis(n)
 
 
@@ -122,6 +124,35 @@ def test_intern_table_grows_only_with_the_indices_touched():
     assert two_point((n - 1, 2), (n, 2), DEGREE_L1, n) == 1
     assert three_point_incidence((n - 1, 1), (2, n), (n, 1), DEGREE_L1L2, n) == 1
     assert len(basis._index) - before <= 5
+
+
+def test_per_class_paths_fill_only_the_positions_they_decode(capsys):
+    # the per-n position table fills on demand: one product, its renderings,
+    # a Chevalley column, six reconstructed quantum parts and the classical
+    # CLI product in every format touch a handful of the n(n-1) positions
+    n = 300
+    basis._basis.cache_clear()
+    x = k_product((n - 1, 2), (n - 2, 1), n)
+    assert str(x) == f"O_{n - 3},2"
+    assert repr(x) == f"QKClass(n={n}, {{SchubertIndex(i={n - 3}, j=2): NovikovPolynomial({{(0, 0): 1}})}})"
+    assert class_to_json(x)["terms"] == [{"w": [n - 3, 2], "poly": [{"d1": 0, "d2": 0, "coeff": 1}]}]
+    assert x.ordered_terms() == [(((n - 3, 2), 0, 0), 1)]
+    assert str(chevalley_apply("h1", (1, n), n)) == f"Q1*O_{n - 1},{n} + Q1Q2*O_{n},1 - Q1Q2*O_{n - 1},1"
+    parts = [
+        str(quantum_part_from_correlators(h, (1, n), deg, n))
+        for h in ("h1", "h2")
+        for deg in (DEGREE_L1, DEGREE_L2, DEGREE_L1L2)
+    ]
+    assert parts == [
+        f"O_{n - 1},{n}", "0", f"O_{n},1 - O_{n - 1},1", "0", "O_1,2", f"O_{n},1 - O_{n},2",
+    ]
+    argv = ["product", "--classical", "--n", str(n), "--u", f"{n - 1},2", "--v", f"{n - 2},1", "--format"]
+    for fmt in ("text", "json", "csv"):
+        assert cli.run([*argv, fmt]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"O_{n - 1},2 * O_{n - 2},1 = O_{n - 3},2"
+    assert out[-1] == f"{n - 1},2,{n - 2},1,{n - 3},2,0,0,1"
+    assert len(basis._basis(n)) <= 8
 
 
 @pytest.mark.parametrize(

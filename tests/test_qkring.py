@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from qkflag.basis import basis_positions, enumerate_basis, h1_index, h2_index, unit_index
+from qkflag.basis import enumerate_basis, h1_index, h2_index, linear_index, unit_index
 from qkflag import qkring
 from qkflag.conjecture import conjectured_product
 from qkflag.correlators import two_point
@@ -212,19 +212,16 @@ def test_qk_product_reads_table(tables):
 def test_operators_of_different_ranks_do_not_mix():
     small, large = Operator.identity(3), Operator.identity(4)
     for a, b in ((small, large), (large, small)):
-        for mix in (lambda: a.compose(b), lambda: a.apply(b.cols[0])):
-            with pytest.raises(RankMismatch):
-                mix()
+        with pytest.raises(RankMismatch):
+            a.compose(b)
 
 
 def test_operator_refuses_a_column_of_another_rank():
     # six n = 4 columns match an n = 3 operator's width, so the rank check,
-    # not the length check, must refuse them, and compose and apply never run
+    # not the length check, must refuse them, and compose never runs
     n4 = [QKClass.basis_element(w, 4) for w in enumerate_basis(4)[:6]]
     with pytest.raises(RankMismatch):
         chevalley_operator("h1", 3).compose(Operator(3, n4))
-    with pytest.raises(RankMismatch):
-        Operator(3, n4).apply(QKClass.basis_element((3, 1), 3))
     ident = Operator.identity(3).cols
     for k in range(len(ident)):
         with pytest.raises(RankMismatch):
@@ -403,10 +400,9 @@ def test_witness_column_is_the_h1_product(tables):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_witness_column_stops_after_n_applications(n, monkeypatch):
     # steps (a) and (c) only: n - 2 applications of H1, then H1 and H? at step (c)
-    pos = basis_positions(n)
-    ops = [None] * len(pos)  # the witness reads only H1 and H2 of the h2 build
-    ops[pos[h1_index(n)]] = chevalley_operator("h1", n)
-    ops[pos[h2_index(n)]] = chevalley_operator("h2", n)
+    ops = [None] * (n * (n - 1))  # the witness reads only H1 and H2 of the h2 build
+    ops[linear_index(h1_index(n), n)] = chevalley_operator("h1", n)
+    ops[linear_index(h2_index(n), n)] = chevalley_operator("h2", n)
     columns, applications, witness = _kernel_counts(
         monkeypatch, lambda: qkring._h1_witness_column(n, ops)
     )
@@ -467,8 +463,7 @@ def _flat(c):
 
 def _from_flat(n, flat):
     """The class of a {(w, d1, d2): coeff} map with no zero coefficient, keyed by term codes."""
-    pos = basis_positions(n)
-    return QKClass._trusted(n, {_encode(pos[w], d1, d2): c for (w, d1, d2), c in flat.items()})
+    return QKClass._trusted(n, {_encode(linear_index(w, n), d1, d2): c for (w, d1, d2), c in flat.items()})
 
 
 def _add(a, b, sign=1):
@@ -564,7 +559,7 @@ def _with_generators(monkeypatch, h1, h2):
 def test_noncommuting_generators_fall_back_to_full_width_and_the_scans(n, monkeypatch):
     # H1 plus (e_{n,2} -> Q1 e_{1,2}): no classical or unit column moves, but H1 H2 != H2 H1
     h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
-    t = basis_positions(n)[n, 2]
+    t = linear_index((n, 2), n)
     h1.cols[t] = h1.cols[t] + QKClass(n, {(1, 2): Q1})
     assert not qkring._commute(h1, h2)
     _with_generators(monkeypatch, h1, h2)
@@ -622,7 +617,7 @@ def test_mirrored_classical_scan_reads_one_triangle(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_apply_and_compose_match_plain_dict_arithmetic(n, tables):
-    # apply prepares only the columns its class reads; compose prepares all
+    # compose prepares every column of h1 once and runs one kernel pass per column of op
     basis = enumerate_basis(n)
     h1 = chevalley_operator("h1", n)
     ref = {v: _flat(col) for v, col in zip(basis, h1.cols)}
@@ -631,7 +626,6 @@ def test_apply_and_compose_match_plain_dict_arithmetic(n, tables):
         assert [_flat(col) for col in h1.compose(op).cols] == [
             {key: c for key, c in want[v].items() if c} for v in basis
         ]
-        assert [h1.apply(col) for col in op.cols] == h1.compose(op).cols
 
 
 @pytest.mark.parametrize("bad", [(1.0, 2), (True, 2), (2, 1.0), (2, True)])

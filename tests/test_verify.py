@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qkflag import qkring, verify
-from qkflag.basis import basis_positions, enumerate_basis, h2_index, linear_index, unit_index
+from qkflag.basis import enumerate_basis, h2_index, linear_index, unit_index
 from qkflag.kring import k_product
 from qkflag.poly import NovikovPolynomial, QKClass
 from qkflag.qkring import (
@@ -134,7 +134,7 @@ def _built_from_noncommuting_generators(n):
     every recurrence step holds; only H1 H2 != H2 H1 is left to fail.
     """
     h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
-    t = basis_positions(n)[n, 2]
+    t = linear_index((n, 2), n)
     h1.cols[t] = h1.cols[t] + QKClass.basis_element((1, 2), n)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qkring, "_chevalley_operator", lambda h, n: h1 if h == "h1" else h2)
@@ -251,7 +251,7 @@ def test_identity_scan_reports_a_wrong_unit_column(n):
     # O_e * O_v must be e_v itself: a Q-shift, a coefficient 2 or a class of
     # another n is reported, and the built column is not
     table = build_table(n)
-    e, v = basis_positions(n)[unit_index(n)], enumerate_basis(n)[1]
+    e, v = linear_index(unit_index(n), n), enumerate_basis(n)[1]
     assert ring_axiom_checks(table, associativity=False).passed
     for wrong in (
         QKClass(n, {v: NovikovPolynomial.monomial((1, 0))}),
