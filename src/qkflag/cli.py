@@ -134,29 +134,36 @@ def _load_table(n: int, path: str | None):
     return table
 
 
-def _csv_text(rows) -> str:
+def _emit(fmt: str, payload, text) -> None:
+    """Print ``payload()`` as JSON for the json format, else ``text()``; only the one printed is made."""
+    print(json.dumps(payload()) if fmt == "json" else text())
+
+
+def _render_rows(products, fmt: str) -> str:
+    """(u, v, O_u * O_v) triples as CSV rows, one per term, or as ``O_u * O_v = ...`` lines."""
+    if fmt == "text":
+        return "\n".join(f"O_{u[0]},{u[1]} * O_{v[0]},{v[1]} = {col}" for u, v, col in products)
     import csv
     import io
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
+    writer.writerows(
+        [u[0], u[1], v[0], v[1], w.i, w.j, d1, d2, c]
+        for u, v, col in products
+        for (w, d1, d2), c in col.ordered_terms()
+    )
     return buf.getvalue().rstrip("\n")
 
 
 def render_product(u, v, result, fmt: str) -> str:
-    if fmt == "text":
-        left = f"O_{u[0]},{u[1]} * O_{v[0]},{v[1]}"
-        return f"{left} = {result}"
-    if fmt == "json":
-        from .poly import class_to_json
-        payload = class_to_json(result)
-        payload["u"] = list(u)
-        payload["v"] = list(v)
-        return json.dumps(payload)
-    return _csv_text(
-        [u[0], u[1], v[0], v[1], w.i, w.j, d1, d2, c] for (w, d1, d2), c in result.ordered_terms()
-    )
+    if fmt != "json":
+        return _render_rows([(u, v, result)], fmt)
+    from .poly import class_to_json
+    payload = class_to_json(result)
+    payload["u"] = list(u)
+    payload["v"] = list(v)
+    return json.dumps(payload)
 
 
 def render_table(table, fmt: str) -> str:
@@ -165,14 +172,7 @@ def render_table(table, fmt: str) -> str:
         return json.dumps(table_to_json(table))
     from .basis import enumerate_basis
     basis = enumerate_basis(table.n)
-    products = [(u, v, col) for u, op in zip(basis, table.ops) for v, col in zip(basis, op.cols)]
-    if fmt == "csv":
-        return _csv_text(
-            [u.i, u.j, v.i, v.j, w.i, w.j, d1, d2, c]
-            for u, v, col in products
-            for (w, d1, d2), c in col.ordered_terms()
-        )
-    return "\n".join(f"O_{u.i},{u.j} * O_{v.i},{v.j} = {col}" for u, v, col in products)
+    return _render_rows([(u, v, col) for u, op in zip(basis, table.ops) for v, col in zip(basis, op.cols)], fmt)
 
 
 def _cmd_product(args) -> int:
@@ -218,10 +218,7 @@ def _cmd_verify(args) -> int:
         raise QKFlagError(f"unknown checks: {', '.join(unknown)}")
     table = _load_table(args.n, args.table_path)
     reports = [check_runners[name](table) for name in names]
-    if args.format == "json":
-        print(json.dumps(verify.reports_to_json(reports)))
-    else:
-        print(verify.reports_to_text(reports))
+    _emit(args.format, lambda: verify.reports_to_json(reports), lambda: verify.reports_to_text(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -229,10 +226,7 @@ def _cmd_conjecture(args) -> int:
     from .conjecture import compare_with_table
     table = _load_table(args.n, args.table_path)
     report = compare_with_table(table, gating=args.gating)
-    if args.format == "json":
-        print(json.dumps(report.to_json()))
-    else:
-        print(report.to_text())
+    _emit(args.format, report.to_json, report.to_text)
     return 0 if report.empty else 1
 
 
@@ -262,10 +256,7 @@ def _cmd_correlator(args) -> int:
             value = correlators.three_point_incidence(args.u, args.v, args.w, deg, args.n)
             query = {"kind": "three", "n": args.n, "u": list(args.u), "v": list(args.v),
                      "w": list(args.w), "d": list(deg)}
-    if args.format == "json":
-        print(json.dumps({"query": query, "value": value}))
-    else:
-        print(value)
+    _emit(args.format, lambda: {"query": query, "value": value}, lambda: value)
     return 0
 
 
@@ -277,22 +268,18 @@ def _cmd_flags(args) -> int:
     if args.balanced:
         shape = flags.FlagShape(args.shape, ambient)
         result = flags.balanced_construct(shape, args.degrees)
-        if args.format == "json":
-            rows = [list(row) for row in result.sequences]
-            print(json.dumps({"shape": list(shape.ranks), "n": shape.n, "degrees": list(result.degrees),
-                              "sequences": rows, "spread": flags.spread(result)}))
-        else:
-            print(" ".join("(" + ",".join(map(str, row)) + ")" for row in result.sequences))
+        rows = result.sequences
+        _emit(args.format,
+              lambda: {"shape": list(shape.ranks), "n": shape.n, "degrees": list(result.degrees),
+                       "sequences": [list(row) for row in rows], "spread": flags.spread(result)},
+              lambda: " ".join("(" + ",".join(map(str, row)) + ")" for row in rows))
         return 0
     if args.k is None or args.r is None:
         raise QKFlagError("--stabilized needs --k and --r")
     s = flags.StabilizationInput(args.shape, ambient, args.degrees, args.k, args.r)
     ok = flags.theorem_conditions(s)
-    if args.format == "json":
-        print(json.dumps({"ranks": list(s.ranks), "n": s.n, "degrees": list(s.degrees),
-                          "k": s.k, "r": s.r, "stabilized": ok}))
-    else:
-        print("stabilized" if ok else "not-stabilized")
+    _emit(args.format, lambda: {"ranks": list(s.ranks), "n": s.n, "degrees": list(s.degrees), "k": s.k, "r": s.r,
+                                "stabilized": ok}, lambda: "stabilized" if ok else "not-stabilized")
     return 0
 
 
@@ -318,8 +305,7 @@ def run(argv=None) -> int:
         return 2
 
 
-def main(argv=None) -> int:
-    return run(argv)
+main = run
 
 
 if __name__ == "__main__":

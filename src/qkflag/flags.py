@@ -4,8 +4,8 @@ An (I, d)-admissible set of sequences records the splitting type of a flag
 of vector bundles on the projective line: row k is a nondecreasing sequence
 of length i_k, dominated entrywise by row k-1, with row sum d_k.  The
 balanced set is the unique admissible set minimizing the total pairwise
-spread; it is produced directly by an iterative construction and checked
-here against exhaustive search.
+spread; it is produced directly by a greedy row-by-row construction and
+checked here against exhaustive search.
 """
 
 from __future__ import annotations
@@ -93,45 +93,37 @@ def _fill(total: int, slots: int) -> tuple[int, ...]:
     return (q - 1,) * low + (q,) * (slots - low)
 
 
-def balanced_construct(shape: FlagShape, degrees) -> AdmissibleSequenceSet:
-    """The balanced (spread-minimizing) admissible set, built row by row.
-
-    Row 1 spreads d_1 as evenly as possible.  For k > 1 the longest prefix
-    of row k-1 whose entries fit under the row average d_k/i_k is carried
-    over verbatim, the carry is then extended while further entries fit
-    under the residual average, and the remaining slots are filled evenly
-    with the leftover degree.
-    """
+def _degrees(shape: FlagShape, degrees) -> tuple[int, ...]:
+    """``degrees`` as a tuple, one per step of ``shape``; ShapeMismatch otherwise."""
     degrees = tuple(degrees)
     if len(degrees) != shape.m:
         raise ShapeMismatch(f"{len(degrees)} degrees for an {shape.m}-step shape")
+    return degrees
+
+
+def balanced_construct(shape: FlagShape, degrees) -> AdmissibleSequenceSet:
+    """The balanced (spread-minimizing) admissible set, built row by row.
+
+    Row 1 spreads d_1 as evenly as possible.  For k > 1, one greedy pass
+    carries row k-1 over entry by entry while the next entry fits under the
+    residual average, (d_k - carried) / (i_k - r) after r carried entries;
+    the remaining slots are then filled evenly with the leftover degree.
+    A carried entry is at most the residual average, so the average never
+    drops, and row k-1 is nondecreasing: the carry stops at the first entry
+    above the average, and no later entry would fit either.
+    """
+    degrees = _degrees(shape, degrees)
     if any(d < 0 for d in degrees):
         raise ValueError(f"degrees must be nonnegative: {degrees}")
 
     rows: list[tuple[int, ...]] = [_fill(degrees[0], shape.ranks[0])]
-    for k in range(1, shape.m):
+    for ik, dk in zip(shape.ranks[1:], degrees[1:]):
         prev = rows[-1]
-        ik = shape.ranks[k]
-        dk = degrees[k]
-        # carry the longest prefix that fits under the residual average,
-        # and enlarge it while it grows; from r = 0 the first pass is the
-        # row-average prefix.  r strictly grows, so i_k + 1 passes suffice
-        # (the cap only guards against an implementation error)
-        r = 0
-        for _ in range(ik + 1):
-            carried = sum(prev[:r])
-            new_r = r
-            for j in range(r + 1, len(prev) + 1):
-                if prev[j - 1] * (ik - r) <= dk - carried:
-                    new_r = j
-                else:
-                    break
-            if new_r == r:
-                break
-            r = new_r
-        carried = sum(prev[:r])
-        row = prev[:r] + _fill(dk - carried, ik - r)
-        rows.append(row)
+        r = carried = 0
+        while r < len(prev) and prev[r] * (ik - r) <= dk - carried:
+            carried += prev[r]
+            r += 1
+        rows.append(prev[:r] + _fill(dk - carried, ik - r))
 
     out = AdmissibleSequenceSet(tuple(rows), degrees)
     if not is_admissible(out, shape):  # pragma: no cover - construction invariant
@@ -164,9 +156,7 @@ def _admissible_rows(length: int, total: int, cap_row: tuple[int, ...] | None):
 
 def enumerate_admissible(shape: FlagShape, degrees) -> list[AdmissibleSequenceSet]:
     """Every (I, d)-admissible set of sequences, in lexicographic order."""
-    degrees = tuple(degrees)
-    if len(degrees) != shape.m:
-        raise ShapeMismatch(f"{len(degrees)} degrees for an {shape.m}-step shape")
+    degrees = _degrees(shape, degrees)
     out: list[AdmissibleSequenceSet] = []
 
     def rec(k: int, rows: list[tuple[int, ...]]):
@@ -185,7 +175,7 @@ def enumerate_admissible(shape: FlagShape, degrees) -> list[AdmissibleSequenceSe
 
 def brute_force_balanced(shape: FlagShape, degrees, bound: int = 12) -> AdmissibleSequenceSet:
     """Exhaustive spread-minimizer; raises if the minimizer is not unique."""
-    degrees = tuple(degrees)
+    degrees = _degrees(shape, degrees)
     if sum(degrees) > bound:
         raise BoundExceeded(f"sum of degrees {sum(degrees)} exceeds enumeration bound {bound}")
     candidates = enumerate_admissible(shape, degrees)
@@ -200,19 +190,13 @@ def brute_force_balanced(shape: FlagShape, degrees, bound: int = 12) -> Admissib
     return minimizers[0]
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def splitting_predicate(shape: FlagShape, degrees, k: int) -> bool:
     """True when d_k >= i_k * ceil((d_p - d_{p-1}) / (i_p - i_{p-1})) for all p < k.
 
     Under this condition the balanced set carries row k-1 over verbatim:
     a_{k,j} = a_{k-1,j} for j <= i_{k-1}.
     """
-    degrees = tuple(degrees)
-    if len(degrees) != shape.m:
-        raise ShapeMismatch(f"{len(degrees)} degrees for an {shape.m}-step shape")
+    degrees = _degrees(shape, degrees)
     if not 1 < k <= shape.m:
         raise InvalidIndex(f"k must satisfy 1 < k <= {shape.m}, got {k}")
     return _carries_over((0,) + shape.ranks, (0,) + degrees, k)
@@ -221,7 +205,7 @@ def splitting_predicate(shape: FlagShape, degrees, k: int) -> bool:
 def _carries_over(ranks: tuple[int, ...], degs: tuple[int, ...], k: int) -> bool:
     """d_k >= n_k ceil((d_p - d_{p-1}) / (n_p - n_{p-1})) for all p < k (n_0 = d_0 = 0)."""
     return all(
-        degs[k] >= ranks[k] * _ceil_div(degs[p] - degs[p - 1], ranks[p] - ranks[p - 1])
+        degs[k] >= ranks[k] * -((degs[p - 1] - degs[p]) // (ranks[p] - ranks[p - 1]))
         for p in range(1, k)
     )
 
@@ -237,15 +221,13 @@ class StabilizationInput(FrozenRecord):
     __slots__ = ("ranks", "n", "degrees", "k", "r")
 
     def __init__(self, ranks: tuple[int, ...], n: int, degrees: tuple[int, ...], k: int, r: int):
-        ranks, degrees = tuple(ranks), tuple(degrees)
         shape = FlagShape(ranks, n)  # validates monotonicity
-        if len(degrees) != shape.m:
-            raise ShapeMismatch(f"{len(degrees)} degrees for an {shape.m}-step shape")
+        degrees = _degrees(shape, degrees)
         if not 1 <= k <= shape.m:
             raise ShapeMismatch(f"k must lie in [1, {shape.m}], got {k}")
         if r < 0:
             raise ShapeMismatch(f"r must be nonnegative, got {r}")
-        super().__init__(ranks, n, degrees, k, r)
+        super().__init__(shape.ranks, n, degrees, k, r)
 
 
 def theorem_conditions(s: StabilizationInput) -> bool:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
-from .basis import SchubertIndex, _basis, _position, check_index, check_rank
+from .basis import SchubertIndex, _OnDemand, _basis, _position, check_index, check_rank
 from .errors import RankMismatch
 
 CurveDegree = tuple[int, int]
@@ -352,21 +352,9 @@ def _signed_sum(terms: list[tuple[int, str]]) -> str:
     return " ".join(parts) or "0"
 
 
-class _Identity(dict):
-    """The identity's columns for the kernel: e_w, as one term, for every basis position p of w.
-
-    A column is made on its first lookup and kept, so later lookups of p
-    are plain dict reads; it depends on p alone, so every caller may share it.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, p: int) -> tuple:
-        col = self[p] = ((p << _POS, 1),)
-        return col
-
-
-_IDENTITY = _Identity()
+# the identity's columns for the kernel: e_w, as one term, for every basis position p of w;
+# each depends on p alone, so every caller shares them
+_IDENTITY = _OnDemand(lambda p: ((p << _POS, 1),))
 
 
 def _combine(n: int, parts, width: int = 1) -> list[QKClass]:

@@ -58,6 +58,13 @@ class VerificationReport(Record):
         return line
 
 
+def _details(table, **details) -> dict:
+    """``details``, then the table's step-c arbitration record if it has one."""
+    if table.arbitration:
+        details["step_c_arbitration"] = table.arbitration
+    return details
+
+
 def _row(u, v, w, d1, d2, c) -> dict:
     """A counterexample naming the term Q1^d1 Q2^d2 O_w of O_u * O_v and its coefficient."""
     return {"u": [u.i, u.j], "v": [v.i, v.j], "w": [w.i, w.j], "d1": d1, "d2": d2, "coeff": c}
@@ -144,10 +151,7 @@ def ring_axiom_checks(table, *, associativity: bool | None = None) -> Verificati
             if col.n != n or col._terms != {p << _POS: 1}:
                 bad.append({"axiom": "identity", "u": [e.i, e.j], "v": [v.i, v.j]})
 
-    details = {"associativity_checked": run_assoc}
-    if getattr(table, "arbitration", None):
-        details["step_c_arbitration"] = table.arbitration
-    return VerificationReport("ring", n, not bad, bad, details)
+    return VerificationReport("ring", n, not bad, bad, _details(table, associativity_checked=run_assoc))
 
 
 def _associativity_counterexamples(table, n: int, basis) -> list[dict]:
@@ -182,10 +186,7 @@ def classical_consistency_check(table) -> VerificationReport:
     n = table.n
     ops = table.ops
     bad = [_row(u, v, w, 0, 0, c) for u, v, w, c in _classical_mismatches(n, ops, _is_mirrored(ops))]
-    details = {}
-    if getattr(table, "arbitration", None):
-        details["step_c_arbitration"] = table.arbitration
-    return VerificationReport("classical", n, not bad, bad, details)
+    return VerificationReport("classical", n, not bad, bad, _details(table))
 
 
 def chevalley_consistency_check(table) -> VerificationReport:
@@ -201,10 +202,7 @@ def chevalley_consistency_check(table) -> VerificationReport:
         for v, col in zip(basis, table.matrix(hw).cols):
             if col != _chevalley_column(h, v, n):
                 bad.append({"h": h, "v": [v.i, v.j]})
-    details = {"step_c_variant": getattr(table, "step_c_variant", "?")}
-    if getattr(table, "arbitration", None):
-        details["step_c_arbitration"] = table.arbitration
-    return VerificationReport("chevalley", n, not bad, bad, details)
+    return VerificationReport("chevalley", n, not bad, bad, _details(table, step_c_variant=table.step_c_variant))
 
 
 def reports_to_text(reports) -> str:

@@ -6,7 +6,6 @@ the wall-clock budgets stated alongside the sweeps.
 """
 
 import time
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -21,7 +20,6 @@ from qkflag.correlators import (
 )
 from qkflag.errors import UnsupportedDegree
 from qkflag.flags import (
-    FlagShape,
     alternating_decomposition_sum,
     balanced_construct,
     brute_force_balanced,
@@ -49,6 +47,7 @@ from qkflag.verify import (
     positivity_check,
     ring_axiom_checks,
 )
+from tests.oracles.flags_grid import grid
 
 RANKS = (3, 4, 5, 6)
 
@@ -232,28 +231,17 @@ def test_criterion_08_conjecture_comparator(tables):
 def test_criterion_09_balanced_sequences_oracle():
     start = time.monotonic()
 
-    def degree_vectors(m, max_sum):
-        if m == 0:
-            yield ()
-            return
-        for a in range(max_sum + 1):
-            for rest in degree_vectors(m - 1, max_sum - a):
-                yield (a,) + rest
-
     construct_bad = carry_bad = cases = 0
-    for m in range(1, 6):
-        for ranks in combinations(range(1, 6), m):
-            shape = FlagShape(ranks, 6)
-            for d in degree_vectors(m, 8):
-                cases += 1
-                c = balanced_construct(shape, d)
-                if c != brute_force_balanced(shape, d):
-                    construct_bad += 1
-                for k in range(2, m + 1):
-                    if splitting_predicate(shape, d, k):
-                        prev = c.sequences[k - 2]
-                        if c.sequences[k - 1][: len(prev)] != prev:
-                            carry_bad += 1
+    for shape, d in grid(5, 8):
+        cases += 1
+        c = balanced_construct(shape, d)
+        if c != brute_force_balanced(shape, d):
+            construct_bad += 1
+        for k in range(2, shape.m + 1):
+            if splitting_predicate(shape, d, k):
+                prev = c.sequences[k - 2]
+                if c.sequences[k - 1][: len(prev)] != prev:
+                    carry_bad += 1
     elapsed = time.monotonic() - start
     report(
         9,

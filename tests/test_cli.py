@@ -241,6 +241,13 @@ def test_flags_stabilized(capsys):
     assert code == 0 and out.strip() == "not-stabilized"
 
 
+@pytest.mark.parametrize("mode", (["--balanced"], ["--stabilized", "--k", "1", "--r", "0"]))
+def test_flags_wrong_length_degrees_exit_2(capsys, mode):
+    code, out, err = run_cli(capsys, "flags", *mode, "--shape", "1,3", "--degrees", "2")
+    assert code == 2 and out == ""
+    assert err == "error: 1 degrees for an 2-step shape\n"
+
+
 def test_jobs_flag_is_gone(capsys):
     # --jobs was parsed and never used; argparse now rejects it
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,3 @@
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -23,24 +22,7 @@ from qkflag.flags import (
     theorem_conditions,
     vandermonde_sum,
 )
-
-
-def degree_vectors(m, max_sum):
-    if m == 0:
-        yield ()
-        return
-    for a in range(max_sum + 1):
-        for rest in degree_vectors(m - 1, max_sum - a):
-            yield (a,) + rest
-
-
-def oracle_grid(max_rank=5, max_sum=8):
-    """Every shape inside {1..5} with every degree vector of total <= 8."""
-    for m in range(1, max_rank + 1):
-        for ranks in combinations(range(1, max_rank + 1), m):
-            shape = FlagShape(ranks, max_rank + 1)
-            for d in degree_vectors(m, max_sum):
-                yield shape, d
+from tests.oracles.flags_grid import grid
 
 
 def test_flag_shape_validation():
@@ -98,13 +80,13 @@ def test_enumerate_admissible_counts_small_case():
 
 
 def test_construction_is_admissible_everywhere():
-    for shape, d in oracle_grid():
+    for shape, d in grid(5, 8):
         assert is_admissible(balanced_construct(shape, d), shape)
 
 
 def test_construction_matches_brute_force_on_grid():
     mismatches = []
-    for shape, d in oracle_grid():
+    for shape, d in grid(5, 8):
         c = balanced_construct(shape, d)
         try:
             b = brute_force_balanced(shape, d)
@@ -129,7 +111,7 @@ def test_splitting_predicate_index_validation():
 
 
 def test_splitting_predicate_implies_carry_over():
-    for shape, d in oracle_grid():
+    for shape, d in grid(5, 8):
         rows = balanced_construct(shape, d).sequences
         for k in range(2, shape.m + 1):
             if splitting_predicate(shape, d, k):
@@ -159,6 +141,22 @@ def test_stabilization_input_validation():
         StabilizationInput((1, 3), 4, (1, 1), 3, 0)
     with pytest.raises(ShapeMismatch):
         StabilizationInput((1, 3), 4, (1, 1), 1, -1)
+
+
+def test_wrong_length_degrees_raise_one_message():
+    shape = FlagShape((1, 3), 4)
+    calls = (
+        lambda: balanced_construct(shape, (2,)),
+        lambda: enumerate_admissible(shape, (2,)),
+        lambda: brute_force_balanced(shape, (2,)),
+        lambda: brute_force_balanced(shape, (20,)),  # the length is checked before the bound
+        lambda: splitting_predicate(shape, (2,), 2),
+        lambda: StabilizationInput((1, 3), 4, (2,), 1, 0),
+    )
+    for call in calls:
+        with pytest.raises(ShapeMismatch) as exc:
+            call()
+        assert str(exc.value) == "1 degrees for an 2-step shape"
 
 
 def test_vandermonde_examples():
