@@ -6,8 +6,7 @@ reported failures; 2 malformed arguments or unsupported inputs.
 Each subcommand imports the qkflag modules it runs inside its handler, and
 ``csv`` only when it writes CSV: ``flags`` loads only ``flags`` and
 ``errors``, and ``correlator`` loads the closed forms without ``qkring``,
-``verify`` or ``conjecture``.  The parser gets only the chosen subcommand's
-arguments (:func:`build_parser`).  A cold command pays for nothing else.
+``verify`` or ``conjecture``.  A cold command pays for nothing else.
 """
 
 from __future__ import annotations
@@ -37,72 +36,64 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qkflag`` parser: every subcommand, with the arguments of ``command`` alone, or of all by default.
-
-    Help, usage and error texts of ``command`` are those of the full parser.
-    """
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkflag",
         description="Exact Schubert calculus for the incidence variety Fl(1, n-1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name: str, text: str):
-        p = sub.add_parser(name, help=text)
-        return p if command in (None, name) else None
+    p = sub.add_parser("product", help="star-product (or classical product) of two classes")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--u", type=_parse_pair, required=True, metavar="i,j")
+    p.add_argument("--v", type=_parse_pair, required=True, metavar="k,p")
+    p.add_argument("--classical", action="store_true", help="classical K-ring product")
+    p.add_argument("--table", dest="table_path", help="load a cached table JSON instead of rebuilding")
+    p.add_argument("--format", choices=FORMATS, default="text")
 
-    if p := subcommand("product", "star-product (or classical product) of two classes"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--u", type=_parse_pair, required=True, metavar="i,j")
-        p.add_argument("--v", type=_parse_pair, required=True, metavar="k,p")
-        p.add_argument("--classical", action="store_true", help="classical K-ring product")
-        p.add_argument("--table", dest="table_path", help="load a cached table JSON instead of rebuilding")
-        p.add_argument("--format", choices=FORMATS, default="text")
+    p = sub.add_parser("table", help="build the full multiplication table")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", choices=FORMATS, default="json")
+    p.add_argument("--out", help="write to a file instead of stdout")
 
-    if p := subcommand("table", "build the full multiplication table"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--format", choices=FORMATS, default="json")
-        p.add_argument("--out", help="write to a file instead of stdout")
+    p = sub.add_parser("verify", help="run verification sweeps over the table")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--checks",
+        default="positivity,ring,classical,degree",
+        help="comma-separated subset of positivity,ring,classical,degree,chevalley",
+    )
+    p.add_argument("--assoc-max", type=int, default=5, help="largest n for the associativity sweep")
+    p.add_argument("--table", dest="table_path")
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    if p := subcommand("verify", "run verification sweeps over the table"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument(
-            "--checks",
-            default="positivity,ring,classical,degree",
-            help="comma-separated subset of positivity,ring,classical,degree,chevalley",
-        )
-        p.add_argument("--assoc-max", type=int, default=5, help="largest n for the associativity sweep")
-        p.add_argument("--table", dest="table_path")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    p = sub.add_parser("conjecture", help="compare the closed formula against the table")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--gating", choices=("flipped", "literal"), default="flipped")
+    p.add_argument("--table", dest="table_path")
+    p.add_argument("--format", choices=("text", "json"), default="json")
 
-    if p := subcommand("conjecture", "compare the closed formula against the table"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--gating", choices=("flipped", "literal"), default="flipped")
-        p.add_argument("--table", dest="table_path")
-        p.add_argument("--format", choices=("text", "json"), default="json")
+    p = sub.add_parser("correlator", help="evaluate a correlator closed form")
+    p.add_argument("--n", type=int)
+    p.add_argument("--kind", choices=("two", "three", "pn"), required=True)
+    p.add_argument("--u", type=_parse_pair, metavar="i,j")
+    p.add_argument("--v", type=_parse_pair, metavar="k,p")
+    p.add_argument("--w", type=_parse_pair, metavar="s,t", help="dual-basis insertion")
+    p.add_argument("--d", help="degree: 'd1,d2' or l1|l2|l1+l2 (two/three); integer (pn)")
+    p.add_argument("--m", type=int, help="projective dimension for --kind pn")
+    p.add_argument("--i", type=_parse_int_list, metavar="i1,i2,i3", help="indices for --kind pn")
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    if p := subcommand("correlator", "evaluate a correlator closed form"):
-        p.add_argument("--n", type=int)
-        p.add_argument("--kind", choices=("two", "three", "pn"), required=True)
-        p.add_argument("--u", type=_parse_pair, metavar="i,j")
-        p.add_argument("--v", type=_parse_pair, metavar="k,p")
-        p.add_argument("--w", type=_parse_pair, metavar="s,t", help="dual-basis insertion")
-        p.add_argument("--d", help="degree: 'd1,d2' or l1|l2|l1+l2 (two/three); integer (pn)")
-        p.add_argument("--m", type=int, help="projective dimension for --kind pn")
-        p.add_argument("--i", type=_parse_int_list, metavar="i1,i2,i3", help="indices for --kind pn")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    if p := subcommand("flags", "balanced sequences and stabilization bounds"):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--balanced", action="store_true")
-        group.add_argument("--stabilized", action="store_true")
-        p.add_argument("--shape", type=_parse_int_list, metavar="i1,..,im")
-        p.add_argument("--degrees", type=_parse_int_list, metavar="d1,..,dm")
-        p.add_argument("--ambient", type=int, help="ambient dimension n (default: max rank + 1)")
-        p.add_argument("--k", type=int, help="forgotten step for --stabilized")
-        p.add_argument("--r", type=int, help="marked points for --stabilized")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    p = sub.add_parser("flags", help="balanced sequences and stabilization bounds")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--balanced", action="store_true")
+    group.add_argument("--stabilized", action="store_true")
+    p.add_argument("--shape", type=_parse_int_list, metavar="i1,..,im")
+    p.add_argument("--degrees", type=_parse_int_list, metavar="d1,..,dm")
+    p.add_argument("--ambient", type=int, help="ambient dimension n (default: max rank + 1)")
+    p.add_argument("--k", type=int, help="forgotten step for --stabilized")
+    p.add_argument("--r", type=int, help="marked points for --stabilized")
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
@@ -294,15 +285,17 @@ COMMANDS = {
 
 
 def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option with a value: its first other word is the command
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except (QKFlagError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # printing needs memory, which the failed command's frames hold until the handler ends
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 main = run

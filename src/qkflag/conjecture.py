@@ -21,8 +21,8 @@ For u = (i, j), v = (k, p) every term reads only the class (i+k, j+p,
 :func:`_class_formula`; :func:`conjectured_product` calls it for one pair and
 :func:`compare_with_table` once per class of the table, in a dict local to
 the call, where it also counts the other gating per class.  The class is
-symmetric in u and v, so the diff of a mirrored table reads each shared
-product once.
+symmetric in u and v, so the diff reads a mirrored table once per
+unordered product (see :func:`qkflag.qkring._is_mirrored`).
 """
 
 from __future__ import annotations
@@ -216,12 +216,9 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     and v.  Only a column that equals neither is compared key by key with
     both.
 
-    The class is symmetric in u and v, so on a mirrored table (see
-    :func:`qkflag.qkring._is_mirrored`) one verdict stands for O_u * O_v
-    and O_v * O_u, and only the products where v is u or comes after it are
-    read, in both gatings.  A failing product's rows are stored under (u, v)
-    and (v, u), and an off-diagonal product adds twice to the other
-    gating's count.
+    A mirrored table is read once per unordered product, in both gatings
+    (see :func:`qkflag.qkring._is_mirrored`), and an off-diagonal product
+    adds twice to the other gating's count.
     """
     if gating not in GATINGS:
         raise ValueError(f"gating must be one of {GATINGS}, got {gating!r}")

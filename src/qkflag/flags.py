@@ -83,11 +83,11 @@ def spread(a: AdmissibleSequenceSet) -> int:
 
 
 def _fill(total: int, slots: int) -> tuple[int, ...]:
-    """Nondecreasing slots summing to total, values in {q-1, q}, small first."""
-    if slots == 0:
-        if total:
-            raise ValueError("cannot place a nonzero sum in zero slots")
-        return ()
+    """Nondecreasing slots summing to total, values in {q-1, q}, small first.
+
+    Every call has slots > 0: ranks are positive, and a carry stops at
+    r <= i_{k-1} < i_k.
+    """
     q = -(-total // slots)
     low = slots * q - total  # number of entries equal to q-1
     return (q - 1,) * low + (q,) * (slots - low)

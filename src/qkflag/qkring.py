@@ -7,7 +7,7 @@ iteration
 
     (a) M_{n,1} = Id;  M_{k,1} = H1 . M_{k+1,1}            for k = n-1 .. 2
     (b) M_{k,p} = H2 . M_{k,p-1}                           for k > p >= 2
-    (c) M_{1,2} = H1 . M_{2,1} + Q1 (H? . M_{n,1} - M_{n,1})  see step_c below
+    (c) M_{1,2} = H1 . M_{2,1} + Q1 (H? . M_{n,1} - M_{n,1})  see build_table
     (d) M_{p,p+1} = H1 . M_{p+1,p} + H2 . M_{p-1,p} - M_{p-1,p}  for 2 <= p < n
     (e) M_{k,p} = H1 . M_{k+1,p}                           for k < p, k != p-1
 
@@ -16,36 +16,12 @@ in the one part format, that of the kernel :func:`qkflag.poly._combine`: A
 is H1, H2, H? or the identity, and x an earlier value.  :func:`_recurrence`
 evaluates a step with one kernel pass per column, so no step builds an
 intermediate value.  The build runs it on the identity's columns, the h1
-witness column below on e_{n,1} alone.  An :class:`Operator` is a column
+witness column on e_{n,1} alone.  An :class:`Operator` is a column
 list whose only arithmetic is ``compose`` with one operator.
 
-Every M_u is a polynomial in H1 and H2, so once H1 H2 = H2 H1 and column
-e_{n,1} of every M_u is e_u, O_u * O_v = M_u M_v e = M_v M_u e = O_v * O_u.
-That is the ring certificate, and :func:`_mirrored` alone decides it: it
-checks the first before the recurrence runs and the second on the way, and
-then evaluates each unordered product once.  The step of rank r (the unit
-has rank 0, then the steps in order) evaluates only the columns v of rank
-r or more, and O_v * O_u is the same class object as O_u * O_v.  The h2
-build is :func:`_mirrored` on the Chevalley operators; :func:`certify_ring`
-runs it on a table's own H1 and H2 and compares the result with the table.
-The read side tells such a table by identity, :func:`_is_mirrored`, and its
-scans (the classical one here, the max degree, positivity and the
-conjecture diff) then read each shared product once, through
-:func:`_triangle` and :func:`_both_ways`.
-
-Step (c) subtracts the quantum part of O_h1 * O_{2,1}; the hyperplane class
-appearing in that correction can be taken as h2 (matching the corrections
-used to seed H1, H2) or as h1 (an alternative convention).  The two choices
-agree in the classical limit but produce different tables, so
-``build_table`` arbitrates them and records the outcome.  It builds only the
-h2 table, which the certificate above proves commutative, and runs the
-classical-limit oracle on the products it evaluated; the h1 outcomes follow
-from that build plus one witness column, the h1 recurrence run on e_{n,1}
-up to step (c): O_{1,2} + Q1 O_{n-1,1} - Q1 O_{n,2} at every n >= 3, so h1
-never commutes; a guard raises if the witness is ever O_{1,2}.  The h1
-table, and an h2 table whose certificate fails, are evaluated in full and
-scanned for commutativity; :func:`certify_ring` never certifies an h1
-table.
+The ring certificate, which lets the h2 build evaluate each unordered
+product once, is explained in :func:`_mirrored`; the read side's use of it
+in :func:`_is_mirrored`; the step-c arbitration in :func:`build_table`.
 """
 
 from __future__ import annotations
@@ -257,15 +233,24 @@ def _commute(h1: Operator, h2: Operator) -> bool:
 def _mirrored(h1: Operator, h2: Operator) -> list[Operator] | None:
     """Every M_u of the h2 recurrence on H1 and H2, each unordered product evaluated once.
 
-    None unless the certificate of the module docstring holds: H1 H2 = H2 H1,
-    checked first, and column e_{n,1} of every M_w is e_w, checked by the
-    kernel pass that evaluates it.  The values are laid out by
-    :func:`_layout` and evaluated at widths N, N - 1, ..., 2; a step's column
-    j reads only column j of earlier values, so the columns it skips change
-    nothing else.  Row u then takes O_u * O_v from x_u where v is laid out
-    at or before u (v has u's rank or more), and the same :class:`QKClass`
-    object O_v * O_u from x_v elsewhere: sharing is safe because no code
-    changes a class's terms in place.
+    This function alone decides the ring certificate.  Every M_u is a
+    polynomial in H1, H2 and M_{n,1} = Id, so once H1 H2 = H2 H1 and column
+    e_{n,1} of every M_u is e_u, O_u * O_v = M_u M_v e = M_v M_u e =
+    O_v * O_u: the operators are commutative, O_{n,1} is their unit, and
+    they are associative (see :func:`qkflag.verify.ring_axiom_checks`).
+    The result is None unless both hold: H1 H2 = H2 H1 is checked first,
+    and column e_{n,1} of every M_w by the kernel pass that evaluates it.
+    The h2 build runs this on the Chevalley operators, :func:`certify_ring`
+    on a table's own H1 and H2.
+
+    The values are laid out by :func:`_layout` and evaluated at widths
+    N, N - 1, ..., 2: the step of rank r evaluates only the columns v of
+    rank r or more.  A step's column j reads only column j of earlier
+    values, so the columns it skips change nothing else.  Row u then takes
+    O_u * O_v from x_u where v is laid out at or before u (v has u's rank
+    or more), and the same :class:`QKClass` object O_v * O_u from x_v
+    elsewhere: sharing is safe because no code changes a class's terms in
+    place.
     """
     n = h1.n
     if not _commute(h1, h2):
@@ -285,34 +270,14 @@ def _mirrored(h1: Operator, h2: Operator) -> list[Operator] | None:
     ]
 
 
-def _build_with_variant(n: int, variant: str) -> tuple[list[Operator], bool]:
-    """Every M_u in basis order, and True if the table is mirrored (see :func:`_mirrored`).
-
-    The h1 build never holds the certificate (its witness column is not
-    O_{1,2}); it, and an h2 build whose certificate fails, is evaluated at
-    full width, on the identity's columns in basis order.
-    """
-    h1, h2 = _chevalley_operator("h1", n), _chevalley_operator("h2", n)
-    if variant == "h2" and (ops := _mirrored(h1, h2)) is not None:
-        return ops, True
-    basis = enumerate_basis(n)
-    m = {unit_index(n): [QKClass._trusted(n, {t << _POS: 1}) for t in range(len(basis))]}
-    for w, x in _recurrence(n, m, h1, h2, variant):
-        m[w] = x
-    return [Operator._trusted(n, m[w]) for w in basis], False
-
-
 def certify_ring(table: MultiplicationTable) -> bool:
     """True if the table is :func:`_mirrored` run on its own H1 = M_{n-1,1} and H2 = M_{n,2}.
 
-    Reads nothing but the table.  Operators come back only when H1 H2 =
-    H2 H1 and M_u e_{n,1} = e_u for every u; each is then a polynomial in
-    H1, H2 and M_{n,1} = Id, so a table equal to them is commutative, has
-    O_{n,1} as its unit, and is associative (see
-    :func:`qkflag.verify.ring_axiom_checks`).  By induction over the steps,
-    this is the condition that every M_u of the table is its recurrence step
-    (a)-(e), step (c) with H2, applied to the table's earlier operators.
-    False means only that the brute-force check has to decide.
+    Reads nothing but the table; the certificate is explained in
+    :func:`_mirrored`.  By induction over the steps, equality is the
+    condition that every M_u of the table is its recurrence step (a)-(e),
+    step (c) with H2, applied to the table's earlier operators.  False
+    means only that the brute-force check has to decide.
     """
     n = table.n
     return _mirrored(table.matrix(h1_index(n)), table.matrix(h2_index(n))) == table.ops
@@ -321,11 +286,15 @@ def certify_ring(table: MultiplicationTable) -> bool:
 def _is_mirrored(ops: list[Operator]) -> bool:
     """True when O_v * O_u is the same class object as O_u * O_v for every u != v.
 
-    :func:`_mirrored` lays out a build so, and a scan of such a table reads
-    each shared product once, through :func:`_triangle`.  Identity is a fact
-    about the objects, not an assumption: N(N-1)/2 ``is`` tests and no
-    equality compare.  A loaded table, an h1 table, or a table with one pair
-    unshared is read in full.
+    This is the mirrored read, explained here once.  :func:`_mirrored` lays
+    out a build so, and every scan of such a table (the classical one here,
+    the max degree, positivity and the conjecture diff) reads each shared
+    product once: :func:`_triangle` walks only the products where v is u or
+    comes after it, and :func:`_both_ways` reports a failing product's rows
+    under (u, v) and (v, u), so a scan keeps only what is symmetric in u and
+    v.  Identity is a fact about the objects, not an assumption: N(N-1)/2
+    ``is`` tests and no equality compare.  A loaded table, an h1 table, or a
+    table with one pair unshared is read in full.
     """
     for a, op in enumerate(ops):
         for b in range(a + 1, len(ops)):
@@ -362,9 +331,8 @@ def _classical_mismatches(n: int, ops: list[Operator], mirrored: bool = False) -
     ``want`` is the formula's {w: coeff} map, :func:`qkflag.kring._k_terms`.
     It reads only the class (i+k, j+p, i<j or k<p) of u = (i, j),
     v = (k, p), which is symmetric in u and v, so it runs once per class,
-    and on a ``mirrored`` table (see :func:`_is_mirrored`) one verdict
-    stands for O_u * O_v and O_v * O_u: only the products where v is u or
-    comes after it are read.  Each column's constant terms, the codes (see
+    and a ``mirrored`` table is read once per unordered product (see
+    :func:`_is_mirrored`).  Each column's constant terms, the codes (see
     :mod:`qkflag.poly`) with no degree bits, are compared with ``want`` in
     one walk over the column, each w read off its code's basis position;
     the difference ``got`` - ``want`` is built only for a column that
@@ -427,14 +395,13 @@ def _oracle_outcomes(n: int, ops: list[Operator], certified: bool = False) -> di
     }
 
 
-def _h1_witness_column(n: int, h2_ops: list[Operator]) -> QKClass:
-    """M^{h1}_{1,2} e_{n,1}: the h1 recurrence run on the seed e_{n,1} up to step (c).
+def _h1_witness_column(h1: Operator, h2: Operator) -> QKClass:
+    """M^{h1}_{1,2} e_{n,1}: the h1 recurrence on H1, H2 run on the seed e_{n,1} up to step (c).
 
-    Steps (a) and (b) do not depend on step c, so H1 = M_{n-1,1} and
-    H2 = M_{n,2} are read from the h2 build.  It stops after n applications.
+    It stops after n applications.
     """
+    n = h1.n
     e = unit_index(n)
-    h1, h2 = (h2_ops[_position(*_hyperplane(h, n), n)] for h in ("h1", "h2"))
     m = {e: [QKClass.basis_element(e, n)]}
     for w, x in _recurrence(n, m, h1, h2, "h1"):
         if w == (1, 2):
@@ -445,32 +412,48 @@ def _h1_witness_column(n: int, h2_ops: list[Operator]) -> QKClass:
 def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
     """Build every multiplication operator M_u.
 
-    ``step_c`` picks the hyperplane class subtracted in the M_{1,2} step:
-    "h2" (matching the hyperplane-product corrections), "h1" (the variant
-    stated alongside the iteration), or "auto" to judge both against the
-    classical-limit and commutativity oracles (from the h2 build plus a
-    witness column, see the module docstring) and keep the survivor.  The
-    h2 table is certified commutative before and while it is built, so each
-    unordered product O_u * O_v = O_v * O_u is evaluated once, and its
-    commutativity outcome is that proof rather than a scan.
+    ``step_c`` picks the hyperplane class H? of step (c), which subtracts
+    the quantum part of O_h1 * O_{2,1}: "h2" (matching the corrections that
+    seed H1, H2), "h1" (the variant stated alongside the iteration), or
+    "auto" to judge both against the classical-limit and commutativity
+    oracles and keep the survivor.  The two agree in the classical limit
+    but give different tables.
+
+    The h2 table is :func:`_mirrored` on the Chevalley operators: certified
+    commutative, with each unordered product evaluated once.  The h1 table,
+    and an h2 table whose certificate fails, are evaluated at full width on
+    the identity's columns; that is the recovery path.
+
+    "auto" builds only the h2 table and runs :func:`_oracle_outcomes` on it.
+    The h1 outcomes follow without the h1 table.  h1 differs from h2 by
+    Q1 (H1 - H2) at step (c), and every later step multiplies that
+    difference by operators over Z[Q1,Q2], so each downstream difference is
+    a multiple of Q1: the two classical limits agree entry by entry.  h1
+    commutes only if M^{h1}_{1,2} e_{n,1} = M_{n,1} e_{1,2} = O_{1,2}
+    (M_{n,1} = Id), and the witness column :func:`_h1_witness_column` is
+    O_{1,2} + Q1 O_{n-1,1} - Q1 O_{n,2} instead at every n >= 3, so h1 never
+    commutes; a guard raises if the witness is ever O_{1,2}.
     """
     check_rank(n)
     if step_c not in ("h1", "h2", "auto"):
         raise ValueError(f"step_c must be 'h1', 'h2' or 'auto', got {step_c!r}")
-    ops, certified = _build_with_variant(n, "h1" if step_c == "h1" else "h2")
+    variant = "h1" if step_c == "h1" else "h2"
+    h1, h2 = _chevalley_operator("h1", n), _chevalley_operator("h2", n)
+    ops = _mirrored(h1, h2) if variant == "h2" else None
+    certified = ops is not None
+    if not certified:
+        basis = enumerate_basis(n)
+        m = {unit_index(n): [QKClass._trusted(n, {t << _POS: 1}) for t in range(len(basis))]}
+        for w, x in _recurrence(n, m, h1, h2, variant):
+            m[w] = x
+        ops = [Operator._trusted(n, m[w]) for w in basis]
     if step_c != "auto":
         return MultiplicationTable(n, ops, step_c)
-    # The h1 table differs from the h2 one by Q1 (H1 - H2) at step c, and
-    # every later step multiplies that difference by operators over
-    # Z[Q1,Q2], so each downstream difference is a multiple of Q1: the two
-    # classical limits agree entry by entry.  Commutativity of h1 needs
-    # M^{h1}_{1,2} e_{n,1} = M_{n,1} e_{1,2} = O_{1,2} (M_{n,1} = Id), and
-    # the witness column is O_{1,2} + Q1 O_{n-1,1} - Q1 O_{n,2} instead.
-    if _h1_witness_column(n, ops) == QKClass.basis_element((1, 2), n):  # pragma: no cover
+    if _h1_witness_column(h1, h2) == QKClass.basis_element((1, 2), n):  # pragma: no cover
         raise RuntimeError(f"the h1 witness column cannot tell the step-c variants apart at n={n}")
-    h2 = _oracle_outcomes(n, ops, certified)
-    outcomes = {"h2": h2, "h1": {**h2, "commutative_ok": False}}
-    if not all(h2.values()):  # pragma: no cover - unreachable
+    kept = _oracle_outcomes(n, ops, certified)
+    outcomes = {"h2": kept, "h1": {**kept, "commutative_ok": False}}
+    if not all(kept.values()):  # pragma: no cover - unreachable
         raise RuntimeError(f"no step-c variant passes the oracles: {outcomes}")
     return MultiplicationTable(n, ops, "h2", arbitration={"chosen": "h2", "outcomes": outcomes})
 

@@ -4,14 +4,10 @@ Every check returns a :class:`VerificationReport` with a deterministic
 counterexample list, so two runs over the same table serialize
 byte-identically.  Rows come out in basis-then-degree order: u, v (and w)
 in basis order, and the terms of one column in code order, which is the
-written order (see :mod:`qkflag.poly`).  On a mirrored table, where
-O_v * O_u is the same object as O_u * O_v
-(:func:`qkflag.qkring._is_mirrored`), the positivity and classical scans
-read only the products where v is u or comes after it; a failing product's
-rows are stored under (u, v) and (v, u), and
-:func:`qkflag.qkring._both_ways` emits the failing products in (u, v)
-order.  Ring rows come axiom by axiom: associativity, commutativity,
-identity.
+written order (see :mod:`qkflag.poly`).  The positivity and classical
+scans read a mirrored table once per unordered product (see
+:func:`qkflag.qkring._is_mirrored`).  Ring rows come axiom by axiom:
+associativity, commutativity, identity.
 """
 
 from __future__ import annotations
@@ -42,13 +38,7 @@ class VerificationReport(Record):
         super().__init__(check, n, passed, counterexamples, {} if details is None else details)
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "passed": self.passed,
-            "counterexamples": self.counterexamples,
-            "details": self.details,
-        }
+        return dict(zip(self._fields, self._values()))
 
     def to_text(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -76,10 +66,9 @@ def positivity_check(table) -> VerificationReport:
     (-1)^(codim w - codim u - codim v + (d1+d2)(n-1)) * N_{u,v}^{w,(d1,d2)} >= 0.
 
     The rule reads u and v only through codim u + codim v, which is
-    symmetric in them, so on a mirrored table (see
-    :func:`qkflag.qkring._is_mirrored`) one verdict stands for O_u * O_v
-    and O_v * O_u, and only the products where v is u or comes after it are
-    read.  Columns are scanned unsorted, by term code (see
+    symmetric in them, so a mirrored table is read once per unordered
+    product (see :func:`qkflag.qkring._is_mirrored`).  Columns are scanned
+    unsorted, by term code (see
     :mod:`qkflag.poly`), and a passing column allocates nothing: the list
     of a column's wrong terms is made at its first one, and sorted by code,
     which is the written order, when the rows are emitted.  Only the
@@ -178,10 +167,9 @@ def classical_consistency_check(table) -> VerificationReport:
 
     Reads the build's own scan, :func:`qkflag.qkring._classical_mismatches`:
     each w where a column's constant terms differ from the formula's terms
-    is one counterexample, with the difference as ``coeff``.  On a mirrored
-    table (:func:`qkflag.qkring._is_mirrored`: the shared products are one
-    object) the scan reads only the products where v is u or comes after
-    it; any other table, a loaded one included, is scanned in full.
+    is one counterexample, with the difference as ``coeff``.  A mirrored
+    table is read once per unordered product (see
+    :func:`qkflag.qkring._is_mirrored`).
     """
     n = table.n
     ops = table.ops

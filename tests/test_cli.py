@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import qkflag
-from qkflag.cli import CSV_HEADER, build_parser, main
+from qkflag import qkring
+from qkflag.cli import CSV_HEADER, build_parser, main, run
 from qkflag.poly import class_from_json
 from qkflag.qkring import build_table, qk_product
 
@@ -255,6 +256,43 @@ def test_jobs_flag_is_gone(capsys):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert "--jobs" not in build_parser().format_help()
+
+
+def test_run_reads_a_tuple_argv(capsys):
+    assert run(("correlator", "--kind", "pn", "--m", "2", "--i", "1,2,3", "--d", "1")) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+def test_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
+    # a build that runs out of memory is an unsupported input, not a failed check
+    def exhausted(n, step_c="auto"):
+        raise MemoryError
+
+    monkeypatch.setattr(qkring, "build_table", exhausted)
+    code, out, err = run_cli(capsys, "verify", "--n", "5")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux only")
+def test_a_build_past_a_memory_cap_exits_2_with_one_error_line():
+    # under a 200 MiB address-space cap the n = 40 build runs out of memory;
+    # the message prints only once the failed build's frames are released
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    src = str(pathlib.Path(qkflag.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkflag.cli", "verify", "--n", "40", "--checks", "degree"],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 def _assert_one_error_line(code, out, err):

@@ -250,6 +250,31 @@ def test_composite_chain_identities(n):
             assert got == int(w == (n, 1)), ("l1l2l1", u, w)
 
 
+def _combination_chain(u, degs, w, n):
+    """The chain as an integer combination of classes pushed through each factor, every target summed."""
+    vec = {SchubertIndex(*u): 1}
+    for deg in degs:
+        nxt = {}
+        for x, c in vec.items():
+            y = _two_point_target(x, deg, n)
+            nxt[y] = nxt.get(y, 0) + c
+        vec = nxt
+    return vec.get(SchubertIndex(*w), 0)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_two_point_chain_matches_the_combination_walk(n):
+    # every chain of length 0..3 over {l1, l2, l1+l2}, at every (u, w)
+    degs = [DEGREE_L1, DEGREE_L2, DEGREE_L1L2]
+    chains = [()] + [(a,) for a in degs] + [(a, b) for a in degs for b in degs]
+    chains += [(a, b, c) for a in degs for b in degs for c in degs]
+    basis = enumerate_basis(n)
+    for chain in chains:
+        for u in basis:
+            for w in basis:
+                assert two_point_chain(u, chain, w, n) == _combination_chain(u, chain, w, n), (chain, u, w)
+
+
 def test_quantum_part_h1_l2_always_zero():
     for n in (4, 5):
         for v in enumerate_basis(n):

@@ -308,14 +308,14 @@ def test_arbitration_matches_two_variant_oracle(n, tables):
 
 def _changed(n, a, b, delta):
     """The h2 operators at n with column b of M_a (basis positions) plus ``delta``."""
-    ops, _ = qkring._build_with_variant(n, "h2")
+    ops = build_table(n, "h2").ops
     ops[a].cols[b] = ops[a].cols[b] + QKClass(n, delta)
     return ops
 
 
 def _changed_constant(n):
     """The h2 operators with one constant term of a diagonal column O_u * O_u bumped by 1."""
-    ops, _ = qkring._build_with_variant(n, "h2")
+    ops = build_table(n, "h2").ops
     a, w = next(
         (a, w) for a, op in enumerate(ops) for w, p in op.cols[a].items() if p.constant_term()
     )
@@ -324,7 +324,7 @@ def _changed_constant(n):
 
 ORACLE_CASES = {
     **{
-        f"{v}-{n}": (lambda n=n, v=v: qkring._build_with_variant(n, v)[0])
+        f"{v}-{n}": (lambda n=n, v=v: build_table(n, v).ops)
         for n in range(3, 7)
         for v in ("h2", "h1")
     },
@@ -390,8 +390,8 @@ def test_witness_column_is_the_h1_product(tables):
     # the closed form is why build_table never builds the h1 table: the
     # witness is never O_{1,2}
     for n in range(3, 13):
-        ops = tables[n].ops if n in tables else build_table(n).ops
-        witness = qkring._h1_witness_column(n, ops)
+        table = tables[n] if n in tables else build_table(n)
+        witness = qkring._h1_witness_column(table.matrix(h1_index(n)), table.matrix(h2_index(n)))
         assert witness == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1}), n
         if n <= 5:
             assert witness == build_table(n, "h1").product((1, 2), unit_index(n))
@@ -400,11 +400,9 @@ def test_witness_column_is_the_h1_product(tables):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_witness_column_stops_after_n_applications(n, monkeypatch):
     # steps (a) and (c) only: n - 2 applications of H1, then H1 and H? at step (c)
-    ops = [None] * (n * (n - 1))  # the witness reads only H1 and H2 of the h2 build
-    ops[linear_index(h1_index(n), n)] = chevalley_operator("h1", n)
-    ops[linear_index(h2_index(n), n)] = chevalley_operator("h2", n)
+    h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
     columns, applications, witness = _kernel_counts(
-        monkeypatch, lambda: qkring._h1_witness_column(n, ops)
+        monkeypatch, lambda: qkring._h1_witness_column(h1, h2)
     )
     assert (columns, applications) == (n - 1, n)
     assert witness == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1})
@@ -415,16 +413,16 @@ def test_witness_that_cannot_decide_raises(n, monkeypatch):
     # a witness equal to O_{1,2} would leave h1 undecided; the build refuses
     # instead of building the h1 table
     monkeypatch.setattr(
-        qkring, "_h1_witness_column", lambda n, ops: QKClass.basis_element((1, 2), n)
+        qkring, "_h1_witness_column", lambda h1, h2: QKClass.basis_element((1, 2), h1.n)
     )
-    variants = []
-    build = qkring._build_with_variant
+    variants = []  # the step-c variant of every recurrence the build runs
+    recurrence = qkring._recurrence
 
-    def recording(n, variant):
+    def recording(n, m, h1, h2, variant, widths=None):
         variants.append(variant)
-        return build(n, variant)
+        return recurrence(n, m, h1, h2, variant, widths)
 
-    monkeypatch.setattr(qkring, "_build_with_variant", recording)
+    monkeypatch.setattr(qkring, "_recurrence", recording)
     with pytest.raises(RuntimeError, match="witness"):
         build_table(n)
     assert variants == ["h2"]
@@ -533,14 +531,13 @@ def _shared_pairs(ops):
 def test_fused_steps_equal_the_pre_change_construction(n, variant):
     want = _pre_change_build(n, variant)
     basis = enumerate_basis(n)
-    ops, mirrored = qkring._build_with_variant(n, variant)
+    ops = build_table(n, variant).ops
     _assert_pre_change_ops(n, ops, want)
     if variant == "h2":
         _assert_pre_change_ops(n, build_table(n).ops, want)
     # the h2 table evaluates each unordered product once, the h1 table all of them
     size = len(basis)
-    assert mirrored == (variant == "h2")
-    assert len(_shared_pairs(ops)) == (size * (size - 1) // 2 if mirrored else 0)
+    assert len(_shared_pairs(ops)) == (size * (size - 1) // 2 if variant == "h2" else 0)
     # the class seed e_v through the same steps gives column v of every M_w
     h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
     for v in basis:
@@ -564,10 +561,9 @@ def test_noncommuting_generators_fall_back_to_full_width_and_the_scans(n, monkey
     assert not qkring._commute(h1, h2)
     _with_generators(monkeypatch, h1, h2)
     size = n * (n - 1)
-    columns, _, (ops, mirrored) = _kernel_counts(
-        monkeypatch, lambda: qkring._build_with_variant(n, "h2")
-    )
-    assert not mirrored and not _shared_pairs(ops)
+    columns, _, table = _kernel_counts(monkeypatch, lambda: build_table(n, "h2"))
+    ops = table.ops
+    assert not _shared_pairs(ops)
     assert columns == 2 * size + size * (size - 1)  # the commutator, then every column
     _assert_pre_change_ops(n, ops, _pre_change_build(n, "h2", (h1, h2)))
     # build_table scans such a table for commutativity, and finds it fails
@@ -587,10 +583,9 @@ def test_failing_unit_column_falls_back_to_full_width(n, monkeypatch):
     h2 = chevalley_operator("h2", n)
     _with_generators(monkeypatch, h2, h2)
     size = n * (n - 1)
-    columns, _, (ops, mirrored) = _kernel_counts(
-        monkeypatch, lambda: qkring._build_with_variant(n, "h2")
-    )
-    assert not mirrored and not _shared_pairs(ops)
+    columns, _, table = _kernel_counts(monkeypatch, lambda: build_table(n, "h2"))
+    ops = table.ops
+    assert not _shared_pairs(ops)
     assert columns == 2 * size + size + size * (size - 1)  # commutator, first step, full build
     _assert_pre_change_ops(n, ops, _pre_change_build(n, "h2", (h2, h2)))
 
@@ -604,8 +599,9 @@ def test_h1_table_is_never_mirrored(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_mirrored_classical_scan_reads_one_triangle(n):
-    ops, mirrored = qkring._build_with_variant(n, "h2")
-    assert mirrored
+    ops = build_table(n, "h2").ops
+    size = len(ops)
+    assert len(_shared_pairs(ops)) == size * (size - 1) // 2
     assert qkring._oracle_outcomes(n, ops, True) == qkring._oracle_outcomes(n, ops)
     # a diagonal product is in the triangle: the mirrored scan sees its change
     changed = _changed_constant(n)

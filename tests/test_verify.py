@@ -25,7 +25,7 @@ from qkflag.verify import (
     ring_axiom_checks,
 )
 
-from .test_qkring import _add, _compose, _flat
+from .test_qkring import _add, _compose, _flat, _shared_pairs
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +138,9 @@ def _built_from_noncommuting_generators(n):
     h1.cols[t] = h1.cols[t] + QKClass.basis_element((1, 2), n)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qkring, "_chevalley_operator", lambda h, n: h1 if h == "h1" else h2)
-        ops, mirrored = qkring._build_with_variant(n, "h2")
-    assert not mirrored
-    return MultiplicationTable(n, ops, "h2")
+        table = build_table(n, "h2")
+    assert not _shared_pairs(table.ops)
+    return table
 
 
 ORACLE_TABLES = {

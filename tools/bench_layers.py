@@ -62,8 +62,7 @@ def best_of(fn, repeat: int) -> float:
 def kernel_counts(n: int) -> dict:
     """Calls, columns and term pairs of the kernel in one ``build_table(n)``."""
     counts = {"calls": 0, "columns": 0, "term_pairs": 0}
-    combine = qkring._combine
-    pos_shift = getattr(poly, "_POS", None)  # a tree whose classes are keyed by (w, d1, d2) has none
+    combine, pos = qkring._combine, poly._POS
 
     def counting(n, parts, width=1):
         parts = list(parts)
@@ -72,7 +71,7 @@ def kernel_counts(n: int) -> dict:
         for *_, cols, xs in parts:
             for x in xs[:width]:
                 for key in x._terms:
-                    counts["term_pairs"] += len(cols[key[0] if isinstance(key, tuple) else key >> pos_shift])
+                    counts["term_pairs"] += len(cols[key >> pos])
         return combine(n, parts, width)
 
     qkring._combine = counting
