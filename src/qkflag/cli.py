@@ -147,16 +147,6 @@ def _render_rows(products, fmt: str) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def render_product(u, v, result, fmt: str) -> str:
-    if fmt != "json":
-        return _render_rows([(u, v, result)], fmt)
-    from .poly import class_to_json
-    payload = class_to_json(result)
-    payload["u"] = list(u)
-    payload["v"] = list(v)
-    return json.dumps(payload)
-
-
 def render_table(table, fmt: str) -> str:
     if fmt == "json":
         from .qkring import table_to_json
@@ -176,7 +166,9 @@ def _cmd_product(args) -> int:
     else:
         from .qkring import qk_product
         result = qk_product(u, v, args.n, _load_table(args.n, args.table_path))
-    print(render_product(u, v, result, args.format))
+    from .poly import class_to_json
+    _emit(args.format, lambda: {**class_to_json(result), "u": list(u), "v": list(v)},
+          lambda: _render_rows([(u, v, result)], args.format))
     return 0
 
 

@@ -10,7 +10,6 @@ checked here against exhaustive search.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 
 from ._record import FrozenRecord
@@ -74,12 +73,12 @@ def is_admissible(a: AdmissibleSequenceSet, shape: FlagShape) -> bool:
 
 
 def spread(a: AdmissibleSequenceSet) -> int:
-    """Sum over rows of all pairwise gaps a_{k,p} - a_{k,l}, l < p."""
-    total = 0
-    for row in a.sequences:
-        for l, p in combinations(range(len(row)), 2):
-            total += row[p] - row[l]
-    return total
+    """Sum over rows of all pairwise gaps a_{k,p} - a_{k,l}, l < p.
+
+    In a row of length m, entry p is the larger entry of p gaps and the
+    smaller of m - 1 - p, so one weighted pass counts it 2p - m + 1 times.
+    """
+    return sum((2 * p + 1 - len(row)) * x for row in a.sequences for p, x in enumerate(row))
 
 
 def _fill(total: int, slots: int) -> tuple[int, ...]:
@@ -131,45 +130,34 @@ def balanced_construct(shape: FlagShape, degrees) -> AdmissibleSequenceSet:
     return out
 
 
-def _admissible_rows(length: int, total: int, cap_row: tuple[int, ...] | None):
-    """All nondecreasing nonnegative rows of given length and sum, dominated
-    entrywise by cap_row on its positions."""
-
-    def rec(pos: int, minimum: int, remaining: int, acc: list[int]):
-        if pos == length:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        cap = remaining
-        if cap_row is not None and pos < len(cap_row):
-            cap = min(cap, cap_row[pos])
-        for val in range(minimum, cap + 1):
-            # the suffix is nondecreasing, so it needs at least val per slot
-            if val * (length - pos) > remaining:
-                break
-            acc.append(val)
-            yield from rec(pos + 1, val, remaining - val, acc)
-            acc.pop()
-
-    yield from rec(0, 0, total, [])
-
-
 def enumerate_admissible(shape: FlagShape, degrees) -> list[AdmissibleSequenceSet]:
-    """Every (I, d)-admissible set of sequences, in lexicographic order."""
+    """Every (I, d)-admissible set of sequences, in lexicographic order.
+
+    One depth-first search fills row k entry by entry.  Each entry is at
+    least the one before it and at most the entry above it, and the
+    nondecreasing rest of the row needs at least that value per slot.  A
+    full row whose sum is met starts row k+1.  The search keeps its own
+    stack, so a shape with many entries needs no deep Python recursion.
+    """
     degrees = _degrees(shape, degrees)
+    ranks = shape.ranks
     out: list[AdmissibleSequenceSet] = []
-
-    def rec(k: int, rows: list[tuple[int, ...]]):
-        if k == shape.m:
-            out.append(AdmissibleSequenceSet(tuple(rows), degrees))
-            return
-        cap = rows[-1] if rows else None
-        for row in _admissible_rows(shape.ranks[k], degrees[k], cap):
-            rows.append(row)
-            rec(k + 1, rows)
-            rows.pop()
-
-    rec(0, [])
+    stack: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]] = [((), (), degrees[0])]
+    while stack:
+        done, row, remaining = stack.pop()
+        k, pos = len(done), len(row)
+        if pos == ranks[k]:
+            if remaining == 0:
+                done += (row,)
+                if k + 1 == shape.m:
+                    out.append(AdmissibleSequenceSet(done, degrees))
+                else:
+                    stack.append((done, (), degrees[k + 1]))
+            continue
+        top = min(remaining // (ranks[k] - pos), done[-1][pos] if k and pos < ranks[k - 1] else remaining)
+        # pushed largest first, so the smallest entry is popped first: lexicographic order
+        for val in range(top, (row[-1] if row else 0) - 1, -1):
+            stack.append((done, row + (val,), remaining - val))
     return out
 
 
@@ -181,8 +169,9 @@ def brute_force_balanced(shape: FlagShape, degrees, bound: int = 12) -> Admissib
     candidates = enumerate_admissible(shape, degrees)
     if not candidates:
         raise AssertionError(f"no admissible set for {shape} and {degrees}")
-    best = min(spread(a) for a in candidates)
-    minimizers = [a for a in candidates if spread(a) == best]
+    spreads = [spread(a) for a in candidates]
+    best = min(spreads)
+    minimizers = [a for a, s in zip(candidates, spreads) if s == best]
     if len(minimizers) > 1:
         raise NonUniqueMinimizer(
             f"{len(minimizers)} admissible sets share minimal spread {best}: {minimizers[:2]}..."

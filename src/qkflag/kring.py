@@ -1,7 +1,7 @@
 """Closed-form products in the Grothendieck ring and Chow ring of Fl(1, n-1).
 
-Conventions: a mechanically produced pair (a, b) with a < 1, b > n, or a = b
-names the zero class and is dropped.  The two-case K-product:
+Conventions: a mechanically produced pair (a, b) with a < 1 or b > n names
+the zero class and is dropped.  The two-case K-product:
 
     O_{k,p} . O_{i,j} = O_{i+k-n, j+p-1}                 if i+k-n >= j+p,
                                                           or i < j, or k < p;
@@ -19,7 +19,7 @@ from .poly import _IDENTITY, QKClass, _combine, _int_class
 
 def _in_range(a: int, b: int, n: int) -> bool:
     """The range rule: (a, b) names a basis class, not the zero class."""
-    return 0 < a <= n and 0 < b <= n and a != b
+    return 0 < a <= n and 0 < b <= n
 
 
 def _kept(n: int, terms: tuple[tuple[int, int, int], ...]) -> dict[SchubertIndex, int]:

@@ -142,14 +142,9 @@ def _chevalley_column(h: str, v: SchubertIndex, n: int) -> QKClass:
 
 
 def chevalley_operator(h: str, n: int) -> Operator:
-    """Multiplication by O_h1 or O_h2 as an operator."""
+    """Multiplication by O_h1 or O_h2 as an operator: its columns in basis order."""
     _check_hyperplane(h)
-    return _chevalley_operator(h, check_rank(n))
-
-
-def _chevalley_operator(h: str, n: int) -> Operator:
-    """:func:`chevalley_operator` on a trusted h and n: its columns in basis order."""
-    return Operator._trusted(n, [_chevalley_column(h, v, n) for v in enumerate_basis(n)])
+    return Operator._trusted(n, [_chevalley_column(h, v, n) for v in enumerate_basis(check_rank(n))])
 
 
 class MultiplicationTable(Record):
@@ -438,7 +433,7 @@ def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
     if step_c not in ("h1", "h2", "auto"):
         raise ValueError(f"step_c must be 'h1', 'h2' or 'auto', got {step_c!r}")
     variant = "h1" if step_c == "h1" else "h2"
-    h1, h2 = _chevalley_operator("h1", n), _chevalley_operator("h2", n)
+    h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
     ops = _mirrored(h1, h2) if variant == "h2" else None
     certified = ops is not None
     if not certified:

@@ -1,3 +1,4 @@
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -77,6 +78,35 @@ def test_enumerate_admissible_counts_small_case():
     shape = FlagShape((2,), 3)
     rows = enumerate_admissible(shape, (4,))
     assert [a.sequences for a in rows] == [((0, 4),), ((1, 3),), ((2, 2),)]
+
+
+def _brute_force_admissible(shape, degrees):
+    """Every tuple of nondecreasing rows with the given sums that is_admissible keeps, sorted."""
+    choices = [
+        [row for row in combinations_with_replacement(range(d + 1), length) if sum(row) == d]
+        for length, d in zip(shape.ranks, degrees)
+    ]
+    kept = (AdmissibleSequenceSet(rows, degrees) for rows in product(*choices))
+    return sorted(a.sequences for a in kept if is_admissible(a, shape))
+
+
+def test_enumerate_admissible_matches_brute_force():
+    # every shape with n <= 6 is a set of ranks inside {1..5}; n bounds the ranks and nothing else
+    for m in range(1, 6):
+        for ranks in combinations(range(1, 6), m):
+            shape = FlagShape(ranks, 6)
+            for degrees in product(range(5), repeat=m):
+                got = enumerate_admissible(shape, degrees)
+                assert [a.sequences for a in got] == _brute_force_admissible(shape, degrees), (ranks, degrees)
+                for a in got:
+                    gaps = [row[p] - row[l] for row in a.sequences for l, p in combinations(range(len(row)), 2)]
+                    assert spread(a) == sum(gaps), a
+
+
+def test_enumerate_admissible_handles_a_shape_with_many_entries():
+    # 1830 entries in all: a search with one Python frame per entry would pass the recursion limit
+    shape = FlagShape(tuple(range(1, 61)), 61)
+    assert [a.sequences for a in enumerate_admissible(shape, (0,) * 60)] == [tuple((0,) * i for i in range(1, 61))]
 
 
 def test_construction_is_admissible_everywhere():

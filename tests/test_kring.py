@@ -36,19 +36,33 @@ def test_invalid_index_rejected():
         k_product((1, 1), (2, 3), 4)
 
 
-def _docstring_k_terms(u, v, n):
-    """The module docstring's two-case rule, transcribed literally."""
+def _docstring_k_mechanical(u, v, n):
+    """The module docstring's two-case rule, transcribed literally: its (a, b, coeff) triples."""
     k, p = u
     i, j = v
     if i + k - n >= j + p or i < j or k < p:
-        mechanical = [(i + k - n, j + p - 1, 1)]
-    else:
-        mechanical = [(i + k - n - 1, j + p - 1, 1), (i + k - n, j + p, 1), (i + k - n - 1, j + p, -1)]
+        return [(i + k - n, j + p - 1, 1)]
+    return [(i + k - n - 1, j + p - 1, 1), (i + k - n, j + p, 1), (i + k - n - 1, j + p, -1)]
+
+
+def _docstring_k_terms(u, v, n):
+    """The docstring's rule with its range convention: pairs with a < 1 or b > n are dropped."""
     out = {}
-    for a, b, c in mechanical:
-        if not (a < 1 or b > n or a == b):
+    for a, b, c in _docstring_k_mechanical(u, v, n):
+        if not (a < 1 or b > n):
             out[SchubertIndex(a, b)] = out.get(SchubertIndex(a, b), 0) + c
     return {w: c for w, c in out.items() if c}
+
+
+def _chow_mechanical(u, v, n):
+    """``chow_product``'s cases, transcribed: its (a, b) pairs, none where it vanishes."""
+    k, l = u
+    i, j = v
+    if i + k <= n or j + l >= n + 2:
+        return []
+    if 1 <= i + k - n <= j + l - 1 <= n and i > j and k > l:
+        return [(i + k - n - 1, j + l - 1), (i + k - n, j + l)]
+    return [(i + k - n, j + l - 1)]
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -61,10 +75,21 @@ def test_k_terms_match_the_docstring_rule(n):
 
 @pytest.mark.parametrize("n", [3, 4, 7])
 def test_range_rule_drops_the_zero_class(n):
-    # no product of valid indices meets a = b, so the rule is pinned directly
     assert _in_range(1, n, n) and _in_range(n, 1, n) and _in_range(1, 2, n)
-    for a, b in ((0, 2), (2, 0), (n + 1, 1), (1, n + 1), (1, 1), (2, 2), (n, n)):
+    for a, b in ((0, 2), (2, 0), (n + 1, 1), (1, n + 1)):
         assert not _in_range(a, b, n), (a, b)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_no_mechanical_pair_has_equal_entries(n):
+    # the range rule needs no a = b clause: neither K case nor either Chow case produces one
+    basis = enumerate_basis(n)
+    for u in basis:
+        for v in basis:
+            chow = _chow_mechanical(u, v, n)
+            assert chow_product(u, v, n) == QKClass(n, {(a, b): 1 for a, b in chow if a >= 1 and b <= n})
+            for a, b in [(a, b) for a, b, _ in _docstring_k_mechanical(u, v, n)] + chow:
+                assert a != b, (u, v, a, b)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -549,7 +549,7 @@ def test_fused_steps_equal_the_pre_change_construction(n, variant):
 
 def _with_generators(monkeypatch, h1, h2):
     """Make the build read H1 and H2 in place of the Chevalley operators."""
-    monkeypatch.setattr(qkring, "_chevalley_operator", lambda h, n: h1 if h == "h1" else h2)
+    monkeypatch.setattr(qkring, "chevalley_operator", lambda h, n: h1 if h == "h1" else h2)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -137,7 +137,7 @@ def _built_from_noncommuting_generators(n):
     t = linear_index((n, 2), n)
     h1.cols[t] = h1.cols[t] + QKClass.basis_element((1, 2), n)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qkring, "_chevalley_operator", lambda h, n: h1 if h == "h1" else h2)
+        patch.setattr(qkring, "chevalley_operator", lambda h, n: h1 if h == "h1" else h2)
         table = build_table(n, "h2")
     assert not _shared_pairs(table.ops)
     return table
