@@ -1,6 +1,6 @@
 """K-theoretic three-point invariants read off the table, checked against rationality.
 
-    PYTHONPATH=src python -m tests.oracles.gw_invariants [--min-n 7] [--max-n 10]
+    PYTHONPATH=src python -m tests.oracles.gw_invariants [--max-n N]
 
 Where Gromov-Witten varieties are rationally connected, the invariant
 E_d(u, v, w) = I_d(O_u, O_v, O_w) is the Euler characteristic of the
@@ -18,7 +18,7 @@ of Grassmannians").  By Givental and Lee the table determines every E_d:
   (every Schubert structure sheaf has chi = 1).
 
 The oracle assumes that ``_two_point_target`` is right.  Over every
-(u, v, w) and every d <= (D, D) it checks four rules:
+(u, v, w) and every d <= (3, 3) it checks four rules:
 
 * E is 0 or 1;
 * E = 0 where the expected dimension
@@ -26,7 +26,7 @@ The oracle assumes that ``_two_point_target`` is right.  Over every
 * E_d = E_(min(d1, 2), min(d2, 2));
 * E = 1 once d >= (2, 2).
 
-Run as a script, it checks ``build_table(n)`` for each n in the range,
+Run as a script, it checks ``build_table(n)`` for n = 7..N (default N = 8),
 prints one line per n and each broken rule, and exits 1 on any failure.
 """
 
@@ -40,11 +40,7 @@ from qkflag.correlators import _two_point_target
 from qkflag.kring import _k_terms
 
 STEPS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-def degrees(max_degree: int = 3) -> list[tuple[int, int]]:
-    """Every (d1, d2) with 0 <= d1, d2 <= max_degree."""
-    return [(d1, d2) for d1 in range(max_degree + 1) for d2 in range(max_degree + 1)]
+DEGREES = [(d1, d2) for d1 in range(4) for d2 in range(4)]  # every d <= (3, 3)
 
 
 def expected_dimension(codims: int, d, n: int) -> int:
@@ -62,8 +58,8 @@ def chi_rows(n: int) -> dict[tuple[int, int], dict]:
     }
 
 
-def invariants(product, u, v, chi, max_degree: int = 3) -> dict[tuple[int, int], list[int]]:
-    """{d: [E_d(u, v, w) for w in basis order]} for d <= (max_degree, max_degree).
+def invariants(product, u, v, chi) -> dict[tuple[int, int], list[int]]:
+    """{d: [E_d(u, v, w) for w in basis order]} for d <= (3, 3).
 
     ``product(u, v)`` returns O_u * O_v as a QKClass; ``chi`` is :func:`chi_rows`.
     Each class I_d(u, v, .) is evaluated once, against the cached chi rows.
@@ -72,7 +68,7 @@ def invariants(product, u, v, chi, max_degree: int = 3) -> dict[tuple[int, int],
     for (x, e1, e2), c in product(u, v).ordered_terms():
         parts.setdefault((e1, e2), []).append((x, c))
     out = {}
-    for d in degrees(max_degree):
+    for d in DEGREES:
         row = [0] * len(chi[0, 0])
         for (e1, e2), terms in parts.items():
             f1, f2 = d[0] - e1, d[1] - e2
@@ -85,14 +81,14 @@ def invariants(product, u, v, chi, max_degree: int = 3) -> dict[tuple[int, int],
     return out
 
 
-def failures(n: int, product, max_degree: int = 3):
+def failures(n: int, product):
     """Yield (u, v, w, d, E, rule) for each (u, v, w, d) that breaks a rule, naming the first it breaks."""
     basis = enumerate_basis(n)
     cod = {w: codim(w, n) for w in basis}
     chi = chi_rows(n)
     for u in basis:
         for v in basis:
-            table = invariants(product, u, v, chi, max_degree)
+            table = invariants(product, u, v, chi)
             for d, row in table.items():
                 capped = table[min(d[0], 2), min(d[1], 2)]
                 for t, (w, e) in enumerate(zip(basis, row)):
@@ -109,13 +105,13 @@ def failures(n: int, product, max_degree: int = 3):
                     yield u, v, w, d, e, rule
 
 
-def negative_dimension_count(n: int, max_degree: int = 3) -> int:
-    """Number of (u, v, w, d), d <= (max_degree, max_degree), with negative expected dimension."""
+def negative_dimension_count(n: int) -> int:
+    """Number of (u, v, w, d), d <= (3, 3), with negative expected dimension."""
     sizes = Counter(codim(w, n) for w in enumerate_basis(n))
     return sum(
         a * b * c
         for x, a in sizes.items() for y, b in sizes.items() for z, c in sizes.items()
-        for d in degrees(max_degree) if expected_dimension(x + y + z, d, n) < 0
+        for d in DEGREES if expected_dimension(x + y + z, d, n) < 0
     )
 
 
@@ -123,18 +119,16 @@ def main(argv=None) -> int:
     from qkflag.qkring import build_table
 
     parser = argparse.ArgumentParser(description="Check the table's three-point invariants against rationality.")
-    parser.add_argument("--min-n", type=int, default=7)
-    parser.add_argument("--max-n", type=int, default=10)
-    parser.add_argument("--max-degree", type=int, default=3, help="check every d <= (D, D)")
+    parser.add_argument("--max-n", type=int, default=8, help="check n = 7..N")
     args = parser.parse_args(argv)
     bad = 0
-    for n in range(args.min_n, args.max_n + 1):
-        found = list(failures(n, build_table(n).product, args.max_degree))
+    for n in range(7, args.max_n + 1):
+        found = list(failures(n, build_table(n).product))
         for row in found[:20]:
             print("failure", *row)
         bad += len(found)
-        size = len(enumerate_basis(n)) ** 3 * (args.max_degree + 1) ** 2
-        print(f"n={n}: {size} (u, v, w, d), {negative_dimension_count(n, args.max_degree)} of negative "
+        size = len(enumerate_basis(n)) ** 3 * len(DEGREES)
+        print(f"n={n}: {size} (u, v, w, d), {negative_dimension_count(n)} of negative "
               f"expected dimension, {len(found)} failures")
     return 1 if bad else 0
 
