@@ -12,6 +12,7 @@ Each subcommand imports the qkflag modules it runs inside its handler, and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -130,30 +131,20 @@ def _emit(fmt: str, payload, text) -> None:
     print(json.dumps(payload()) if fmt == "json" else text())
 
 
-def _render_rows(products, fmt: str) -> str:
-    """(u, v, O_u * O_v) triples as CSV rows, one per term, or as ``O_u * O_v = ...`` lines."""
+def _write_rows(out, products, fmt: str) -> None:
+    """Write (u, v, O_u * O_v) triples to ``out`` as CSV rows, one per term, or as ``O_u * O_v = ...`` lines."""
     if fmt == "text":
-        return "\n".join(f"O_{u[0]},{u[1]} * O_{v[0]},{v[1]} = {col}" for u, v, col in products)
+        for u, v, col in products:
+            out.write(f"O_{u[0]},{u[1]} * O_{v[0]},{v[1]} = {col}\n")
+        return
     import csv
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
     writer.writerows(
         [u[0], u[1], v[0], v[1], w.i, w.j, d1, d2, c]
         for u, v, col in products
         for (w, d1, d2), c in col.ordered_terms()
     )
-    return buf.getvalue().rstrip("\n")
-
-
-def render_table(table, fmt: str) -> str:
-    if fmt == "json":
-        from .qkring import table_to_json
-        return json.dumps(table_to_json(table))
-    from .basis import enumerate_basis
-    basis = enumerate_basis(table.n)
-    return _render_rows([(u, v, col) for u, op in zip(basis, table.ops) for v, col in zip(basis, op.cols)], fmt)
 
 
 def _cmd_product(args) -> int:
@@ -166,20 +157,29 @@ def _cmd_product(args) -> int:
     else:
         from .qkring import qk_product
         result = qk_product(u, v, args.n, _load_table(args.n, args.table_path))
-    from .poly import class_to_json
-    _emit(args.format, lambda: {**class_to_json(result), "u": list(u), "v": list(v)},
-          lambda: _render_rows([(u, v, result)], args.format))
+    if args.format == "json":
+        from .poly import class_to_json
+        print(json.dumps({**class_to_json(result), "u": list(u), "v": list(v)}))
+    else:
+        _write_rows(sys.stdout, [(u, v, result)], args.format)
     return 0
 
 
 def _cmd_table(args) -> int:
-    from .qkring import build_table
-    text = render_table(build_table(args.n), args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    from .basis import enumerate_basis
+    from .qkring import build_table, table_json_rows
+    table = build_table(args.n)
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        if args.format == "json":
+            # streamed json.dumps(table_to_json(table)); no row is empty, as it holds O_u * O_n,1 = O_u
+            out.write(f'{{"n": {table.n}, "entries": [')
+            for k, row in enumerate(table_json_rows(table)):
+                out.write((", " if k else "") + json.dumps(row)[1:-1])
+            out.write("]}\n")
+        else:
+            basis = enumerate_basis(table.n)
+            _write_rows(out, ((u, v, col) for u, op in zip(basis, table.ops) for v, col in zip(basis, op.cols)),
+                        args.format)
     return 0
 
 

@@ -164,11 +164,12 @@ def enumerate_admissible(shape: FlagShape, degrees) -> list[AdmissibleSequenceSe
 def brute_force_balanced(shape: FlagShape, degrees, bound: int = 12) -> AdmissibleSequenceSet:
     """Exhaustive spread-minimizer; raises if the minimizer is not unique."""
     degrees = _degrees(shape, degrees)
+    if any(d < 0 for d in degrees):
+        raise ValueError(f"degrees must be nonnegative: {degrees}")
     if sum(degrees) > bound:
         raise BoundExceeded(f"sum of degrees {sum(degrees)} exceeds enumeration bound {bound}")
+    # never empty: each row can put its excess on the entry past the row above
     candidates = enumerate_admissible(shape, degrees)
-    if not candidates:
-        raise AssertionError(f"no admissible set for {shape} and {degrees}")
     spreads = [spread(a) for a in candidates]
     best = min(spreads)
     minimizers = [a for a, s in zip(candidates, spreads) if s == best]

@@ -499,18 +499,16 @@ def degree_bound_check(table: MultiplicationTable):
     )
 
 
-def table_to_json(table: MultiplicationTable) -> dict:
-    """One entry per nonzero O_w in O_u * O_v, keys u, v, w, poly, in the written order."""
+def table_json_rows(table: MultiplicationTable):
+    """The JSON entries one row of u at a time: one per nonzero O_w in O_u * O_v, keys u, v, w, poly."""
     basis = enumerate_basis(table.n)
-    return {
-        "n": table.n,
-        "entries": [
-            {"u": [u.i, u.j], "v": [v.i, v.j], **group}
-            for u, op in zip(basis, table.ops)
-            for v, col in zip(basis, op.cols)
-            for group in _json_groups(col)
-        ],
-    }
+    for u, op in zip(basis, table.ops):
+        yield [{"u": [u.i, u.j], "v": [v.i, v.j], **g} for v, col in zip(basis, op.cols) for g in _json_groups(col)]
+
+
+def table_to_json(table: MultiplicationTable) -> dict:
+    """``{"n": n, "entries": [...]}``, the rows of :func:`table_json_rows` in the written order."""
+    return {"n": table.n, "entries": [e for row in table_json_rows(table) for e in row]}
 
 
 def table_from_json(obj) -> MultiplicationTable:

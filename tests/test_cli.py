@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,7 @@ import qkflag
 from qkflag import qkring
 from qkflag.cli import CSV_HEADER, build_parser, main, run
 from qkflag.poly import class_from_json
-from qkflag.qkring import build_table, qk_product
+from qkflag.qkring import build_table, qk_product, table_to_json
 
 GOLDEN_N3 = pathlib.Path(__file__).parent / "data" / "golden_table_n3.json"
 SNAPSHOT = pathlib.Path(__file__).parent / "data" / "cli_snapshot.tsv"
@@ -115,6 +116,43 @@ def test_table_stdout_writes_the_golden_bytes(n, capsys):
         for t in e["poly"]
     ]
     assert out.splitlines() == [",".join(CSV_HEADER), *want]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_table_out_writes_the_bytes_of_table_to_json(n, tmp_path, capsys):
+    # the rows are streamed; the file must still read as one json.dumps of the whole table
+    out = tmp_path / f"t{n}.json"
+    code, stdout, _ = run_cli(capsys, "table", "--n", str(n), "--out", str(out))
+    assert code == 0 and stdout == ""
+    assert out.read_text(encoding="utf-8") == json.dumps(table_to_json(build_table(n))) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_table_stdout_equals_the_out_file(fmt, tmp_path, capsys):
+    out = tmp_path / f"t4.{fmt}"
+    _, printed, _ = run_cli(capsys, "table", "--n", "4", "--format", fmt)
+    code, _, _ = run_cli(capsys, "table", "--n", "4", "--format", fmt, "--out", str(out))
+    assert code == 0
+    with open(out, encoding="utf-8", newline="") as fh:  # keep the CSV rows' \r\n as written
+        assert fh.read() == printed
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_out_holds_no_more_than_twice_the_table(tmp_path):
+    # holding the entry list and the whole JSON text as well as the table peaks at about 12x
+    out = str(tmp_path / "t8.json")
+    run(["table", "--n", "8", "--out", out])  # both peaks below start from the same loaded modules
+    built = _traced_peak(lambda: build_table(8))
+    written = _traced_peak(lambda: run(["table", "--n", "8", "--out", out]))
+    assert written <= 2 * built, (written, built)
 
 
 def test_table_cache_roundtrip(tmp_path, capsys):

@@ -69,6 +69,12 @@ def test_brute_force_examples():
     assert brute_force_balanced(FlagShape((3,), 4), (4,)).sequences == ((1, 1, 2),)
 
 
+def test_brute_force_refuses_a_negative_degree_as_the_construction_does():
+    for call in (balanced_construct, brute_force_balanced):
+        with pytest.raises(ValueError, match=r"^degrees must be nonnegative: \(-1,\)$"):
+            call(FlagShape((2,), 3), (-1,))
+
+
 def test_brute_force_bound_guard():
     with pytest.raises(BoundExceeded):
         brute_force_balanced(FlagShape((2,), 3), (20,), bound=10)
