@@ -521,45 +521,43 @@ def table_from_json(obj) -> MultiplicationTable:
     entry; zero coefficients are dropped first, so a product whose entries
     are all 0 has none.  A list shorter than the N^2 products (N = n(n-1))
     is refused before the basis is built, so a large ``n`` allocates nothing.
-    Each distinct index pair is checked, and its basis position computed,
-    once.  Each entry's terms go straight into its column's flat map, and
-    the checked columns are wrapped without being validated again.
+    Everything is keyed by basis position: an index is looked up in one map
+    from each basis pair to its position, each entry's terms go straight
+    into the flat map of O_u * O_v at ``pu * N + pv``, and the rows are
+    slices of that list, wrapped without being validated again.
     """
     if not isinstance(obj, dict) or type(obj.get("n")) is not int:
         raise MalformedTable("cached table must be a JSON object with an integer 'n'")
-    entries = obj.get("entries")
-    if not isinstance(entries, list):
+    if not isinstance(entries := obj.get("entries"), list):
         raise MalformedTable("cached table has no 'entries' list")
     n = check_rank(obj["n"])
-    products = basis_size(n) ** 2
-    if len(entries) < products:
-        raise MalformedTable(f"cached table has {len(entries)} entries for {products} products")
+    N = basis_size(n)
+    if len(entries) < N * N:
+        raise MalformedTable(f"cached table has {len(entries)} entries for {N * N} products")
     basis = enumerate_basis(n)
-    cols: dict[tuple, dict] = {(u, v): {} for u in basis for v in basis}  # flat maps
-    seen = set()
-    valid: dict = {}  # every index pair that passed check_index -> (its index, its basis position)
-
-    def index(x) -> tuple[SchubertIndex, int]:
-        # (1.0, 2) and (True, 2) are equal to (1, 2), so only exact ints may hit
-        i, j = x
-        if type(i) is int and type(j) is int and (i, j) in valid:
-            return valid[i, j]
-        w = check_index(x, n)
-        valid[w] = w, _position(*w, n)
-        return valid[w]
-
+    at = {w: p for p, w in enumerate(basis)}  # a pair (i, j) -> its basis position
+    cols = [{} for _ in range(N * N)]  # the flat map of O_u * O_v at pu * N + pv
+    seen = set()  # (pu * N + pv) * N + pw of every entry read
     for k, e in enumerate(entries):
         try:
-            (u, _), (v, _), (w, p) = index(e["u"]), index(e["v"]), index(e["w"])
-            terms = [(_encode(p, d1, d2), c) for (d1, d2), c in _poly_terms(e["poly"]).items()]
+            key = 0
+            for name in ("u", "v", "w"):
+                i, j = x = e[name]
+                # (1.0, 2) and (True, 2) are equal to (1, 2), so only exact ints may hit
+                if type(i) is not int or type(j) is not int or (i, j) not in at:
+                    check_index(x, n)  # raises: every valid pair is in at
+                key = key * N + at[i, j]
+            uv, pw = divmod(key, N)
+            cols[uv].update([(_encode(pw, d1, d2), c) for (d1, d2), c in _poly_terms(e["poly"]).items()])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedTable(f"cached table entry {k} is malformed: {exc!r}") from None
-        if (u, v, w) in seen:
+        if key in seen:
+            u, v, w = basis[uv // N], basis[uv % N], basis[pw]
             raise MalformedTable(f"cached table repeats {u.label()} * {v.label()} at {w.label()}")
-        seen.add((u, v, w))
-        cols[u, v].update(terms)
-    for (u, v), col in cols.items():
+        seen.add(key)
+    for p, col in enumerate(cols):
         if not col:
-            raise MalformedTable(f"cached table has no entry for {u.label()} * {v.label()}")
-    ops = [Operator._trusted(n, [QKClass._trusted(n, cols[u, v]) for v in basis]) for u in basis]
+            raise MalformedTable(f"cached table has no entry for {basis[p // N].label()} * {basis[p % N].label()}")
+        cols[p] = QKClass._trusted(n, col)
+    ops = [Operator._trusted(n, cols[p:p + N]) for p in range(0, N * N, N)]
     return MultiplicationTable(n, ops, step_c_variant="loaded")

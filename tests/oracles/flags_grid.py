@@ -60,6 +60,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-rank", type=int, default=7)
     parser.add_argument("--max-sum", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.max_rank < 1 or args.max_sum < 0:
+        parser.error(f"--max-rank must be at least 1 and --max-sum at least 0, got {args.max_rank} and {args.max_sum}")
     inputs = bad = 0
     for shape, d in grid(args.max_rank, args.max_sum):
         inputs += 1

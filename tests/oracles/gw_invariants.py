@@ -121,6 +121,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Check the table's three-point invariants against rationality.")
     parser.add_argument("--max-n", type=int, default=8, help="check n = 7..N")
     args = parser.parse_args(argv)
+    if args.max_n < 7:
+        parser.error(f"--max-n must be at least 7, got {args.max_n}: the runner checks n = 7..N")
     bad = 0
     for n in range(7, args.max_n + 1):
         found = list(failures(n, build_table(n).product))

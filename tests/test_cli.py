@@ -1,15 +1,20 @@
+import copy
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qkflag
 from qkflag import qkring
 from qkflag.cli import CSV_HEADER, build_parser, main, run
+from qkflag.errors import InvalidRank, MalformedTable
 from qkflag.poly import class_from_json
 from qkflag.qkring import build_table, qk_product, table_to_json
 
@@ -435,6 +440,85 @@ def test_cache_with_repeated_degree_exits_2(tmp_path, capsys):
     _assert_one_error_line(*result)
 
 
+# Fuzz of the cache boundary: any JSON value, and the n = 3 table with
+# entries dropped, duplicated or shuffled, or one field replaced.
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+_JSON_KEYS = st.sampled_from(["n", "entries", "u", "v", "w", "poly", "d1", "d2", "coeff"]) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _slots(x):
+    """Every (container, key) inside a JSON value, a container before what it holds."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        yield x, key
+        yield from _slots(value)
+
+
+@st.composite
+def mutated_tables(draw):
+    """The n = 3 golden table after one to three drops, duplications, shuffles or field replacements."""
+    obj = json.loads(GOLDEN_N3.read_text())
+    entries = obj["entries"]
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "duplicate", "shuffle", "replace"]))
+        k = draw(st.integers(0, len(entries) - 1))
+        if how == "drop":
+            del entries[k]
+        elif how == "duplicate":
+            entries.insert(draw(st.integers(0, len(entries))), copy.deepcopy(entries[k]))
+        elif how == "shuffle":
+            entries[:] = draw(st.permutations(entries))
+        else:
+            container, key = draw(st.sampled_from(list(_slots(obj))))
+            container[key] = draw(JSON_VALUES)
+    return obj
+
+
+CACHE_VALUES = JSON_VALUES | mutated_tables()
+
+
+@settings(max_examples=300, deadline=None)
+@given(CACHE_VALUES)
+def test_table_from_json_returns_a_table_or_refuses_any_json_value(obj):
+    try:
+        table = qkring.table_from_json(obj)
+    except (MalformedTable, InvalidRank):
+        return
+    assert table.n == obj["n"] == 3
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(CACHE_VALUES)
+def test_product_with_any_cache_exits_0_or_with_one_error_line(tmp_path, capsys, obj):
+    # capsys.readouterr() empties the capture, and each example rewrites the one file
+    cache = tmp_path / "fuzz.json"
+    cache.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "product", "--n", "3", "--u", "1,2", "--v", "1,2", "--table", str(cache))
+    if code == 0:
+        assert out.startswith("O_1,2 * O_1,2 = ") and err == ""
+    else:
+        _assert_one_error_line(code, out, err)
+
+
+_BUILT = [build_table(n, step_c) for n in (3, 4) for step_c in ("h1", "h2")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_BUILT), st.integers(0, 2**32 - 1))
+def test_a_cache_in_any_entry_and_term_order_loads_equal(table, seed):
+    # the h1 table is not commutative, so a u read as v shows too
+    obj, shuffled, rng = table_to_json(table), table_to_json(table), random.Random(seed)
+    rng.shuffle(shuffled["entries"])
+    for e in shuffled["entries"]:
+        rng.shuffle(e["poly"])
+    assert qkring.table_from_json(shuffled).ops == qkring.table_from_json(obj).ops == table.ops
+
+
 @pytest.mark.parametrize("checks", [",,", "", " , "])
 def test_verify_empty_check_list_exits_2(checks, capsys):
     # ",," used to build the table, print an empty line and exit 0
@@ -515,6 +599,23 @@ def test_command_imports_only_what_it_runs(argv, code, loads, never):
     assert loads <= modules and not modules & never, sorted(modules)
     if argv is None:
         assert modules == {"qkflag"}
+
+
+@pytest.mark.parametrize("ns", ["3,x", ""])
+def test_bench_layers_refuses_a_bad_rank_list_with_a_usage_line(ns):
+    # "--ns 3,x" used to end in a ValueError traceback
+    tool = pathlib.Path(__file__).parents[1] / "tools" / "bench_layers.py"
+    src = str(pathlib.Path(qkflag.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--ns", ns, "--repeat", "1"],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: ") and "argument --ns" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_snapshot_matches_the_committed_one():

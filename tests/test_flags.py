@@ -23,7 +23,7 @@ from qkflag.flags import (
     theorem_conditions,
     vandermonde_sum,
 )
-from tests.oracles.flags_grid import grid
+from tests.oracles.flags_grid import grid, main
 
 
 def test_flag_shape_validation():
@@ -226,3 +226,12 @@ def test_alternating_sum_vanishes_under_hypothesis():
 def test_alternating_sum_bound_guard():
     with pytest.raises(BoundExceeded):
         alternating_decomposition_sum(100, 100, 0, 0)
+
+
+@pytest.mark.parametrize("argv", [["--max-rank", "0"], ["--max-sum", "-1"]], ids=["rank-0", "sum-minus-1"])
+def test_grid_runner_refuses_an_empty_grid(argv, capsys):
+    # both used to print "0 inputs ... 0 mismatches" and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--max-rank must be at least 1 and --max-sum at least 0" in capsys.readouterr().err

@@ -164,18 +164,28 @@ def row(ns, repeat: int, label: str) -> dict:
     }
 
 
+def ranks(text: str) -> list[int]:
+    """``--ns``: a comma-separated list of ints, each at least 3."""
+    try:
+        ns = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if min(ns) < 3:
+        raise argparse.ArgumentTypeError(f"every n must be at least 3, got {text!r}")
+    return ns
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ns", default=",".join(map(str, DEFAULT_NS)), help="comma-separated ranks")
+    parser.add_argument("--ns", type=ranks, default=list(DEFAULT_NS), help="comma-separated ranks")
     parser.add_argument("--repeat", type=int, default=5, help="runs per layer; the minimum is kept")
     parser.add_argument("--label", default="", help="a name stored in the row")
     parser.add_argument("--out", type=Path, help="append the row to this JSON file's 'rows'")
     args = parser.parse_args(argv)
-    ns = [int(x) for x in args.ns.split(",")]
-    if args.repeat < 1 or min(ns) < 3:
-        parser.error("--repeat must be at least 1 and every n at least 3")
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     print(f"qkflag from {qkflag.__file__}", file=sys.stderr)
-    result = row(ns, args.repeat, args.label)
+    result = row(args.ns, args.repeat, args.label)
     if args.out is None:
         print(json.dumps(result, indent=1))
         return 0
