@@ -15,9 +15,9 @@ Each step is written once, in ``_steps``, as parts s * Q1^b1 Q2^b2 * A(x)
 in the one part format, that of the kernel :func:`qkflag.poly._combine`: A
 is H1, H2, H? or the identity, and x an earlier value.  :func:`_recurrence`
 evaluates a step with one kernel pass per column, so no step builds an
-intermediate value.  The build runs it on the identity's columns, the h1
-witness column on e_{n,1} alone.  An :class:`Operator` is a column
-list whose only arithmetic is ``compose`` with one operator.
+intermediate value.  The build runs it on the identity's columns.  An
+:class:`Operator` is a column list whose only arithmetic is ``compose``
+with one operator.
 
 The ring certificate, which lets the h2 build evaluate each unordered
 product once, is explained in :func:`_mirrored`; the read side's use of it
@@ -390,20 +390,6 @@ def _oracle_outcomes(n: int, ops: list[Operator], certified: bool = False) -> di
     }
 
 
-def _h1_witness_column(h1: Operator, h2: Operator) -> QKClass:
-    """M^{h1}_{1,2} e_{n,1}: the h1 recurrence on H1, H2 run on the seed e_{n,1} up to step (c).
-
-    It stops after n applications.
-    """
-    n = h1.n
-    e = unit_index(n)
-    m = {e: [QKClass.basis_element(e, n)]}
-    for w, x in _recurrence(n, m, h1, h2, "h1"):
-        if w == (1, 2):
-            return x[0]
-        m[w] = x
-
-
 def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
     """Build every multiplication operator M_u.
 
@@ -419,15 +405,16 @@ def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
     and an h2 table whose certificate fails, are evaluated at full width on
     the identity's columns; that is the recovery path.
 
-    "auto" builds only the h2 table and runs :func:`_oracle_outcomes` on it.
-    The h1 outcomes follow without the h1 table.  h1 differs from h2 by
-    Q1 (H1 - H2) at step (c), and every later step multiplies that
-    difference by operators over Z[Q1,Q2], so each downstream difference is
-    a multiple of Q1: the two classical limits agree entry by entry.  h1
-    commutes only if M^{h1}_{1,2} e_{n,1} = M_{n,1} e_{1,2} = O_{1,2}
-    (M_{n,1} = Id), and the witness column :func:`_h1_witness_column` is
-    O_{1,2} + Q1 O_{n-1,1} - Q1 O_{n,2} instead at every n >= 3, so h1 never
-    commutes; a guard raises if the witness is ever O_{1,2}.
+    "auto" builds only the h2 table and runs :func:`_oracle_outcomes` on it;
+    the h1 outcomes follow.  Steps (a) do not depend on the variant, and at
+    step (c) M^{h1}_{1,2} - M^{h2}_{1,2} = Q1 (H1 - H2) M_{n,1} = Q1 (H1 - H2).
+    Every later step multiplies that difference by operators over Z[Q1,Q2],
+    so the two classical limits agree entry by entry.  The h2 table is kept
+    only if it commutes, and M_{n,1} = Id, so M^{h2}_{1,2} e_{n,1} = e_{1,2}:
+    column e_{n,1} of M^{h1}_{1,2} is e_{1,2} + Q1 (H1 - H2) e_{n,1}.  It
+    differs from M^{h1}_{n,1} e_{1,2} = e_{1,2}, so h1 never commutes, exactly
+    when the Chevalley columns H1 e_{n,1} = O_{n-1,1} and H2 e_{n,1} = O_{n,2}
+    differ; a guard raises before the scans if they agree.
     """
     check_rank(n)
     if step_c not in ("h1", "h2", "auto"):
@@ -444,11 +431,11 @@ def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
         ops = [Operator._trusted(n, m[w]) for w in basis]
     if step_c != "auto":
         return MultiplicationTable(n, ops, step_c)
-    if _h1_witness_column(h1, h2) == QKClass.basis_element((1, 2), n):  # pragma: no cover
-        raise RuntimeError(f"the h1 witness column cannot tell the step-c variants apart at n={n}")
+    if h1.cols[p := _position(n, 1, n)] == h2.cols[p]:
+        raise RuntimeError(f"H1 e_{{n,1}} = H2 e_{{n,1}} cannot tell the step-c variants apart at n={n}")
     kept = _oracle_outcomes(n, ops, certified)
     outcomes = {"h2": kept, "h1": {**kept, "commutative_ok": False}}
-    if not all(kept.values()):  # pragma: no cover - unreachable
+    if not all(kept.values()):
         raise RuntimeError(f"no step-c variant passes the oracles: {outcomes}")
     return MultiplicationTable(n, ops, "h2", arbitration={"chosen": "h2", "outcomes": outcomes})
 

@@ -393,6 +393,20 @@ def test_cache_with_float_index_exits_2(key, index, tmp_path, capsys):
     )
     _assert_one_error_line(*result)
 
+
+def test_cache_of_another_rank_names_its_rank_first(tmp_path, capsys):
+    # the rank is compared before the entries are read, so a malformed entry is not the error
+    obj = json.loads((GOLDEN_N3.parent / "golden_table_n4.json").read_text())
+    obj["entries"][0]["u"] = [1.5, 2]
+    cache = tmp_path / "n4.json"
+    cache.write_text(json.dumps(obj))
+    code, out, err = run_cli(
+        capsys, "product", "--n", "3", "--u", "1,2", "--v", "1,2", "--table", str(cache)
+    )
+    _assert_one_error_line(code, out, err)
+    assert err == "error: cached table is for n=4, not n=3\n"
+
+
 def test_cache_with_duplicate_entry_exits_2(tmp_path, capsys):
     cache = tmp_path / "dup.json"
     run_cli(capsys, "table", "--n", "3", "--out", str(cache))

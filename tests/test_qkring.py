@@ -382,39 +382,28 @@ def test_auto_build_composes_only_the_kept_variant(n, monkeypatch):
     kept, _, _ = _kernel_counts(monkeypatch, lambda: build_table(n, "h2"))
     full, _, _ = _kernel_counts(monkeypatch, lambda: build_table(n, "h1"))
     assert kept == 2 * size + size * (size + 1) // 2 - 1
-    assert auto == kept + n - 1  # plus the h1 witness column, one column per step
+    assert auto == kept  # the h1 outcome is read off two Chevalley columns
     assert full == size * (size - 1)
 
 
-def test_witness_column_is_the_h1_product(tables):
-    # the closed form is why build_table never builds the h1 table: the
-    # witness is never O_{1,2}
-    for n in range(3, 13):
-        table = tables[n] if n in tables else build_table(n)
-        witness = qkring._h1_witness_column(table.matrix(h1_index(n)), table.matrix(h2_index(n)))
-        assert witness == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1}), n
-        if n <= 5:
-            assert witness == build_table(n, "h1").product((1, 2), unit_index(n))
-
-
-@pytest.mark.parametrize("n", range(3, 13))
-def test_witness_column_stops_after_n_applications(n, monkeypatch):
-    # steps (a) and (c) only: n - 2 applications of H1, then H1 and H? at step (c)
-    h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
-    columns, applications, witness = _kernel_counts(
-        monkeypatch, lambda: qkring._h1_witness_column(h1, h2)
-    )
-    assert (columns, applications) == (n - 1, n)
-    assert witness == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1})
+def test_witness_column_is_the_h1_product():
+    # column e_{n,1} of M^{h1}_{1,2} is O_{1,2} + Q1 (H1 - H2) e_{n,1}, never
+    # O_{1,2}: the reason build_table never builds the h1 table
+    for n in range(3, 11):
+        table = build_table(n, "h1")
+        got = table.product((1, 2), unit_index(n))
+        assert got == QKClass(n, {(1, 2): 1, (n - 1, 1): Q1, (n, 2): -Q1}), n
+        assert got != table.product(unit_index(n), (1, 2)), n
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_witness_that_cannot_decide_raises(n, monkeypatch):
-    # a witness equal to O_{1,2} would leave h1 undecided; the build refuses
-    # instead of building the h1 table
-    monkeypatch.setattr(
-        qkring, "_h1_witness_column", lambda h1, h2: QKClass.basis_element((1, 2), h1.n)
-    )
+    # generators that agree on e_{n,1} would leave h1 undecided; the build
+    # refuses instead of building the h1 table
+    h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
+    t = linear_index(unit_index(n), n)
+    h1.cols[t] = h2.cols[t]
+    _with_generators(monkeypatch, h1, h2)
     variants = []  # the step-c variant of every recurrence the build runs
     recurrence = qkring._recurrence
 
@@ -423,9 +412,9 @@ def test_witness_that_cannot_decide_raises(n, monkeypatch):
         return recurrence(n, m, h1, h2, variant, widths)
 
     monkeypatch.setattr(qkring, "_recurrence", recording)
-    with pytest.raises(RuntimeError, match="witness"):
+    with pytest.raises(RuntimeError, match="cannot tell the step-c variants apart"):
         build_table(n)
-    assert variants == ["h2"]
+    assert variants and "h1" not in variants
 
 
 @pytest.mark.parametrize("variant", ["h2", "h1"])
