@@ -377,19 +377,6 @@ def _noncommuting(n: int, ops: list[Operator]):
                 yield u, v
 
 
-def _oracle_outcomes(n: int, ops: list[Operator], certified: bool = False) -> dict:
-    """The classical-limit and commutativity oracles: each holds when its scan yields nothing.
-
-    A ``certified`` table (see :func:`_mirrored`) is commutative by
-    proof, so it is not scanned for that, and its classical scan reads each
-    unordered product once.
-    """
-    return {
-        "classical_limit_ok": not _classical_mismatches(n, ops, certified),
-        "commutative_ok": certified or next(_noncommuting(n, ops), None) is None,
-    }
-
-
 def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
     """Build every multiplication operator M_u.
 
@@ -400,44 +387,42 @@ def build_table(n: int, step_c: str = "auto") -> MultiplicationTable:
     oracles and keep the survivor.  The two agree in the classical limit
     but give different tables.
 
-    The h2 table is :func:`_mirrored` on the Chevalley operators: certified
-    commutative, with each unordered product evaluated once.  The h1 table,
-    and an h2 table whose certificate fails, are evaluated at full width on
-    the identity's columns; that is the recovery path.
+    The h1 table is evaluated at full width on the identity's columns.  The
+    h2 table is :func:`_mirrored` on the Chevalley operators, and is built
+    only if it passes the ring certificate: it is then commutative, with
+    each unordered product evaluated once.  A failed certificate raises.
 
-    "auto" builds only the h2 table and runs :func:`_oracle_outcomes` on it;
+    "auto" builds only the h2 table and scans it for the classical limit;
     the h1 outcomes follow.  Steps (a) do not depend on the variant, and at
     step (c) M^{h1}_{1,2} - M^{h2}_{1,2} = Q1 (H1 - H2) M_{n,1} = Q1 (H1 - H2).
     Every later step multiplies that difference by operators over Z[Q1,Q2],
-    so the two classical limits agree entry by entry.  The h2 table is kept
-    only if it commutes, and M_{n,1} = Id, so M^{h2}_{1,2} e_{n,1} = e_{1,2}:
-    column e_{n,1} of M^{h1}_{1,2} is e_{1,2} + Q1 (H1 - H2) e_{n,1}.  It
-    differs from M^{h1}_{n,1} e_{1,2} = e_{1,2}, so h1 never commutes, exactly
-    when the Chevalley columns H1 e_{n,1} = O_{n-1,1} and H2 e_{n,1} = O_{n,2}
-    differ; a guard raises before the scans if they agree.
+    so the two classical limits agree entry by entry.  The h2 table commutes
+    and M_{n,1} = Id, so M^{h2}_{1,2} e_{n,1} = e_{1,2}: column e_{n,1} of
+    M^{h1}_{1,2} is e_{1,2} + Q1 (H1 - H2) e_{n,1}.  It differs from
+    M^{h1}_{n,1} e_{1,2} = e_{1,2}, so h1 never commutes: the certificate
+    has checked the unit columns H1 e_{n,1} = e_{n-1,1} and
+    H2 e_{n,1} = e_{n,2}, and these differ.
     """
     check_rank(n)
     if step_c not in ("h1", "h2", "auto"):
         raise ValueError(f"step_c must be 'h1', 'h2' or 'auto', got {step_c!r}")
-    variant = "h1" if step_c == "h1" else "h2"
     h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
-    ops = _mirrored(h1, h2) if variant == "h2" else None
-    certified = ops is not None
-    if not certified:
+    if step_c == "h1":
         basis = enumerate_basis(n)
         m = {unit_index(n): [QKClass._trusted(n, {t << _POS: 1}) for t in range(len(basis))]}
-        for w, x in _recurrence(n, m, h1, h2, variant):
+        for w, x in _recurrence(n, m, h1, h2, "h1"):
             m[w] = x
-        ops = [Operator._trusted(n, m[w]) for w in basis]
-    if step_c != "auto":
-        return MultiplicationTable(n, ops, step_c)
-    if h1.cols[p := _position(n, 1, n)] == h2.cols[p]:
-        raise RuntimeError(f"H1 e_{{n,1}} = H2 e_{{n,1}} cannot tell the step-c variants apart at n={n}")
-    kept = _oracle_outcomes(n, ops, certified)
-    outcomes = {"h2": kept, "h1": {**kept, "commutative_ok": False}}
-    if not all(kept.values()):
-        raise RuntimeError(f"no step-c variant passes the oracles: {outcomes}")
-    return MultiplicationTable(n, ops, "h2", arbitration={"chosen": "h2", "outcomes": outcomes})
+        return MultiplicationTable(n, [Operator._trusted(n, m[w]) for w in basis], "h1")
+    ops = _mirrored(h1, h2)
+    if ops is None:
+        raise RuntimeError(f"the h2 recurrence fails the ring certificate at n={n}")
+    if step_c == "h2":
+        return MultiplicationTable(n, ops, "h2")
+    if _classical_mismatches(n, ops, True):
+        raise RuntimeError(f"the h2 table fails the classical-limit oracle at n={n}")
+    arbitration = {"chosen": "h2", "outcomes": {"h2": {"classical_limit_ok": True, "commutative_ok": True},
+                                                "h1": {"classical_limit_ok": True, "commutative_ok": False}}}
+    return MultiplicationTable(n, ops, "h2", arbitration=arbitration)
 
 
 def qk_product(u, v, n: int, table: MultiplicationTable) -> QKClass:

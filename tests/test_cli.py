@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qkflag
 from qkflag import qkring
-from qkflag.cli import CSV_HEADER, build_parser, main, run
+from qkflag.cli import CSV_HEADER, FORMATS, build_parser, main, run
 from qkflag.errors import InvalidRank, MalformedTable
 from qkflag.poly import class_from_json
 from qkflag.qkring import build_table, qk_product, table_to_json
@@ -531,6 +531,87 @@ def test_a_cache_in_any_entry_and_term_order_loads_equal(table, seed):
     for e in shuffled["entries"]:
         rng.shuffle(e["poly"])
     assert qkring.table_from_json(shuffled).ops == qkring.table_from_json(obj).ops == table.ops
+
+
+# Fuzz of the argument boundary: every subcommand with generated options in
+# any order.  Pairs and integer lists come from a small alphabet, and a table
+# is built only at n = 3..5; a classical product may ask for any n up to 10**6.
+
+
+def _mostly(valid, junk):
+    """``valid`` nine draws in ten, else ``junk``."""
+    return st.sampled_from([valid] * 9 + [junk]).flatmap(lambda strategy: strategy)
+
+
+_JUNK = st.text(alphabet="012345,-+ _x", max_size=5)
+_INT_LISTS = _mostly(st.lists(st.integers(-1, 6).map(str), min_size=1, max_size=4).map(",".join), _JUNK)
+_PAIRS = _mostly(st.lists(st.integers(1, 5).map(str), min_size=2, max_size=2).map(",".join), _JUNK)
+_INTS = _mostly(st.integers(-2, 6).map(str), st.sampled_from(["", "x", "1.5"]))
+_RANKS = _mostly(st.integers(3, 5).map(str), st.sampled_from(["-1", "0", "2", "x", ""]))
+_FORMATS = _mostly(st.sampled_from(FORMATS), st.text(alphabet="jsontx", max_size=4))
+# symbolic paths, made real under tmp_path by the test: "@" + name
+_TABLES = st.sampled_from(["@cache", "@junk", "@missing", "@dir"])
+_OUTS = st.sampled_from(["@out", "@missing/out", "@dir"])
+_CHECKS = st.lists(
+    st.sampled_from(["positivity", "ring", "classical", "degree", "chevalley", "bogus", " ", ""]), max_size=3
+).map(",".join)
+_OPTIONS = {
+    "product": {"--n": _RANKS, "--u": _PAIRS, "--v": _PAIRS, "--classical": None, "--table": _TABLES,
+                "--format": _FORMATS},
+    "table": {"--n": _RANKS, "--format": _FORMATS, "--out": _OUTS},
+    "verify": {"--n": _RANKS, "--checks": _CHECKS, "--assoc-max": _INTS, "--table": _TABLES,
+               "--format": _FORMATS},
+    "conjecture": {"--n": _RANKS, "--gating": st.sampled_from(["flipped", "literal", "x"]), "--table": _TABLES,
+                   "--format": _FORMATS},
+    "correlator": {"--n": _RANKS, "--kind": st.sampled_from(["two", "three", "pn", "x"]), "--u": _PAIRS,
+                   "--v": _PAIRS, "--w": _PAIRS, "--d": st.sampled_from(["l1", "l2", "l1+l2"]) | _PAIRS,
+                   "--m": _INTS, "--i": _INT_LISTS, "--format": _FORMATS},
+    "flags": {"--balanced": None, "--stabilized": None, "--shape": _INT_LISTS, "--degrees": _INT_LISTS,
+              "--ambient": _INTS, "--k": _INTS, "--r": _INTS, "--format": _FORMATS},
+}
+# drawn nine times in ten, so that most commands get past the parser
+_USUAL = {
+    "--n", "--u", "--v", "--w", "--d", "--kind", "--balanced", "--shape", "--degrees", "--k", "--r", "--m", "--i"
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand and a subset of its options, each with a drawn value, in a drawn order."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    usual = st.sampled_from([True] * 9 + [False])
+    chosen = [name for name in options if draw(usual if name in _USUAL else st.booleans())]
+    if {"--balanced", "--stabilized"} <= set(chosen) and draw(usual):  # the parser takes one of the two
+        chosen.remove(draw(st.sampled_from(["--balanced", "--stabilized"])))
+    argv = []
+    for name in draw(st.permutations(chosen)):
+        value = options[name]
+        if name == "--n" and "--classical" in chosen:
+            value = st.integers(-1, 10**6).map(str)
+        argv += [name] if value is None else [name, draw(value)]
+    return [command, *argv]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_argvs())
+def test_any_argv_exits_0_1_or_2_without_a_traceback(tmp_path, capsys, argv):
+    paths = {"@missing/out": str(tmp_path / "missing" / "out"), "@dir": str(tmp_path)}
+    for name, text in [("cache", None), ("junk", "[1, "), ("out", "")]:
+        path = paths["@" + name] = tmp_path / f"{name}.json"
+        if not path.exists():
+            path.write_text(json.dumps(table_to_json(build_table(3))) if text is None else text)
+    paths["@missing"] = str(tmp_path / "absent.json")
+    argv = [str(paths.get(a, a)) for a in argv]
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse: a usage error, or --help
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out + err, argv
+    if code == 2 and not err.startswith("usage: "):
+        _assert_one_error_line(code, out, err)
 
 
 @pytest.mark.parametrize("checks", [",,", "", " , "])

@@ -1,6 +1,5 @@
 import json
 import pathlib
-import re
 
 import pytest
 
@@ -343,7 +342,10 @@ ORACLE_FAILS = {
 def test_oracle_outcomes_match_class_reference(name):
     ops = ORACLE_CASES[name]()
     n = ops[0].n
-    outcomes = qkring._oracle_outcomes(n, ops)
+    outcomes = {
+        "classical_limit_ok": not qkring._classical_mismatches(n, ops),
+        "commutative_ok": next(qkring._noncommuting(n, ops), None) is None,
+    }
     # the class-based reference: classical_limit() against public k_product
     assert outcomes == _brute_force_outcomes(qkring.MultiplicationTable(n, ops, "test"))
     failed = {k for k, ok in outcomes.items() if not ok}
@@ -398,8 +400,9 @@ def test_witness_column_is_the_h1_product():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_witness_that_cannot_decide_raises(n, monkeypatch):
-    # generators that agree on e_{n,1} would leave h1 undecided; the build
-    # refuses instead of building the h1 table
+    # generators that agree on e_{n,1} would leave h1 undecided; they cannot
+    # pass the certificate's unit columns (these also fail the commutator),
+    # and the build raises instead of building the h1 table
     h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
     t = linear_index(unit_index(n), n)
     h1.cols[t] = h2.cols[t]
@@ -412,9 +415,9 @@ def test_witness_that_cannot_decide_raises(n, monkeypatch):
         return recurrence(n, m, h1, h2, variant, widths)
 
     monkeypatch.setattr(qkring, "_recurrence", recording)
-    with pytest.raises(RuntimeError, match="cannot tell the step-c variants apart"):
+    with pytest.raises(RuntimeError, match=f"fails the ring certificate at n={n}"):
         build_table(n)
-    assert variants and "h1" not in variants
+    assert "h1" not in variants
 
 
 @pytest.mark.parametrize("variant", ["h2", "h1"])
@@ -541,8 +544,14 @@ def _with_generators(monkeypatch, h1, h2):
     monkeypatch.setattr(qkring, "chevalley_operator", lambda h, n: h1 if h == "h1" else h2)
 
 
+def _refused(n, step_c):
+    """Run build_table(n, step_c), which must raise the certificate error."""
+    with pytest.raises(RuntimeError, match=f"the h2 recurrence fails the ring certificate at n={n}"):
+        build_table(n, step_c)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_noncommuting_generators_fall_back_to_full_width_and_the_scans(n, monkeypatch):
+def test_noncommuting_generators_fail_the_certificate(n, monkeypatch):
     # H1 plus (e_{n,2} -> Q1 e_{1,2}): no classical or unit column moves, but H1 H2 != H2 H1
     h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
     t = linear_index((n, 2), n)
@@ -550,33 +559,36 @@ def test_noncommuting_generators_fall_back_to_full_width_and_the_scans(n, monkey
     assert not qkring._commute(h1, h2)
     _with_generators(monkeypatch, h1, h2)
     size = n * (n - 1)
-    columns, _, table = _kernel_counts(monkeypatch, lambda: build_table(n, "h2"))
-    ops = table.ops
-    assert not _shared_pairs(ops)
-    assert columns == 2 * size + size * (size - 1)  # the commutator, then every column
-    _assert_pre_change_ops(n, ops, _pre_change_build(n, "h2", (h1, h2)))
-    # build_table scans such a table for commutativity, and finds it fails
-    scans = []
-    noncommuting = qkring._noncommuting
-    monkeypatch.setattr(qkring, "_noncommuting", lambda n, ops: scans.append(n) or noncommuting(n, ops))
-    outcome = "{'h2': {'classical_limit_ok': True, 'commutative_ok': False}"
-    with pytest.raises(RuntimeError, match=re.escape(outcome)):
-        build_table(n)
-    assert scans == [n]
+    for step_c in ("h2", "auto"):
+        columns, _, _ = _kernel_counts(monkeypatch, lambda: _refused(n, step_c))
+        assert columns == 2 * size  # the commutator only: no step runs
+    # the h1 table reads no certificate
+    _assert_pre_change_ops(n, build_table(n, "h1").ops, _pre_change_build(n, "h1", (h1, h2)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_failing_unit_column_falls_back_to_full_width(n, monkeypatch):
     # H1 = H2 commute, but then M_{n-1,1} e_{n,1} = e_{n,2}: the first step
-    # breaks the certificate, and the build starts again at full width
+    # breaks the certificate, and the build raises
     h2 = chevalley_operator("h2", n)
     _with_generators(monkeypatch, h2, h2)
     size = n * (n - 1)
-    columns, _, table = _kernel_counts(monkeypatch, lambda: build_table(n, "h2"))
-    ops = table.ops
-    assert not _shared_pairs(ops)
-    assert columns == 2 * size + size + size * (size - 1)  # commutator, first step, full build
-    _assert_pre_change_ops(n, ops, _pre_change_build(n, "h2", (h2, h2)))
+    columns, _, _ = _kernel_counts(monkeypatch, lambda: _refused(n, "h2"))
+    assert columns == 2 * size + size  # the commutator, then the first step
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_wrong_classical_limit_fails_the_auto_build(n, monkeypatch):
+    # the real Chevalley operators pass the certificate; then the formula the
+    # scan compares with has every coefficient negated (one flipped pair may
+    # never be read, since the scan reads the formula once per class)
+    h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
+    _with_generators(monkeypatch, h1, h2)
+    k_terms = qkring._k_terms
+    monkeypatch.setattr(qkring, "_k_terms", lambda u, v, n: {w: -c for w, c in k_terms(u, v, n).items()})
+    with pytest.raises(RuntimeError, match=f"the h2 table fails the classical-limit oracle at n={n}"):
+        build_table(n)
+    assert build_table(n, "h2").step_c_variant == "h2"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -591,13 +603,11 @@ def test_mirrored_classical_scan_reads_one_triangle(n):
     ops = build_table(n, "h2").ops
     size = len(ops)
     assert len(_shared_pairs(ops)) == size * (size - 1) // 2
-    assert qkring._oracle_outcomes(n, ops, True) == qkring._oracle_outcomes(n, ops)
+    assert qkring._classical_mismatches(n, ops, True) == qkring._classical_mismatches(n, ops) == []
     # a diagonal product is in the triangle: the mirrored scan sees its change
     changed = _changed_constant(n)
     rows = list(qkring._classical_mismatches(n, changed))
     assert rows and list(qkring._classical_mismatches(n, changed, True)) == rows
-    want = {"classical_limit_ok": False, "commutative_ok": True}
-    assert qkring._oracle_outcomes(n, changed, True) == want
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

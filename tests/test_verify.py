@@ -128,17 +128,20 @@ def _flipped(n, u, v):
 
 
 def _built_from_noncommuting_generators(n):
-    """The build run on H1 + (e_{n,2} -> e_{1,2}) and H2, which evaluates every product.
+    """The h2 recurrence run on H1 + (e_{n,2} -> e_{1,2}) and H2, at full width on the identity's columns.
 
     Column (n,2) of H1 enters no unit column, so every M_u e_{n,1} = e_u and
-    every recurrence step holds; only H1 H2 != H2 H1 is left to fail.
+    every recurrence step holds; only H1 H2 != H2 H1 is left to fail, so
+    ``build_table`` would refuse these generators.
     """
     h1, h2 = chevalley_operator("h1", n), chevalley_operator("h2", n)
     t = linear_index((n, 2), n)
     h1.cols[t] = h1.cols[t] + QKClass.basis_element((1, 2), n)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qkring, "chevalley_operator", lambda h, n: h1 if h == "h1" else h2)
-        table = build_table(n, "h2")
+    basis = enumerate_basis(n)
+    m = {unit_index(n): [QKClass.basis_element(v, n) for v in basis]}
+    for w, x in qkring._recurrence(n, m, h1, h2, "h2"):
+        m[w] = x
+    table = MultiplicationTable(n, [Operator(n, m[w]) for w in basis], "h2")
     assert not _shared_pairs(table.ops)
     return table
 
