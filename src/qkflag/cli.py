@@ -20,6 +20,7 @@ from .errors import QKFlagError
 
 FORMATS = ("text", "json", "csv")
 CSV_HEADER = ("u_i", "u_j", "v_i", "v_j", "w_i", "w_j", "d1", "d2", "coeff")
+TABLE_HELP = "read the table from this JSON file, checked on load; slower than building it"
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=_parse_pair, required=True, metavar="i,j")
     p.add_argument("--v", type=_parse_pair, required=True, metavar="k,p")
     p.add_argument("--classical", action="store_true", help="classical K-ring product")
-    p.add_argument("--table", dest="table_path", help="load a cached table JSON instead of rebuilding")
+    p.add_argument("--table", dest="table_path", help=TABLE_HELP)
     p.add_argument("--format", choices=FORMATS, default="text")
 
     p = sub.add_parser("table", help="build the full multiplication table")
@@ -65,13 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of positivity,ring,classical,degree,chevalley",
     )
     p.add_argument("--assoc-max", type=int, default=5, help="largest n for the associativity sweep")
-    p.add_argument("--table", dest="table_path")
+    p.add_argument("--table", dest="table_path", help=TABLE_HELP)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("conjecture", help="compare the closed formula against the table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gating", choices=("flipped", "literal"), default="flipped")
-    p.add_argument("--table", dest="table_path")
+    p.add_argument("--table", dest="table_path", help=TABLE_HELP)
     p.add_argument("--format", choices=("text", "json"), default="json")
 
     p = sub.add_parser("correlator", help="evaluate a correlator closed form")

@@ -203,18 +203,13 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     in basis-then-degree order.  The report also carries the mismatch count
     of the other gating convention, so both readings stay visible.
 
-    The formula is evaluated once per class (i+k, j+p, (l(u)+l(v)) mod 2)
-    of u = (i, j), v = (k, p), which is all it reads, by
-    :func:`_class_formula`, in a dict local to the call.  The other gating
-    is handled per class too: each class keeps ``apart``, the number of keys
-    where its two gatings differ.  That is the difference of the two maps'
-    sizes: one gating's map is the other's plus the keys of t1..t3, and
-    :func:`_class_formula` gives no two terms the same key.  A column equal
-    to the requested gating adds ``apart`` to the other gating's count with
-    no per-key work.  A column equal to the other gating has exactly those
-    keys as rows, built and sorted once per class and stamped with its u
-    and v.  Only a column that equals neither is compared key by key with
-    both.
+    The formula is evaluated by :func:`_class_formula` once per class
+    (i+k, j+p, (l(u)+l(v)) mod 2) of u = (i, j), v = (k, p), which is all
+    it reads.  Each class also keeps ``apart``, the number of keys where
+    its two gatings differ: the difference of the two maps' sizes, as one
+    is the other plus the keys of t1..t3 and no two terms share a key.  A
+    column equal to the requested gating adds ``apart`` to the other
+    gating's count; any other column is compared key by key with both.
 
     A mirrored table is read once per unordered product, in both gatings
     (see :func:`qkflag.qkring._is_mirrored`), and an off-diagonal product
@@ -232,7 +227,6 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     # the class as one int: 2((i + k)(2n + 1) + j + p) + parity
     keys = [2 * (i * (2 * n + 1) + j) + (lw & 1) for (i, j), lw in zip(basis, lengths)]
     per_class: dict = {}
-    other_rows: dict = {}  # per class: the rows of a column equal to the other gating
     found = {}  # (a, b) -> the rows of O_u * O_v
     for a, row in _triangle(ops, mirrored):
         ka = keys[a]
@@ -250,11 +244,6 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
             times = 2 if mirrored and a != b else 1
             if want == got:
                 other_count += times * apart
-                continue
-            if want == other:
-                if cls not in other_rows:
-                    other_rows[cls] = _mismatch_rows(other, got, basis)
-                found[a, b] = other_rows[cls]
             else:
                 other_count += times * len(_differing(want, other))
                 found[a, b] = _mismatch_rows(want, got, basis)

@@ -292,6 +292,30 @@ def test_flags_wrong_length_degrees_exit_2(capsys, mode):
     assert err == "error: 1 degrees for an 2-step shape\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("correlator --kind pn --m 3 --i 1,2 --d 1", "--i must list exactly three indices"),
+        ("correlator --kind pn --m 3 --i 1,2,3 --d x", "--d must be an integer for --kind pn, got 'x'"),
+        ("correlator --kind two --n 5 --u 2,3 --d l1", "--kind two needs --n, --u, --w and --d"),
+        ("correlator --kind three --n 4 --u 3,1 --w 4,1 --d 1,1", "--kind three needs --v"),
+        ("correlator --kind two --n 5 --u 2,3 --w 5,3 --d 1", "expected 'i,j', got '1'"),
+        ("flags --stabilized --shape 1,3 --degrees 6,6", "--stabilized needs --k and --r"),
+    ],
+)
+def test_argument_errors_exit_2_with_one_error_line(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_malformed_integer_list_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["flags", "--balanced", "--shape", "2,x", "--degrees", "1,1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected comma-separated integers, got '2,x'" in err and "Traceback" not in err
+
+
 def test_jobs_flag_is_gone(capsys):
     # --jobs was parsed and never used; argparse now rejects it
     with pytest.raises(SystemExit) as exc:

@@ -26,7 +26,7 @@ from .test_verify import _reference_classical_report
 
 @pytest.fixture(scope="module")
 def tables():
-    return {n: build_table(n) for n in (3, 4, 5, 6, 7, 8)}
+    return {n: build_table(n) for n in range(3, 11)}
 
 
 def test_translate_examples():
@@ -213,11 +213,17 @@ def _naive_diff(table, gating):
 
 
 @pytest.mark.parametrize("gating", GATINGS)
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", range(3, 11))
 def test_comparator_matches_naive_diff(n, gating, tables):
     got, want = compare_with_table(tables[n], gating), _naive_diff(tables[n], gating)
     assert got.to_json() == want.to_json()
     assert got.to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("n", range(8, 11))
+def test_flipped_diff_is_empty_past_n_7(n, tables):
+    # with the naive diff above, tier-1 reads the flipped gate as exact up to n = 10
+    assert compare_with_table(tables[n]).empty
 
 
 def test_comparator_rejects_unknown_gating(tables):

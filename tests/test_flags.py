@@ -45,6 +45,12 @@ def test_is_admissible_examples():
     assert is_admissible(AdmissibleSequenceSet(((1,), (0, 1)), (1, 1)), two_step)
 
 
+def test_is_admissible_refuses_a_negative_entry_and_a_wrong_row_sum():
+    shape = FlagShape((2,), 3)
+    assert not is_admissible(AdmissibleSequenceSet(((-1, 4),), (3,)), shape)
+    assert not is_admissible(AdmissibleSequenceSet(((1, 2),), (4,)), shape)
+
+
 def test_is_admissible_shape_mismatch():
     shape = FlagShape((2,), 3)
     with pytest.raises(ShapeMismatch):
@@ -212,6 +218,10 @@ def test_alternating_sum_examples():
     assert alternating_decomposition_sum(2, 2, 0, 0) == 0
     assert alternating_decomposition_sum(1, 0, 1, 0) == 1
     assert alternating_decomposition_sum(3, 0, 0, 0) == 0
+
+
+def test_alternating_sum_is_zero_when_the_start_exceeds_the_target():
+    assert alternating_decomposition_sum(1, 1, 2, 0) == 0
 
 
 def test_alternating_sum_vanishes_under_hypothesis():

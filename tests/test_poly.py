@@ -81,6 +81,18 @@ def test_monomial_str():
     assert monomial_str((2, 3)) == "Q1^2Q2^3"
 
 
+def test_novikov_polynomial_arithmetic_hash_bool_and_str():
+    p = NovikovPolynomial({(1, 0): 2, (0, 0): -1})
+    assert 1 - p == NovikovPolynomial({(0, 0): 2, (1, 0): -2})
+    a = NovikovPolynomial({(0, 1): 1, (2, 3): -3})
+    b = NovikovPolynomial({(2, 3): -3, (0, 1): 1})
+    assert a == b and hash(a) == hash(b)
+    assert not NovikovPolynomial()
+    assert str(p) == "- 1 + 2*Q1"
+    assert str(NovikovPolynomial()) == "0"
+    assert str(a) == "Q2 - 3*Q1^2Q2^3"
+
+
 def test_poly_json_roundtrip():
     p = NovikovPolynomial({(1, 0): 1, (1, 1): -2, (0, 0): 3})
     items = poly_to_json(p)

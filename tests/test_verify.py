@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qkflag import qkring, verify
-from qkflag.basis import enumerate_basis, h2_index, linear_index, unit_index
+from qkflag.basis import enumerate_basis, h1_index, h2_index, linear_index, unit_index
 from qkflag.kring import k_product
 from qkflag.poly import NovikovPolynomial, QKClass
 from qkflag.qkring import (
@@ -108,6 +108,22 @@ def test_failure_is_reported_with_counterexamples():
     text = reports_to_text([report])
     assert "status=FAIL" in text
 
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("h, hw, deg, top", [("h1", h1_index, (2, 0), (2, 0)), ("h2", h2_index, (0, 2), (1, 1))])
+def test_a_hyperplane_column_past_its_degrees_fails_both_checks(n, h, hw, deg, top):
+    # Q^deg O_w added to column v of H: one degree row and one Chevalley row;
+    # the largest degree is read off packed codes, which order by d1 first
+    table, p = build_table(n), 3
+    v = enumerate_basis(n)[p]
+    cols = table.matrix(hw(n)).cols
+    cols[p] = cols[p] + QKClass.basis_element(v, n, NovikovPolynomial.monomial(deg))
+    degree = qkring.degree_bound_check(table)
+    assert not degree.passed
+    assert degree.counterexamples == [{"h": h, "v": [v.i, v.j], "d1": deg[0], "d2": deg[1]}]
+    assert degree.details["max_degree"] == {"d1": top[0], "d2": top[1]}
+    chevalley = chevalley_consistency_check(table)
+    assert not chevalley.passed and chevalley.counterexamples == [{"h": h, "v": [v.i, v.j]}]
 
 DATA = Path(__file__).parent / "data"
 
