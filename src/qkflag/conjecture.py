@@ -92,8 +92,8 @@ def delta(u, v, w, n: int) -> int:
 def _parity_gate(luv: int, w, d1: int, d2: int, n: int) -> int:
     """The parity rule of Delta: 1 when codim(w) - codim(u) - codim(v) + c1(d) is even.
 
-    ``luv`` is l(u) + l(v), or just its parity; codim = dim - length, with
-    dim = 2n - 3 and c1(d) = (d1 + d2)(n - 1) on a trusted n.
+    ``luv`` is l(u) + l(v); codim = dim - length, with dim = 2n - 3 and
+    c1(d) = (d1 + d2)(n - 1) on a trusted n.
     """
     e = luv - _length(*w, n) - (2 * n - 3) + (d1 + d2) * (n - 1)
     return 1 if e % 2 == 0 else 0
@@ -112,20 +112,19 @@ def _class_formula(a: int, b: int, parity: int, n: int) -> tuple[dict, dict]:
     :class:`~qkflag.poly.QKClass`.  The four translates are pairwise
     distinct, so no two terms share a key and none cancels.
     """
-    terms = []  # (code, (w, d1, d2)) of t_0..t_3, None where degenerate
+    codes, gates = [], []  # of t_0..t_3: a degenerate translate's code is None, its gate False
+    odd = (parity + 1) & 1  # the gate is _parity_gate's rule read mod 2
     for di, dj in _SHIFTS:
         s, t = (a - di) % n + 1, (b - dj) % n + 1
         d1, d2 = 1 - (a - s) // n, (b - t) // n
-        terms.append(None if s == t else (_position(s, t, n) << _POS | d1 << _D1 | d2, ((s, t), d1, d2)))
-    t0, t1 = terms[0], terms[1]
-    base = {t0[0]: 1} if t0 and _parity_gate(parity, *t0[1], n) else {}
-    if t1 is None:  # a degenerate t1 zeroes the whole gated group
+        codes.append(None if s == t else _position(s, t, n) << _POS | d1 << _D1 | d2)
+        gates.append(s != t and (odd + _length(s, t, n) + (d1 + d2) * (n - 1)) & 1 == 0)
+    base = {codes[0]: 1} if gates[0] else {}
+    if codes[1] is None:  # a degenerate t1 zeroes the whole gated group
         return base, base
-    full = dict(base)
-    for term, sign in zip(terms[1:], (1, 1, -1)):
-        if term:
-            full[term[0]] = sign
-    return (full, base) if _parity_gate(parity, *t1[1], n) else (base, full)
+    full = {**base, codes[1]: 1, codes[2]: 1, codes[3]: -1}
+    full.pop(None, None)  # a degenerate t2 or t3
+    return (full, base) if gates[1] else (base, full)
 
 
 def _formula_terms(u, v, n: int) -> tuple[dict, dict]:

@@ -175,7 +175,7 @@ def _reference_product(u, v, n, gating):
     return out
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(3, 11))
 def test_conjectured_product_matches_reference(n):
     for gating in GATINGS:
         for u in enumerate_basis(n):

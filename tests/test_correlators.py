@@ -166,7 +166,8 @@ def _reference_three_point(u1, u2, w, deg, n):
 def test_three_point_incidence_matches_per_w_reference(n):
     basis = enumerate_basis(n)
     unsupported = 0
-    for deg in [(d1, d2) for d1 in range(3) for d2 in range(3)]:
+    # degree 3 reaches (1, >=3), (>=3, 1), (3, 3) and the dual refusal
+    for deg in [(d1, d2) for d1 in range(4) for d2 in range(4)]:
         for u1 in basis:
             for u2 in basis:
                 for w in basis:
@@ -312,3 +313,47 @@ def test_dual_index_consistency_of_closed_forms():
             assert two_point(u, w, DEGREE_L1, n) == two_point(
                 dual_index(u, n), dual_index(w, n), DEGREE_L2, n
             )
+
+
+def _value_or_refusal(f, *args):
+    try:
+        return f(*args)
+    except UnsupportedDegree as exc:
+        return f"refused: {exc}"
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_a_degree_reads_the_same_as_a_list_and_as_a_tuple(n):
+    basis = enumerate_basis(n)
+    ws = (unit_index(n), SchubertIndex(1, 2), basis[0], basis[-1])
+    for deg in [(d1, d2) for d1 in range(4) for d2 in range(4)]:
+        listed = list(deg)
+        for u in basis:
+            for w in basis:
+                want = _value_or_refusal(two_point, u, w, deg, n)
+                assert _value_or_refusal(two_point, u, w, listed, n) == want, (deg, u, w)
+                want = _value_or_refusal(two_point_chain, u, [deg, DEGREE_L1], w, n)
+                assert _value_or_refusal(two_point_chain, u, [listed, [1, 0]], w, n) == want, (deg, u, w)
+            for u2 in basis:
+                for w in ws:
+                    want = _value_or_refusal(three_point_incidence, u, u2, w, deg, n)
+                    got = _value_or_refusal(three_point_incidence, u, u2, w, listed, n)
+                    assert got == want, (deg, u, u2, w)
+        for h in ("h1", "h2"):
+            for v in basis:
+                want = _value_or_refusal(quantum_part_from_correlators, h, v, deg, n)
+                assert _value_or_refusal(quantum_part_from_correlators, h, v, listed, n) == want, (h, v, deg)
+
+
+@pytest.mark.parametrize("deg", [(True, 0), (0, True), (1.0, 0), [0, 1.0], (1,), [1], (1, 0, 0), 1, "10", None])
+def test_a_degree_that_is_not_two_ints_is_refused(deg):
+    calls = [
+        lambda: two_point((2, 3), (5, 3), deg, 5),
+        lambda: two_point_chain((2, 3), [DEGREE_L1, deg], (5, 3), 5),
+        lambda: three_point_incidence((3, 1), (2, 1), (1, 2), deg, 3),
+        lambda: quantum_part_from_correlators("h1", (2, 1), deg, 3),
+    ]
+    for call in calls:
+        with pytest.raises(UnsupportedDegree) as got:
+            call()
+        assert str(got.value) == f"a curve degree is two ints (d1, d2), got {deg!r}"
