@@ -92,8 +92,8 @@ def _position(i: int, j: int, n: int) -> int:
 def from_linear(t: int, n: int) -> SchubertIndex:
     """Inverse of :func:`linear_index`."""
     check_rank(n)
-    if not 0 <= t < n * (n - 1):
-        raise InvalidIndex(f"linear index {t} out of range for n={n}")
+    if type(t) is not int or not 0 <= t < n * (n - 1):
+        raise InvalidIndex(f"linear index {t!r} out of range for n={n}")
     k = t + 1
     i = -(-k // (n - 1))  # ceil(k / (n-1))
     j = k - (i - 1) * (n - 1)

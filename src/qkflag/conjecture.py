@@ -42,8 +42,8 @@ _SHIFTS = ((1, 2), (2, 2), (1, 1), (2, 1))
 
 def translate(idx: int, u, v, n: int) -> SchubertIndex:
     """Translation maps t_0..t_3; a result with equal components is degenerate."""
-    if idx not in (0, 1, 2, 3):
-        raise ValueError(f"translation index must be 0..3, got {idx}")
+    if type(idx) is not int or idx not in (0, 1, 2, 3):
+        raise ValueError(f"translation index must be 0..3, got {idx!r}")
     (i, j), (k, p) = check_index(u, n), check_index(v, n)
     di, dj = _SHIFTS[idx]
     return SchubertIndex((i + k - di) % n + 1, (j + p - dj) % n + 1)
@@ -57,8 +57,8 @@ def is_degenerate(w) -> bool:
 def degree_operator(idx: int, u, v, w, n: int) -> int:
     """d_1 = 1 - floor((i+k-s)/n); d_2 = floor((j+p-t)/n)."""
     deg = degree_vector(u, v, w, n)
-    if idx not in (1, 2):
-        raise ValueError(f"degree operator index must be 1 or 2, got {idx}")
+    if type(idx) is not int or idx not in (1, 2):
+        raise ValueError(f"degree operator index must be 1 or 2, got {idx!r}")
     return deg[idx - 1]
 
 

@@ -23,12 +23,12 @@ class FlagShape(FrozenRecord):
 
     def __init__(self, ranks: tuple[int, ...], n: int):
         r = tuple(ranks)
+        if any(type(x) is not int for x in r + (n,)):
+            raise ShapeMismatch(f"ranks and n must be ints, got {r} and {n!r}")
         if not r:
             raise ShapeMismatch("flag shape needs at least one rank")
-        if any(b <= a for a, b in zip((0,) + r, r)):
-            raise ShapeMismatch(f"ranks must be strictly increasing and positive: {r}")
-        if r[-1] >= n:
-            raise ShapeMismatch(f"largest rank {r[-1]} must be < n={n}")
+        if any(b <= a for a, b in zip((0,) + r, r + (n,))):
+            raise ShapeMismatch(f"ranks must be strictly increasing, positive and < n={n}: {r}")
         super().__init__(r, n)
 
     @property
@@ -93,10 +93,12 @@ def _fill(total: int, slots: int) -> tuple[int, ...]:
 
 
 def _degrees(shape: FlagShape, degrees) -> tuple[int, ...]:
-    """``degrees`` as a tuple, one per step of ``shape``; ShapeMismatch otherwise."""
+    """``degrees`` as a tuple of ints, one per step of ``shape``; ShapeMismatch otherwise."""
     degrees = tuple(degrees)
     if len(degrees) != shape.m:
         raise ShapeMismatch(f"{len(degrees)} degrees for an {shape.m}-step shape")
+    if any(type(d) is not int for d in degrees):
+        raise ShapeMismatch(f"degrees must be ints, got {degrees}")
     return degrees
 
 
@@ -213,10 +215,10 @@ class StabilizationInput(FrozenRecord):
     def __init__(self, ranks: tuple[int, ...], n: int, degrees: tuple[int, ...], k: int, r: int):
         shape = FlagShape(ranks, n)  # validates monotonicity
         degrees = _degrees(shape, degrees)
-        if not 1 <= k <= shape.m:
-            raise ShapeMismatch(f"k must lie in [1, {shape.m}], got {k}")
-        if r < 0:
-            raise ShapeMismatch(f"r must be nonnegative, got {r}")
+        if type(k) is not int or not 1 <= k <= shape.m:
+            raise ShapeMismatch(f"k must be an int in [1, {shape.m}], got {k!r}")
+        if type(r) is not int or r < 0:
+            raise ShapeMismatch(f"r must be a nonnegative int, got {r!r}")
         super().__init__(shape.ranks, n, degrees, k, r)
 
 

@@ -329,14 +329,10 @@ class QKClass:
         return f"QKClass(n={self.n}, {dict(self.items())!r})"
 
     def __str__(self) -> str:
-        monos = self.sorted_monomials()
-        return _signed_sum([(c, _product_word(monomial_str(d), w.label())) for w, d, c in monos])
-
-    def sorted_monomials(self) -> list[tuple[SchubertIndex, CurveDegree, int]]:
-        """Flat (class, degree, coeff) triples: degree asc, positives first, basis order."""
+        """The terms by degree ascending, positive coefficients first, then basis order."""
         terms = sorted(self._terms.items(), key=lambda t: (t[0] & _DEGREES, t[1] < 0, t[0]))
         basis = _basis(self.n)
-        return [(basis[k >> _POS], _degree(k), c) for k, c in terms]
+        return _signed_sum([(c, _product_word(monomial_str(_degree(k)), basis[k >> _POS].label())) for k, c in terms])
 
 
 def _product_word(*factors: str) -> str:

@@ -63,6 +63,14 @@ def test_invalid_inputs():
         from_linear(12, 4)
 
 
+@pytest.mark.parametrize("t", [True, False, 1.0, -1, 6])
+def test_from_linear_refuses_anything_but_an_int_position(t):
+    # from_linear(True, 3) used to return O_1,3, the index at position 1
+    with pytest.raises(InvalidIndex) as exc:
+        from_linear(t, 3)
+    assert str(exc.value) == f"linear index {t!r} out of range for n=3"
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_length_extremes(n):
     assert length(point_index(n), n) == 0

@@ -1,4 +1,5 @@
 import copy
+import difflib
 import json
 import os
 import pathlib
@@ -301,6 +302,8 @@ def test_flags_wrong_length_degrees_exit_2(capsys, mode):
         ("correlator --kind three --n 4 --u 3,1 --w 4,1 --d 1,1", "--kind three needs --v"),
         ("correlator --kind two --n 5 --u 2,3 --w 5,3 --d 1", "expected 'i,j', got '1'"),
         ("flags --stabilized --shape 1,3 --degrees 6,6", "--stabilized needs --k and --r"),
+        ("correlator --kind pn --i 1,2,3 --d 1", "--kind pn needs --m, --i i1,i2,i3 and --d D"),
+        ("flags --balanced --degrees 2,3", "flags needs --shape and --degrees"),
     ],
 )
 def test_argument_errors_exit_2_with_one_error_line(argv, message, capsys):
@@ -739,7 +742,10 @@ def test_bench_layers_refuses_a_bad_rank_list_with_a_usage_line(ns):
 
 def test_cli_snapshot_matches_the_committed_one():
     # tools/cli_snapshot.py hashes the stdout, exit code and written file of
-    # 104 fixed commands; a change that keeps the CLI's output keeps its bytes
+    # 106 fixed CLI commands, then the library's conjecture diffs,
+    # reconstructed quantum parts and three-point values, one row per section
+    # and n; a change that keeps those outputs keeps its bytes, and the
+    # message names the rows that moved
     tool = pathlib.Path(__file__).parents[1] / "tools" / "cli_snapshot.py"
     src = str(pathlib.Path(qkflag.__file__).parents[1])
     proc = subprocess.run(
@@ -749,4 +755,6 @@ def test_cli_snapshot_matches_the_committed_one():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == SNAPSHOT.read_bytes()
+    want = SNAPSHOT.read_bytes()
+    moved = difflib.unified_diff(want.decode().splitlines(), proc.stdout.decode().splitlines(), lineterm="", n=0)
+    assert proc.stdout == want, "\n".join(moved)

@@ -349,3 +349,25 @@ def test_comparator_and_classical_check_on_perturbed_table(n):
     report = classical_consistency_check(table).to_json()
     assert len(report["counterexamples"]) == 2
     assert report == _reference_classical_report(table)
+
+
+@pytest.mark.parametrize("idx", [4, -1, True, False, 1.0])
+def test_translate_refuses_an_index_outside_0_to_3(idx):
+    # True used to be read as t_1 and False as t_0
+    with pytest.raises(ValueError) as exc:
+        translate(idx, (1, 4), (1, 4), 4)
+    assert str(exc.value) == f"translation index must be 0..3, got {idx!r}"
+
+
+@pytest.mark.parametrize("idx", [0, 3, True, 1.0])
+def test_degree_operator_refuses_an_index_other_than_1_or_2(idx):
+    # True used to be read as d_1
+    with pytest.raises(ValueError) as exc:
+        degree_operator(idx, (1, 4), (1, 4), (2, 3), 4)
+    assert str(exc.value) == f"degree operator index must be 1 or 2, got {idx!r}"
+
+
+def test_conjectured_product_refuses_an_unknown_gating():
+    with pytest.raises(ValueError) as exc:
+        conjectured_product((1, 4), (1, 4), 4, gating="both")
+    assert str(exc.value) == "gating must be one of ('flipped', 'literal'), got 'both'"

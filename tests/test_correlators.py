@@ -357,3 +357,39 @@ def test_a_degree_that_is_not_two_ints_is_refused(deg):
         with pytest.raises(UnsupportedDegree) as got:
             call()
         assert str(got.value) == f"a curve degree is two ints (d1, d2), got {deg!r}"
+
+
+@pytest.mark.parametrize(
+    "args, msg",
+    [
+        ((1, 1, 1, 1.5, 3), "d must be an int, got 1.5"),
+        ((1.5, 1, 1, 2, 3), "i1 must be an int, got 1.5"),
+        ((1, 1.0, 1, 2, 3), "i2 must be an int, got 1.0"),
+        ((1, 1, True, 2, 3), "i3 must be an int, got True"),
+        ((1, 1, 1, True, 3), "d must be an int, got True"),
+        ((1, 1, 1, 1, 2.5), "m must be an int, got 2.5"),
+        ((1, 1, 1, 1, 0), "projective dimension must be >= 1, got 0"),
+        ((1, 5, 1, 1, 3), "index 5 out of range [1, 4]"),
+        ((0, 1, 1, 1, 3), "index 0 out of range [1, 4]"),
+    ],
+)
+def test_three_point_projective_refuses_anything_but_ints_in_range(args, msg):
+    # (1, 1, 1, 1.5, 3) and (1.5, 1, 1, 2, 3) used to give 1, and a degree True read as 1
+    with pytest.raises(ValueError) as exc:
+        three_point_projective(*args)
+    assert type(exc.value) is ValueError and str(exc.value) == msg
+
+
+@pytest.mark.parametrize("deg", [(-1, 0), (0, -2), (-1, -1)])
+def test_three_point_incidence_refuses_a_degree_that_is_not_effective(deg):
+    with pytest.raises(UnsupportedDegree) as exc:
+        three_point_incidence((3, 1), (2, 4), (4, 1), deg, 4)
+    assert str(exc.value) == f"degree {deg} is not effective"
+
+
+def test_correlator_value_refuses_three_inputs():
+    q = CorrelatorQuery(((3, 1), (2, 4), (2, 4)), (4, 1), (1, 1))
+    with pytest.raises(ValueError) as exc:
+        correlator_value(q, 4)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "only one- and two-input queries have closed forms"

@@ -245,3 +245,57 @@ def test_grid_runner_refuses_an_empty_grid(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "--max-rank must be at least 1 and --max-sum at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ranks, n, msg",
+    [
+        ((1.5, 2), 3, "ranks and n must be ints, got (1.5, 2) and 3"),
+        ((1, True), 3, "ranks and n must be ints, got (1, True) and 3"),
+        ((1, 2), 3.0, "ranks and n must be ints, got (1, 2) and 3.0"),
+        ((2, 5), 5, "ranks must be strictly increasing, positive and < n=5: (2, 5)"),
+    ],
+)
+def test_flag_shape_refuses_ranks_and_n_that_are_not_ints_below_n(ranks, n, msg):
+    # FlagShape((1.5, 2), 3) used to be accepted
+    with pytest.raises(ShapeMismatch) as exc:
+        FlagShape(ranks, n)
+    assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize(
+    "degrees, k, r, msg",
+    [
+        ((6, 6), 1, 1.5, "r must be a nonnegative int, got 1.5"),
+        ((6, 6), 1, True, "r must be a nonnegative int, got True"),
+        ((6, 6), 1.0, 1, "k must be an int in [1, 2], got 1.0"),
+        ((6, 6), True, 1, "k must be an int in [1, 2], got True"),
+        ((6.0, 6), 1, 1, "degrees must be ints, got (6.0, 6)"),
+    ],
+)
+def test_stabilization_input_refuses_numbers_that_are_not_ints(degrees, k, r, msg):
+    # theorem_conditions(StabilizationInput((1, 3), 4, (6, 6), 1, 1.5)) used to answer True
+    with pytest.raises(ShapeMismatch) as exc:
+        StabilizationInput((1, 3), 4, degrees, k, r)
+    assert str(exc.value) == msg
+
+
+def test_is_admissible_refuses_a_wrong_row_count():
+    shape = FlagShape((1, 3), 4)
+    with pytest.raises(ShapeMismatch) as exc:
+        is_admissible(AdmissibleSequenceSet(((1,),), (1, 1)), shape)
+    assert str(exc.value) == "1 rows / 2 degrees for an 2-step shape"
+
+
+@pytest.mark.parametrize("args", [(-1, 2, 1), (2, -1, 1), (2, 2, -1)])
+def test_vandermonde_sum_refuses_a_negative_argument(args):
+    with pytest.raises(ValueError) as exc:
+        vandermonde_sum(*args)
+    assert str(exc.value) == "arguments must be nonnegative"
+
+
+@pytest.mark.parametrize("args", [(-1, 2, 0, 0), (2, -1, 0, 0), (2, 2, -1, 0), (2, 2, 0, -1)])
+def test_alternating_decomposition_sum_refuses_a_negative_argument(args):
+    with pytest.raises(ValueError) as exc:
+        alternating_decomposition_sum(*args)
+    assert str(exc.value) == "arguments must be nonnegative"

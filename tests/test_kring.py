@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from qkflag.basis import SchubertIndex, codim, enumerate_basis, unit_index
-from qkflag.errors import InvalidIndex
+from qkflag.errors import InvalidIndex, RankMismatch
 from qkflag.kring import _in_range, _k_terms, chow_product, k_class_product, k_product, k_unit
 from qkflag.poly import QKClass
 
@@ -190,3 +190,11 @@ def test_chow_is_equality_stratum_of_k_product(n):
                 },
             )
             assert stratum == chow_product(u, v, n), (u, v)
+
+
+@pytest.mark.parametrize("ranks", [(3, 4), (4, 3), (4, 4)])
+def test_k_class_product_refuses_a_class_of_another_rank(ranks):
+    a, b = (QKClass.basis_element((1, 2), m) for m in ranks)
+    with pytest.raises(RankMismatch) as exc:
+        k_class_product(a, b, 3)
+    assert str(exc.value) == f"classes built for n={ranks[0]}/{ranks[1]}, expected 3"

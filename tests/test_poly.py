@@ -275,3 +275,11 @@ def test_combine_builds_what_the_constructor_builds(inputs):
             assert combined.degree_part((d1, d2)) == direct.degree_part((d1, d2))
     assert str(combined) == str(direct)
     assert class_to_json(combined) == class_to_json(direct)
+
+
+@pytest.mark.parametrize("other", ["O_3,1", 1.0, None, (3, 1)])
+def test_equality_with_another_type_is_not_implemented(other):
+    # Python then falls back to identity, so the comparison is False, not an error
+    c, p = QKClass.basis_element((3, 1), 3), NovikovPolynomial.one()
+    assert c.__eq__(other) is NotImplemented and p.__eq__(other) is NotImplemented
+    assert c != other and p != other

@@ -227,6 +227,20 @@ def test_operator_refuses_a_column_of_another_rank():
             Operator(3, [n4[k] if b == k else col for b, col in enumerate(ident)])
 
 
+@pytest.mark.parametrize("width", [0, 5, 7])
+def test_operator_refuses_the_wrong_number_of_columns(width):
+    cols = [QKClass.basis_element((3, 1), 3)] * width
+    with pytest.raises(ValueError) as exc:
+        Operator(3, cols)
+    assert type(exc.value) is ValueError and str(exc.value) == f"expected 6 columns, got {width}"
+
+
+def test_build_table_refuses_an_unknown_step_c():
+    with pytest.raises(ValueError) as exc:
+        build_table(3, "h3")
+    assert str(exc.value) == "step_c must be 'h1', 'h2' or 'auto', got 'h3'"
+
+
 def test_classical_limit_matches_k_product(tables):
     for n, table in tables.items():
         for u in enumerate_basis(n):

@@ -1,23 +1,38 @@
-"""Print one line per CLI command: label, exit code, sha256 of stdout, sha256 of the file it wrote.
+"""Print one line per CLI command, then one per section and n of the library's closed forms.
 
     PYTHONPATH=src python tools/cli_snapshot.py
 
-Runs a fixed list of ``qkflag.cli.run`` commands in-process.  Two source
-trees print the same lines exactly when every command gives the same stdout,
-exit code and written file, so a change that must keep the CLI's output is
-checked by running this with ``PYTHONPATH`` set to each tree's ``src`` and
-diffing the two outputs.  The list covers ``table`` and ``product`` in every
-format at n = 3..6, ``verify`` (all five checks, text and json),
-``conjecture`` (both gatings, also at n = 7 and 8), ``correlator`` and
-``flags``; ``verify``, ``conjecture`` and ``product`` also run with
-``--table`` on a cached n = 4 table with signs flipped (see
-:func:`flipped_cache`), so failing reports go through the CLI too, and
-``product`` on a cached n = 3 table whose only entry for one product has
-coefficient 0 (see :func:`zeroed_cache`), which must be refused.  The ring
-check with associativity at n = 6 and 7 (the certificate, built from the
-table's own recurrence), ``table`` at n = 7 and the positivity, classical and
-degree checks at n = 7 and 8 in json are hashed too.  The file
-``qkflag`` was imported from goes to stderr, not into the snapshot.
+A CLI line is the command, its exit code, the sha256 of its stdout and the
+sha256 of the file it wrote.  The commands run in-process through
+``qkflag.cli.run``: ``table`` and ``product`` in every format at n = 3..6,
+``verify`` (all five checks, text and json), ``conjecture`` (both gatings,
+also at n = 7 and 8), ``correlator`` and ``flags``; ``verify``,
+``conjecture`` and ``product`` also run with ``--table`` on a cached n = 4
+table with signs flipped (see :func:`flipped_cache`), so failing reports go
+through the CLI too, and ``product`` on a cached n = 3 table whose only
+entry for one product has coefficient 0 (see :func:`zeroed_cache`), which
+must be refused.  The ring check with associativity at n = 6 and 7 (the
+certificate, built from the table's own recurrence), ``table`` at n = 7 and
+the positivity, classical and degree checks at n = 7 and 8 in json are
+hashed too.
+
+A library line is a section and n, then the sha256 of the section's lines,
+each ended by a newline (see :data:`LIBRARY`):
+
+- ``compare_with_table``, n = 3..10: ``json.dumps(report.to_json())`` and
+  ``report.to_text()`` of both gatings' diffs of ``build_table(n)``;
+- ``quantum_part_from_correlators``, n = 3..10: ``poly.class_to_json`` of
+  the reconstruction for h1 and h2, every v and the degrees l1, l2, l1+l2;
+- ``three_point_incidence``, n = 3..6: the value for every u1, u2, w and
+  every degree with 0 <= d1, d2 <= 3, or the message of the
+  ``UnsupportedDegree`` it raises.
+
+Two source trees print the same lines exactly when all of these agree, so a
+change that must keep the CLI's and the closed forms' output is checked by
+running this with ``PYTHONPATH`` set to each tree's ``src`` and diffing the
+two outputs; a line that differs names the command or the section and n
+that moved.  The file ``qkflag`` was imported from goes to stderr, not into
+the snapshot.
 
 The output is committed as ``tests/data/cli_snapshot.tsv``, and
 ``tests/test_cli.py`` compares a fresh run with it byte for byte.
@@ -34,7 +49,13 @@ import tempfile
 from pathlib import Path
 
 import qkflag
+from qkflag.basis import enumerate_basis
 from qkflag.cli import run
+from qkflag.conjecture import GATINGS, compare_with_table
+from qkflag.correlators import quantum_part_from_correlators, three_point_incidence
+from qkflag.errors import UnsupportedDegree
+from qkflag.poly import DEGREE_L1, DEGREE_L1L2, DEGREE_L2, class_to_json
+from qkflag.qkring import build_table
 
 NS = (3, 4, 5, 6)
 CHECKS = "positivity,ring,classical,degree,chevalley"
@@ -140,6 +161,43 @@ def zeroed_cache(tmp: Path) -> Path:
     return zeroed
 
 
+def compare_with_table_lines(n: int):
+    """Both gatings' diffs of the built table, as JSON and as text."""
+    table = build_table(n)
+    for gating in GATINGS:
+        report = compare_with_table(table, gating)
+        yield json.dumps(report.to_json())
+        yield report.to_text()
+
+
+def quantum_part_from_correlators_lines(n: int):
+    """Each reconstructed Chevalley quantum part, after its h, v and degree."""
+    for h in ("h1", "h2"):
+        for v in enumerate_basis(n):
+            for deg in (DEGREE_L1, DEGREE_L2, DEGREE_L1L2):
+                c = quantum_part_from_correlators(h, v, deg, n)
+                yield f"{n} {h} {tuple(v)} {deg} " + json.dumps(class_to_json(c))
+
+
+def three_point_incidence_lines(n: int):
+    """Each three-point value with 0 <= d1, d2 <= 3, or the message of its refusal."""
+    basis = enumerate_basis(n)
+    for deg in [(d1, d2) for d1 in range(4) for d2 in range(4)]:
+        for u1 in basis:
+            for u2 in basis:
+                for w in basis:
+                    try:
+                        yield str(three_point_incidence(u1, u2, w, deg, n))
+                    except UnsupportedDegree as exc:
+                        yield f"UnsupportedDegree: {exc}"
+
+
+# (the lines of a section, n) in row order; a row's label is the section's name without "_lines"
+LIBRARY = [(lines, n) for n in range(3, 11)
+           for lines in (compare_with_table_lines, quantum_part_from_correlators_lines)]
+LIBRARY += [(three_point_incidence_lines, n) for n in range(3, 7)]
+
+
 def main() -> int:
     print(f"qkflag from {Path(qkflag.__file__).parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
@@ -147,6 +205,9 @@ def main() -> int:
         for argv in [cmd for n in NS for cmd in commands(n)] + FIXED:
             code, out, written = snapshot([files.get(a, a) for a in argv])
             print(" ".join(argv), code, out, written, sep="\t")
+    for lines, n in LIBRARY:
+        section = lines.__name__.removesuffix("_lines")
+        print(f"{section} n={n}", sha256("".join(line + "\n" for line in lines(n)).encode()), sep="\t")
     return 0
 
 
