@@ -92,6 +92,13 @@ def _fill(total: int, slots: int) -> tuple[int, ...]:
     return (q - 1,) * low + (q,) * (slots - low)
 
 
+def _ints(error: type, **values) -> None:
+    """Raise ``error`` naming the first of ``values`` that is not an int (a bool is not one)."""
+    for name, v in values.items():
+        if type(v) is not int:
+            raise error(f"{name} must be an int, got {v!r}")
+
+
 def _degrees(shape: FlagShape, degrees) -> tuple[int, ...]:
     """``degrees`` as a tuple of ints, one per step of ``shape``; ShapeMismatch otherwise."""
     degrees = tuple(degrees)
@@ -166,6 +173,7 @@ def enumerate_admissible(shape: FlagShape, degrees) -> list[AdmissibleSequenceSe
 def brute_force_balanced(shape: FlagShape, degrees, bound: int = 12) -> AdmissibleSequenceSet:
     """Exhaustive spread-minimizer; raises if the minimizer is not unique."""
     degrees = _degrees(shape, degrees)
+    _ints(ValueError, bound=bound)
     if any(d < 0 for d in degrees):
         raise ValueError(f"degrees must be nonnegative: {degrees}")
     if sum(degrees) > bound:
@@ -189,6 +197,7 @@ def splitting_predicate(shape: FlagShape, degrees, k: int) -> bool:
     a_{k,j} = a_{k-1,j} for j <= i_{k-1}.
     """
     degrees = _degrees(shape, degrees)
+    _ints(InvalidIndex, k=k)
     if not 1 < k <= shape.m:
         raise InvalidIndex(f"k must satisfy 1 < k <= {shape.m}, got {k}")
     return _carries_over((0,) + shape.ranks, (0,) + degrees, k)
@@ -251,6 +260,7 @@ def vandermonde_sum(n: int, m: int, big_n: int) -> int:
 
     Equals C(n+m, big_n); the closed form is asserted in tests, not here.
     """
+    _ints(ValueError, n=n, m=m, big_n=big_n)
     if n < 0 or m < 0 or big_n < 0:
         raise ValueError("arguments must be nonnegative")
     return sum(
@@ -265,6 +275,7 @@ def alternating_decomposition_sum(d: int, delta: int, d0: int, delta0: int, cap:
 
     Vanishes whenever delta0 < delta - 1 or d0 < d - 1.
     """
+    _ints(ValueError, d=d, delta=delta, d0=d0, delta0=delta0, cap=cap)
     for v in (d, delta, d0, delta0):
         if v < 0:
             raise ValueError("arguments must be nonnegative")

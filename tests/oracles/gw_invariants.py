@@ -1,7 +1,5 @@
 """K-theoretic three-point invariants read off the table, checked against rationality.
 
-    PYTHONPATH=src python -m tests.oracles.gw_invariants [--max-n N]
-
 Where Gromov-Witten varieties are rationally connected, the invariant
 E_d(u, v, w) = I_d(O_u, O_v, O_w) is the Euler characteristic of the
 structure sheaf of one, so it is 0 or 1 (Buch-Mihalcea, "Quantum K-theory
@@ -26,13 +24,12 @@ The oracle assumes that ``_two_point_target`` is right.  Over every
 * E_d = E_(min(d1, 2), min(d2, 2));
 * E = 1 once d >= (2, 2).
 
-Run as a script, it checks ``build_table(n)`` for n = 7..N (default N = 8),
-prints one line per n and each broken rule, and exits 1 on any failure.
+:func:`failures` takes any ``product(u, v)``: the table, the closed formula
+or a perturbed table.  ``tests/test_gw_invariants.py`` runs it.
 """
 
 from __future__ import annotations
 
-import argparse
 from collections import Counter
 
 from qkflag.basis import codim, enumerate_basis
@@ -113,27 +110,3 @@ def negative_dimension_count(n: int) -> int:
         for x, a in sizes.items() for y, b in sizes.items() for z, c in sizes.items()
         for d in DEGREES if expected_dimension(x + y + z, d, n) < 0
     )
-
-
-def main(argv=None) -> int:
-    from qkflag.qkring import build_table
-
-    parser = argparse.ArgumentParser(description="Check the table's three-point invariants against rationality.")
-    parser.add_argument("--max-n", type=int, default=8, help="check n = 7..N")
-    args = parser.parse_args(argv)
-    if args.max_n < 7:
-        parser.error(f"--max-n must be at least 7, got {args.max_n}: the runner checks n = 7..N")
-    bad = 0
-    for n in range(7, args.max_n + 1):
-        found = list(failures(n, build_table(n).product))
-        for row in found[:20]:
-            print("failure", *row)
-        bad += len(found)
-        size = len(enumerate_basis(n)) ** 3 * len(DEGREES)
-        print(f"n={n}: {size} (u, v, w, d), {negative_dimension_count(n)} of negative "
-              f"expected dimension, {len(found)} failures")
-    return 1 if bad else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

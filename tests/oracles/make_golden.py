@@ -16,10 +16,14 @@ from .reference_table import reference_table_json
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
+def golden_text(n: int) -> str:
+    """The text of ``golden_table_n{n}.json``: the sympy oracle's table as compact JSON."""
+    return json.dumps(reference_table_json(n), separators=(",", ":")) + "\n"
+
+
 def write_golden(n: int) -> pathlib.Path:
     path = DATA_DIR / f"golden_table_n{n}.json"
-    payload = reference_table_json(n)
-    path.write_text(json.dumps(payload, indent=None, separators=(",", ":")) + "\n")
+    path.write_text(golden_text(n))
     return path
 
 

@@ -124,7 +124,7 @@ def test_table_stdout_writes_the_golden_bytes(n, capsys):
     assert out.splitlines() == [",".join(CSV_HEADER), *want]
 
 
-@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("n", [7, 8, 12])
 def test_table_out_writes_the_bytes_of_table_to_json(n, tmp_path, capsys):
     # the rows are streamed; the file must still read as one json.dumps of the whole table
     out = tmp_path / f"t{n}.json"
@@ -161,18 +161,16 @@ def test_table_out_holds_no_more_than_twice_the_table(tmp_path):
     assert written <= 2 * built, (written, built)
 
 
-def test_table_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "table_n4.json"
-    code, _, _ = run_cli(capsys, "table", "--n", "4", "--out", str(cache))
+@pytest.mark.parametrize("n, u, v", [(4, "3,1", "1,4"), (12, "1,12", "1,12"), (12, "11,1", "1,2"), (12, "2,1", "1,3")])
+def test_table_cache_roundtrip(n, u, v, tmp_path, capsys):
+    # the loader reads every product of the cache, 17 424 at n = 12; the answer must equal the built one
+    cache = tmp_path / f"table_n{n}.json"
+    code, _, _ = run_cli(capsys, "table", "--n", str(n), "--out", str(cache))
     assert code == 0 and cache.exists()
-    code, out, _ = run_cli(
-        capsys,
-        "product", "--n", "4", "--u", "3,1", "--v", "1,4", "--table", str(cache),
-    )
+    product = ["product", "--n", str(n), "--u", u, "--v", v, "--format", "json"]
+    code, cached, _ = run_cli(capsys, *product, "--table", str(cache))
     assert code == 0
-    table = build_table(4)
-    direct = f"O_3,1 * O_1,4 = {table.product((3, 1), (1, 4))}"
-    assert out.strip() == direct
+    assert cached == run_cli(capsys, *product)[1]
 
 
 def test_table_cache_wrong_rank_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from qkflag.errors import (
     NonUniqueMinimizer,
     ShapeMismatch,
 )
+from qkflag import flags
 from qkflag.flags import (
     AdmissibleSequenceSet,
     FlagShape,
@@ -84,6 +85,13 @@ def test_brute_force_refuses_a_negative_degree_as_the_construction_does():
 def test_brute_force_bound_guard():
     with pytest.raises(BoundExceeded):
         brute_force_balanced(FlagShape((2,), 3), (20,), bound=10)
+
+
+def test_brute_force_raises_when_the_minimizer_is_not_unique(monkeypatch):
+    # every spread is 0, so all three admissible sets of ((2,), (4,)) share the minimum
+    monkeypatch.setattr(flags, "spread", lambda a: 0)
+    with pytest.raises(NonUniqueMinimizer, match=r"^3 admissible sets share minimal spread 0: "):
+        brute_force_balanced(FlagShape((2,), 3), (4,))
 
 
 def test_enumerate_admissible_counts_small_case():
@@ -299,3 +307,26 @@ def test_alternating_decomposition_sum_refuses_a_negative_argument(args):
     with pytest.raises(ValueError) as exc:
         alternating_decomposition_sum(*args)
     assert str(exc.value) == "arguments must be nonnegative"
+
+
+@pytest.mark.parametrize(
+    "fn, args, error, msg",
+    [
+        (splitting_predicate, (FlagShape((2, 4), 5), (2, 8), 2.0), InvalidIndex, "k must be an int, got 2.0"),
+        (splitting_predicate, (FlagShape((2, 4), 5), (2, 8), True), InvalidIndex, "k must be an int, got True"),
+        (vandermonde_sum, (2.0, 1, 1), ValueError, "n must be an int, got 2.0"),
+        (vandermonde_sum, (True, 1, 1), ValueError, "n must be an int, got True"),
+        (vandermonde_sum, (2, 1, 1.0), ValueError, "big_n must be an int, got 1.0"),
+        (alternating_decomposition_sum, (1.5, 1, 0, 0), ValueError, "d must be an int, got 1.5"),
+        (alternating_decomposition_sum, (True, 1, 0, 0), ValueError, "d must be an int, got True"),
+        (alternating_decomposition_sum, (1, 1, 0, False), ValueError, "delta0 must be an int, got False"),
+        (alternating_decomposition_sum, (1, 1, 0, 0, 2.5), ValueError, "cap must be an int, got 2.5"),
+        (brute_force_balanced, (FlagShape((2,), 3), (4,), 12.5), ValueError, "bound must be an int, got 12.5"),
+        (brute_force_balanced, (FlagShape((2,), 3), (1,), True), ValueError, "bound must be an int, got True"),
+    ],
+)
+def test_numeric_arguments_refuse_floats_and_bools(fn, args, error, msg):
+    # a float would end in a bare TypeError from range, and a bool would be read as 0 or 1
+    with pytest.raises(error) as exc:
+        fn(*args)
+    assert type(exc.value) is error and str(exc.value) == msg

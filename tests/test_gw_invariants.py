@@ -8,12 +8,12 @@ import pytest
 from qkflag.conjecture import conjectured_product
 from qkflag.poly import NovikovPolynomial, QKClass
 from qkflag.qkring import build_table
-from tests.oracles.gw_invariants import failures, main, negative_dimension_count
+from tests.oracles.gw_invariants import failures, negative_dimension_count
 
-NEGATIVE_DIMENSION = {3: 297, 4: 2800, 5: 14000, 6: 49410}
+NEGATIVE_DIMENSION = {3: 297, 4: 2800, 5: 14000, 6: 49410, 7: 139601, 8: 337792}
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(3, 9))
 def test_table_invariants_obey_the_rationality_rules(n):
     # the rule "E = 0 at negative expected dimension" is tested on this many (u, v, w, d)
     assert negative_dimension_count(n) == NEGATIVE_DIMENSION[n]
@@ -48,11 +48,3 @@ def test_one_coefficient_raised_by_one_breaks_a_rule(u, v, w, degree):
         return table.product(x, y) + bump if (x, y) == (u, v) else table.product(x, y)
 
     assert _fails(n, product)
-
-
-def test_runner_refuses_a_range_below_n_7(capsys):
-    # --max-n 6 used to check n = 7..6, print nothing and exit 0
-    with pytest.raises(SystemExit) as exc:
-        main(["--max-n", "6"])
-    assert exc.value.code == 2
-    assert "--max-n must be at least 7" in capsys.readouterr().err

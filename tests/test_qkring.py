@@ -22,6 +22,7 @@ from qkflag.qkring import (
     table_from_json,
     table_to_json,
 )
+from tests.oracles.make_golden import golden_text
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -136,15 +137,16 @@ def test_build_table_rejects_bad_rank():
         build_table(2)
 
 
-def test_step_c_arbitration_outcome(tables):
-    for n, table in tables.items():
-        assert table.step_c_variant == "h2"
-        outcomes = table.arbitration["outcomes"]
-        assert outcomes["h2"] == {"classical_limit_ok": True, "commutative_ok": True}
-        # the competing transcription survives the classical limit but is
-        # not commutative, which is what forces the arbitration
-        assert outcomes["h1"]["classical_limit_ok"] is True
-        assert outcomes["h1"]["commutative_ok"] is False
+@pytest.mark.parametrize("n", range(3, 25))
+def test_step_c_arbitration_outcome(n):
+    # the competing transcription survives the classical limit but is not
+    # commutative, which is what forces the arbitration; an auto build past
+    # the other tests' range must still pass the certificate, mirrored
+    table = build_table(n)
+    ok = {"classical_limit_ok": True, "commutative_ok": True}
+    assert table.arbitration == {"chosen": "h2", "outcomes": {"h2": ok, "h1": {**ok, "commutative_ok": False}}}
+    assert table.step_c_variant == "h2"
+    assert qkring._is_mirrored(table.ops)
 
 
 def test_unit_column_in_every_matrix(tables):
@@ -181,6 +183,12 @@ def test_hyperplane_matrices_rederived_from_recurrences(tables):
 def test_table_matches_golden_file(n, tables):
     golden = json.loads((DATA / f"golden_table_n{n}.json").read_text())
     assert table_to_json(tables[n]) == golden
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_golden_file_is_the_text_of_the_sympy_oracle(n):
+    # the dense oracle shares no code with the package: the golden files are its output
+    assert golden_text(n).encode() == (DATA / f"golden_table_n{n}.json").read_bytes()
 
 
 def test_point_squared_n4_matches_golden(tables):
@@ -402,7 +410,7 @@ def test_auto_build_composes_only_the_kept_variant(n, monkeypatch):
     assert full == size * (size - 1)
 
 
-def test_witness_column_is_the_h1_product():
+def test_h1_product_of_o12_and_the_unit_adds_q1_times_h1_minus_h2():
     # column e_{n,1} of M^{h1}_{1,2} is O_{1,2} + Q1 (H1 - H2) e_{n,1}, never
     # O_{1,2}: the reason build_table never builds the h1 table
     for n in range(3, 11):
@@ -413,7 +421,7 @@ def test_witness_column_is_the_h1_product():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_witness_that_cannot_decide_raises(n, monkeypatch):
+def test_generators_equal_on_the_unit_column_raise_before_any_h1_step(n, monkeypatch):
     # generators that agree on e_{n,1} would leave h1 undecided; they cannot
     # pass the certificate's unit columns (these also fail the commutator),
     # and the build raises instead of building the h1 table
@@ -581,7 +589,7 @@ def test_noncommuting_generators_fail_the_certificate(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_failing_unit_column_falls_back_to_full_width(n, monkeypatch):
+def test_failing_unit_column_raises_after_the_first_step(n, monkeypatch):
     # H1 = H2 commute, but then M_{n-1,1} e_{n,1} = e_{n,2}: the first step
     # breaks the certificate, and the build raises
     h2 = chevalley_operator("h2", n)
@@ -605,11 +613,13 @@ def test_wrong_classical_limit_fails_the_auto_build(n, monkeypatch):
     assert build_table(n, "h2").step_c_variant == "h2"
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(3, 17))
 def test_h1_table_is_never_mirrored(n):
+    # nor commutative, but its classical limit is right: the arbitration's h1 outcome
     table = build_table(n, "h1")
     assert table.product((1, 2), (n, 1)) != table.product((n, 1), (1, 2))
     assert not _shared_pairs(table.ops)
+    assert qkring._classical_mismatches(n, table.ops) == []
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
