@@ -53,7 +53,7 @@ _index = _OnDemand(SchubertIndex._make)  # (i, j) -> the one index of that pair
 
 
 def check_rank(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
+    if type(n) is not int or n < 3:
         raise InvalidRank(f"ambient dimension must be an integer >= 3, got {n!r}")
     return n
 

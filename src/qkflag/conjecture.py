@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 
 from ._record import Record
-from .basis import SchubertIndex, _length, _position, check_index, check_rank, enumerate_basis
+from .basis import SchubertIndex, _length, _position, check_index, enumerate_basis
 from .errors import DegenerateTarget, InvalidIndex
 from .poly import _D1, _POS, CurveDegree, QKClass, _decode
 from .qkring import _both_ways, _is_mirrored, _triangle
@@ -65,7 +65,7 @@ def degree_operator(idx: int, u, v, w, n: int) -> int:
 def degree_vector(u, v, w, n: int) -> CurveDegree:
     """(d_1, d_2) at w: InvalidIndex unless w is two ints in 1..n; equal ones are allowed."""
     u, v = check_index(u, n), check_index(v, n)
-    if not all(type(x) is int and 1 <= x <= n for x in w):
+    if len(w) != 2 or not all(type(x) is int and 1 <= x <= n for x in w):
         raise InvalidIndex(f"{tuple(w)!r} is not a target index for n={n}")
     return _degree_vector(u, v, w, n)
 
@@ -76,26 +76,17 @@ def _degree_vector(u, v, w, n: int) -> CurveDegree:
 
 
 def delta(u, v, w, n: int) -> int:
-    """Parity gate: 1 when the positivity exponent at (u, v, w) is even.
+    """Parity gate: 1 when codim(w) - codim(u) - codim(v) + c1(d) is even.
 
-    The exponent uses codimensions (the reading l(w0 x) = codim X(x)) plus
-    the c1-pairing of the degree vector attached to (u, v, w).
+    codim X(x) = (2n - 3) - l(x) (the reading l(w0 x) = codim X(x)), and
+    c1(d) = (d1 + d2)(n - 1) for the degree vector d of (u, v, w).  The
+    target is checked as :func:`degree_vector` checks it, then refused if
+    degenerate.
     """
-    check_rank(n)
+    d1, d2 = degree_vector(u, v, w, n)
     if is_degenerate(w):
         raise DegenerateTarget(f"delta undefined at degenerate target {tuple(w)}")
-    w = check_index(w, n)
-    u, v = check_index(u, n), check_index(v, n)
-    return _parity_gate(_length(*u, n) + _length(*v, n), w, *_degree_vector(u, v, w, n), n)
-
-
-def _parity_gate(luv: int, w, d1: int, d2: int, n: int) -> int:
-    """The parity rule of Delta: 1 when codim(w) - codim(u) - codim(v) + c1(d) is even.
-
-    ``luv`` is l(u) + l(v); codim = dim - length, with dim = 2n - 3 and
-    c1(d) = (d1 + d2)(n - 1) on a trusted n.
-    """
-    e = luv - _length(*w, n) - (2 * n - 3) + (d1 + d2) * (n - 1)
+    e = _length(*u, n) + _length(*v, n) - _length(*w, n) - (2 * n - 3) + (d1 + d2) * (n - 1)
     return 1 if e % 2 == 0 else 0
 
 
@@ -113,7 +104,7 @@ def _class_formula(a: int, b: int, parity: int, n: int) -> tuple[dict, dict]:
     distinct, so no two terms share a key and none cancels.
     """
     codes, gates = [], []  # of t_0..t_3: a degenerate translate's code is None, its gate False
-    odd = (parity + 1) & 1  # the gate is _parity_gate's rule read mod 2
+    odd = (parity + 1) & 1  # the gate is delta's rule read mod 2
     for di, dj in _SHIFTS:
         s, t = (a - di) % n + 1, (b - dj) % n + 1
         d1, d2 = 1 - (a - s) // n, (b - t) // n
@@ -187,14 +178,6 @@ def _differing(x: dict, y: dict) -> list:
     return [t for t in x.keys() | y.keys() if x.get(t, 0) != y.get(t, 0)]
 
 
-def _mismatch_rows(want: dict, got: dict, basis) -> list:
-    """``((w, d1, d2), (table, conjecture))`` wherever two flat maps of codes differ, in code order.
-
-    ``basis`` lists the indices in basis order, to decode the codes.
-    """
-    return [(_decode(t, basis), (want.get(t, 0), got.get(t, 0))) for t in sorted(_differing(want, got))]
-
-
 def compare_with_table(table, gating: str = "flipped") -> DiffReport:
     """Structural diff of the closed formula against a built table.
 
@@ -245,7 +228,8 @@ def compare_with_table(table, gating: str = "flipped") -> DiffReport:
                 other_count += times * apart
             else:
                 other_count += times * len(_differing(want, other))
-                found[a, b] = _mismatch_rows(want, got, basis)
+                codes = sorted(_differing(want, got))  # each row: (w, d1, d2), (table, conjecture)
+                found[a, b] = [(_decode(t, basis), (want.get(t, 0), got.get(t, 0))) for t in codes]
     mismatches = [
         {
             "u": [basis[a].i, basis[a].j],

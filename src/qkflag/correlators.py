@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ._record import FrozenRecord
 from .basis import SchubertIndex, _check_hyperplane, _hyperplane, _index, check_index, check_rank, dual_index
-from .errors import UnsupportedDegree
+from .errors import UnsupportedDegree, _ints
 from .kring import _k_terms
 from .poly import DEGREE_L1, DEGREE_L1L2, DEGREE_L2, CurveDegree, QKClass, _int_class
 
@@ -81,9 +81,7 @@ def two_point_chain(u, degs, w, n: int) -> int:
 
 def three_point_projective(i1: int, i2: int, i3: int, d: int, m: int) -> int:
     """Three-point correlator of P^m at degree d >= 1 for indices in [1, m+1]."""
-    for name, x in (("i1", i1), ("i2", i2), ("i3", i3), ("d", d), ("m", m)):
-        if type(x) is not int:
-            raise ValueError(f"{name} must be an int, got {x!r}")
+    _ints(ValueError, i1=i1, i2=i2, i3=i3, d=d, m=m)
     if m < 1:
         raise ValueError(f"projective dimension must be >= 1, got {m}")
     for idx in (i1, i2, i3):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one named-argument int refusal."""
 
 
 class QKFlagError(Exception):
@@ -39,3 +39,10 @@ class NonUniqueMinimizer(QKFlagError, RuntimeError):
 
 class BoundExceeded(QKFlagError, ValueError):
     """Input is larger than the enumeration guard allows."""
+
+
+def _ints(error: type, **values) -> None:
+    """Raise ``error`` naming the first of ``values`` whose type is not int (so a bool is not one)."""
+    for name, v in values.items():
+        if type(v) is not int:
+            raise error(f"{name} must be an int, got {v!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 
 from ._record import FrozenRecord
-from .errors import BoundExceeded, InvalidIndex, NonUniqueMinimizer, ShapeMismatch
+from .errors import BoundExceeded, InvalidIndex, NonUniqueMinimizer, ShapeMismatch, _ints
 
 
 class FlagShape(FrozenRecord):
@@ -42,7 +42,10 @@ class AdmissibleSequenceSet(FrozenRecord):
     __slots__ = ("sequences", "degrees")
 
     def __init__(self, sequences: tuple[tuple[int, ...], ...], degrees: tuple[int, ...]):
-        super().__init__(tuple(tuple(row) for row in sequences), tuple(degrees))
+        rows, degrees = tuple(tuple(row) for row in sequences), tuple(degrees)
+        if any(type(x) is not int for row in rows + (degrees,) for x in row):
+            raise ShapeMismatch(f"sequences and degrees must be ints, got {rows} and {degrees}")
+        super().__init__(rows, degrees)
 
 
 def is_admissible(a: AdmissibleSequenceSet, shape: FlagShape) -> bool:
@@ -90,13 +93,6 @@ def _fill(total: int, slots: int) -> tuple[int, ...]:
     q = -(-total // slots)
     low = slots * q - total  # number of entries equal to q-1
     return (q - 1,) * low + (q,) * (slots - low)
-
-
-def _ints(error: type, **values) -> None:
-    """Raise ``error`` naming the first of ``values`` that is not an int (a bool is not one)."""
-    for name, v in values.items():
-        if type(v) is not int:
-            raise error(f"{name} must be an int, got {v!r}")
 
 
 def _degrees(shape: FlagShape, degrees) -> tuple[int, ...]:

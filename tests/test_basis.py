@@ -1,3 +1,5 @@
+from enum import IntEnum
+
 import pytest
 
 from qkflag import basis, cli
@@ -5,6 +7,7 @@ from qkflag.basis import (
     SchubertIndex,
     basis_size,
     check_index,
+    check_rank,
     codim,
     dim_incidence,
     dual_index,
@@ -55,6 +58,15 @@ def test_linear_index_roundtrip(n):
 def test_invalid_inputs():
     with pytest.raises(InvalidRank):
         enumerate_basis(2)
+    # an int subclass is refused as check_index refuses it; k_product((1, 2), (2, 1), E.A) used to return a class
+    class I(int):
+        pass
+
+    for n in (I(4), IntEnum("E", {"A": 4}).A):
+        with pytest.raises(InvalidRank):
+            check_rank(n)
+        with pytest.raises(InvalidRank):
+            k_product((1, 2), (2, 1), n)
     with pytest.raises(InvalidIndex):
         linear_index((2, 2), 4)
     with pytest.raises(InvalidIndex):

@@ -67,12 +67,17 @@ def test_degree_operator_values_at_translates_are_bits():
                         assert degree_operator(op, u, v, w, n) in (0, 1)
 
 
-@pytest.mark.parametrize("w", [(9, 9), (0, 2), (2, 4), (1.0, 2), (2, 3.0), (True, 2), (2, True)])
+@pytest.mark.parametrize(
+    "w", [(9, 9), (0, 2), (2, 4), (1.0, 2), (2, 3.0), (True, 2), (2, True), (1.0, 1.0), (True, True), (1, 2, 3), (2,)]
+)
 def test_degree_vector_refuses_an_invalid_target(w):
     with pytest.raises(InvalidIndex):
         degree_vector((1, 2), (2, 3), w, 3)
     with pytest.raises(InvalidIndex):
         degree_operator(1, (1, 2), (2, 3), w, 3)
+    # delta checks its target the same way first: (9, 9), (1.0, 1.0) and (True, True) used to be "degenerate"
+    with pytest.raises(InvalidIndex):
+        delta((1, 2), (2, 3), w, 3)
 
 
 def test_degree_vector_accepts_a_degenerate_target():

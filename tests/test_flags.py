@@ -323,10 +323,23 @@ def test_alternating_decomposition_sum_refuses_a_negative_argument(args):
         (alternating_decomposition_sum, (1, 1, 0, 0, 2.5), ValueError, "cap must be an int, got 2.5"),
         (brute_force_balanced, (FlagShape((2,), 3), (4,), 12.5), ValueError, "bound must be an int, got 12.5"),
         (brute_force_balanced, (FlagShape((2,), 3), (1,), True), ValueError, "bound must be an int, got True"),
+        (
+            AdmissibleSequenceSet, (((1.0, 2.0),), (3.0,)), ShapeMismatch,
+            "sequences and degrees must be ints, got ((1.0, 2.0),) and (3.0,)",
+        ),
+        (
+            AdmissibleSequenceSet, (((1, True),), (2,)), ShapeMismatch,
+            "sequences and degrees must be ints, got ((1, True),) and (2,)",
+        ),
+        (
+            AdmissibleSequenceSet, (((1, 2),), (True,)), ShapeMismatch,
+            "sequences and degrees must be ints, got ((1, 2),) and (True,)",
+        ),
     ],
 )
 def test_numeric_arguments_refuse_floats_and_bools(fn, args, error, msg):
-    # a float would end in a bare TypeError from range, and a bool would be read as 0 or 1
+    # a float would end in a bare TypeError from range, and a bool would be read as 0 or 1;
+    # AdmissibleSequenceSet(((1.0, 2.0),), (3.0,)) used to be admissible, with spread 1.0
     with pytest.raises(error) as exc:
         fn(*args)
     assert type(exc.value) is error and str(exc.value) == msg
